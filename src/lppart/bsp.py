@@ -5,19 +5,22 @@ same step function against its private state; cross-task state moves only
 through the collectives below, so results are independent of the order in
 which tasks are executed (sequential round-robin or a thread pool).
 
-The update exchange mirrors a counts/offsets/buffer all-to-all: a first pass
-over the queued vertices tallies how many items go to each neighboring task
-(deduplicated so a vertex is sent to a given task at most once per exchange),
-a prefix sum turns the tallies into buffer offsets, a second pass fills the
-flattened (vertex, part) send buffer, and an all-to-all of the counts sizes
-the receive side.  Counts are in buffer items, two per queued pair.
+The update exchange mirrors a counts/offsets/buffer all-to-all.  Each task
+queues one int64 array: the global ids of the owned vertices it changed, in
+the order it changed them.  A first pass over the queue tallies how many
+items go to each neighboring task (deduplicated so a vertex is sent to a
+given task at most once per exchange), a prefix sum turns the tallies into
+buffer offsets, a second pass fills the flattened (vertex, part) send buffer
+with each vertex's current label from the task's parts array, and an
+all-to-all of the counts sizes the receive side.  Counts are in buffer items,
+two per queued vertex.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from copy import deepcopy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,35 +36,6 @@ class SuperstepError(ProtocolError):
         super().__init__(f"task {task} failed in superstep {superstep}: {cause!r}")
         self.task = task
         self.superstep = superstep
-
-
-@dataclass
-class UpdateQueue:
-    """(vertex, part) updates staged by one task's workers.
-
-    Worker sub-queues are merged in worker-index order so runs are
-    reproducible regardless of how the vertex loop was split.
-    """
-
-    num_workers: int = 1
-    _queues: list[list[tuple[int, int]]] = field(default=None, repr=False)
-
-    def __post_init__(self):
-        self._queues = [[] for _ in range(self.num_workers)]
-
-    def push(self, worker: int, vertex_gid: int, part: int) -> None:
-        self._queues[worker].append((vertex_gid, part))
-
-    def __len__(self) -> int:
-        return sum(len(q) for q in self._queues)
-
-    def merged(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flat (vertices, parts) arrays in worker order."""
-        flat = [pair for q in self._queues for pair in q]
-        if not flat:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        arr = np.asarray(flat, dtype=np.int64)
-        return arr[:, 0], arr[:, 1]
 
 
 @dataclass
@@ -191,18 +165,16 @@ def build_send_buffers(lg: LocalGraph, parts: np.ndarray, queue_gids: np.ndarray
 def exchange_updates(
     local_graphs: Sequence[LocalGraph],
     parts_arrays: Sequence[np.ndarray],
-    queues: Sequence[UpdateQueue],
+    queues: Sequence[np.ndarray],
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[ExchangeBuffers]]:
     """All-to-all exchange of queued part updates.
 
-    Returns per-task received (vertices, parts) queues, ordered by sending
-    task, plus the per-task buffers for tracing/inspection.
+    ``queues[t]`` holds the global ids task t changed.  Returns per-task
+    received (vertices, parts) queues, ordered by sending task, plus the
+    per-task buffers for tracing/inspection.
     """
     T = len(local_graphs)
-    buffers = []
-    for lg, parts, q in zip(local_graphs, parts_arrays, queues):
-        gids, _ = q.merged()
-        buffers.append(build_send_buffers(lg, parts, gids))
+    buffers = [build_send_buffers(lg, parts, gids) for lg, parts, gids in zip(local_graphs, parts_arrays, queues)]
 
     received: list[tuple[np.ndarray, np.ndarray]] = []
     for t in range(T):

@@ -14,6 +14,7 @@ dense vertex i.
 
 from __future__ import annotations
 
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ import numpy as np
 from .errors import InputError
 
 CACHE_FORMAT_VERSION = 1
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1  # vertex ids are stored as int64
 
 
 def read_edge_list(path: str | Path) -> np.ndarray:
@@ -41,7 +43,17 @@ def read_edge_list(path: str | Path) -> np.ndarray:
             pairs.append((u, v))
     if not pairs:
         return np.empty((0, 2), dtype=np.int64)
-    return np.asarray(pairs, dtype=np.int64)
+    try:
+        return np.asarray(pairs, dtype=np.int64)
+    except OverflowError:
+        pass
+    # some id does not fit int64; a range test on every line slows the
+    # common case by about a tenth, so the line is located only now
+    k = next(i for i, (u, v) in enumerate(pairs) if not (INT64_MIN <= u <= INT64_MAX and INT64_MIN <= v <= INT64_MAX))
+    with open(path) as fh:
+        data_lines = (n for n, line in enumerate(fh, start=1) if line.strip() and not line.strip().startswith("#"))
+        lineno = next(islice(data_lines, k, None))
+    raise InputError(f"{path}:{lineno}: vertex id outside the signed 64-bit range in '{pairs[k][0]} {pairs[k][1]}'")
 
 
 def write_edge_list(path: str | Path, pairs: np.ndarray) -> None:

@@ -33,17 +33,29 @@ visible, as with concurrent workers), while delta and weight updates are
 applied move-by-move so the per-part guards always see the latest estimates.
 Chunk boundaries are deterministic, making runs bit-reproducible for a fixed
 seed and task count.
+
+Every choice among parts takes the first maximum: a vertex keeps its part
+when that part ties for the best score, and otherwise the lowest part index
+wins.  Because counts are frozen per chunk, refinement finds each vertex's
+plurality part with array code, and only the vertices whose plurality
+differs from their part (the movers) pass one by one through the guards.
+Balancing scores every part of a vertex at once (a product list whose guard
+closed parts read -1.0) and rescores only the two parts a move touches; the
+isolated-vertex water-fill keeps its destination until a move changes it.
+Each task's step returns the global ids it moved, in move order, as one
+int64 array; the exchange reads their new labels from the parts arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import metrics
-from .bsp import Runtime, UpdateQueue, allreduce_sum, apply_updates, broadcast, exchange_updates
+from .bsp import Runtime, allreduce_sum, apply_updates, broadcast, exchange_updates
 from .errors import ConfigError, ProtocolError
 from .graph import LocalGraph, block_cuts
 from .seeds import rng_for
@@ -73,7 +85,6 @@ class Config:
     seed: int = 0
     init_mode: str = "bfs-lp"
     chunk: int = 4096  # worker batch size for the vertex sweeps
-    workers: int = 1  # sub-queues per task, merged in worker order
     threaded: bool = False  # run tasks on a thread pool instead of round-robin
 
     @property
@@ -93,8 +104,8 @@ class Config:
             raise ConfigError("imbalance ratios must be nonnegative")
         if self.init_mode not in INIT_MODES:
             raise ConfigError(f"unknown init mode {self.init_mode!r}")
-        if self.chunk < 1 or self.workers < 1:
-            raise ConfigError("chunk size and worker count must be >= 1")
+        if self.chunk < 1:
+            raise ConfigError("chunk size must be >= 1")
 
 
 @dataclass
@@ -182,8 +193,12 @@ def compute_mult(iter_tot: int, total_iters: int, nprocs: int, x: float, y: floa
 
 def _weight(target: float, estimate: float) -> float:
     # parts at or above target have zero pull; denominator floored at one
-    # vertex/edge so emptied parts get a large finite weight
-    return max(target / max(estimate, 1.0) - 1.0, 0.0)
+    # vertex/edge so emptied parts get a large finite weight.  The
+    # conditionals pick what two-argument max() picks (its first argument
+    # unless the second is larger), so the weights are bit-identical to
+    # max(target / max(estimate, 1.0) - 1.0, 0.0)
+    w = target / (1.0 if 1.0 > estimate else estimate) - 1.0
+    return 0.0 if 0.0 > w else w
 
 
 def _global_counts(local_graphs, parts_arrays, num_parts):
@@ -221,20 +236,18 @@ def make_ledger(local_graphs: Sequence[LocalGraph], state: PartitionState, cfg: 
 # initialization
 
 
-def _label_roots(lg: LocalGraph, parts: np.ndarray, roots: np.ndarray) -> list[tuple[int, int]]:
-    moves = []
+def _label_roots(lg: LocalGraph, parts: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Give root i part i on the task owning it; returns the roots labeled here."""
     slots = lg.global_to_local[roots]
-    for label, (gid, slot) in enumerate(zip(roots.tolist(), slots.tolist())):
-        if 0 <= slot < lg.num_owned:
-            parts[slot] = label
-            moves.append((gid, label))
-    return moves
+    mine = np.nonzero((slots >= 0) & (slots < lg.num_owned))[0]
+    parts[slots[mine]] = mine
+    return roots[mine]
 
 
 def _sweep_init(lg: LocalGraph, parts: np.ndarray, rng: np.random.Generator, num_parts: int, chunk: int):
-    """One superstep of label flooding; returns (moves, assigned count)."""
+    """One superstep of label flooding; returns (moved global ids, assigned count)."""
     p1 = num_parts + 1  # column 0 counts unlabeled neighbors
-    moves: list[tuple[int, int]] = []
+    moved = [np.empty(0, dtype=np.int64)]
     owned_deg = lg.degrees[: lg.num_owned]
     for b0 in range(0, lg.num_owned, chunk):
         b1 = min(b0 + chunk, lg.num_owned)
@@ -250,26 +263,18 @@ def _sweep_init(lg: LocalGraph, parts: np.ndarray, rng: np.random.Generator, num
         cand = np.nonzero(open_rows & (labeled > 0))[0]
         if not len(cand):
             continue
-        rows_list = counts[cand].tolist()
-        gids = lg.owned[b0 + cand].tolist()
-        for j, r in enumerate(cand.tolist()):
-            row = rows_list[j]
-            present = [i for i in range(num_parts) if row[i + 1] > 0]
-            label = present[int(rng.integers(len(present)))]
-            parts[b0 + r] = label
-            moves.append((gids[j], label))
-    return moves, len(moves)
+        labels = []
+        for row in counts[cand, 1:].tolist():
+            present = [i for i, c in enumerate(row) if c > 0]
+            labels.append(present[int(rng.integers(len(present)))])
+        parts[b0 + cand] = labels
+        moved.append(lg.owned[b0 + cand])
+    gids = np.concatenate(moved)
+    return gids, len(gids)
 
 
-def _queue_from_moves(moves: list[tuple[int, int]], workers: int) -> UpdateQueue:
-    q = UpdateQueue(num_workers=workers)
-    for k, (gid, label) in enumerate(moves):
-        q.push(k % workers, gid, label)
-    return q
-
-
-def _exchange_round(runtime, local_graphs, state, queues, phase, iteration):
-    received, buffers = exchange_updates(local_graphs, state.parts, queues)
+def _exchange_round(runtime, local_graphs, state, moved, phase, iteration):
+    received, buffers = exchange_updates(local_graphs, state.parts, moved)
     for lg, parts, recv in zip(local_graphs, state.parts, received):
         apply_updates(lg, parts, recv)
     runtime.record_trace(
@@ -343,13 +348,12 @@ def _init_bfs_lp(runtime, local_graphs, state, cfg, notify):
     iteration = 0
     while True:
         def step(t):
-            moves, assigned = _sweep_init(local_graphs[t], state.parts[t], rngs[t], p, cfg.chunk)
-            return pending[t] + moves, assigned
+            gids, assigned = _sweep_init(local_graphs[t], state.parts[t], rngs[t], p, cfg.chunk)
+            return np.concatenate([pending[t], gids]), assigned
 
         results = runtime.run_superstep(step)
-        pending = [[] for _ in local_graphs]
-        queues = [_queue_from_moves(moves, cfg.workers) for moves, _ in results]
-        _exchange_round(runtime, local_graphs, state, queues, PHASE_INIT, iteration)
+        pending = [np.empty(0, dtype=np.int64)] * len(local_graphs)
+        _exchange_round(runtime, local_graphs, state, [gids for gids, _ in results], PHASE_INIT, iteration)
         notify(iteration)
         updates = int(allreduce_sum([np.array([assigned]) for _, assigned in results])[0])
         iteration += 1
@@ -362,16 +366,11 @@ def _init_bfs_lp(runtime, local_graphs, state, cfg, notify):
     def fallback(t):
         lg, parts = local_graphs[t], state.parts[t]
         open_rows = np.nonzero(parts[: lg.num_owned] == -1)[0]
-        moves = []
-        for v in open_rows.tolist():
-            label = int(fallback_rngs[t].integers(p))
-            parts[v] = label
-            moves.append((int(lg.owned[v]), label))
-        return moves
+        parts[open_rows] = [int(fallback_rngs[t].integers(p)) for _ in range(len(open_rows))]
+        return lg.owned[open_rows]
 
     results = runtime.run_superstep(fallback)
-    queues = [_queue_from_moves(moves, cfg.workers) for moves in results]
-    _exchange_round(runtime, local_graphs, state, queues, PHASE_INIT, iteration)
+    _exchange_round(runtime, local_graphs, state, results, PHASE_INIT, iteration)
     notify(iteration)
 
 
@@ -388,11 +387,10 @@ def _init_direct(runtime, local_graphs, state, cfg, notify):
         else:
             labels = np.searchsorted(cuts, lg.owned, side="right") - 1
         parts[: lg.num_owned] = labels
-        return list(zip(lg.owned.tolist(), labels.tolist()))
+        return lg.owned
 
     results = runtime.run_superstep(step)
-    queues = [_queue_from_moves(moves, cfg.workers) for moves in results]
-    _exchange_round(runtime, local_graphs, state, queues, PHASE_INIT, 0)
+    _exchange_round(runtime, local_graphs, state, results, PHASE_INIT, 0)
     notify(0)
 
 
@@ -411,6 +409,13 @@ class _TaskCounters:
     hard caps: if every task fills its guard, the global size lands exactly
     on the cap instead of overshooting by nprocs/mult, which at desk scale
     would ratchet the caps upward every iteration.
+
+    Only additions to a weight estimate are damped by the ramp; removals are
+    charged at the full share so a draining part regains its pull before the
+    tasks collectively empty it out (a damped charge leaves it looking
+    overweight while its last vertices leave).  The sweeps update the lists
+    in place, each keeping current the ones it reads and ``c_v``, this task's
+    net vertex change per part, which `_run_phase` folds into the ledger.
     """
 
     def __init__(self, ledger: PartLedger, mult: float, nprocs: int, edge_stage: bool):
@@ -421,46 +426,10 @@ class _TaskCounters:
         self.est_v = ledger.verts.astype(np.float64).tolist()
         self.guard_v = ledger.verts.astype(np.float64).tolist()
         if edge_stage:
-            self.c_e = [0] * p
-            self.c_c = [0] * p
             self.est_e = ledger.intra_edges.astype(np.float64).tolist()
             self.guard_e = ledger.intra_edges.astype(np.float64).tolist()
             self.est_c = ledger.cut_edges.astype(np.float64).tolist()
             self.guard_c = ledger.cut_edges.astype(np.float64).tolist()
-
-    def _bump(self, est: list[float], i: int, delta: float) -> None:
-        # additions are damped by the ramp; removals are charged at the full
-        # share so a draining part regains its pull before the tasks
-        # collectively empty it out (a damped charge leaves it looking
-        # overweight while its last vertices leave)
-        est[i] += (self.mult if delta > 0 else self.nprocs) * delta
-
-    def move_vertex(self, x: int, w: int) -> None:
-        self.c_v[x] -= 1
-        self.c_v[w] += 1
-        self._bump(self.est_v, x, -1.0)
-        self._bump(self.est_v, w, 1.0)
-        self.guard_v[x] -= self.nprocs
-        self.guard_v[w] += self.nprocs
-
-    def move_edges(self, x: int, w: int, raw_row: list[int], deg_v: int) -> None:
-        kx = raw_row[x]
-        kw = raw_row[w]
-        ko = deg_v - kx - kw
-        self.c_e[x] -= kx
-        self.c_e[w] += kw
-        self._bump(self.est_e, x, -float(kx))
-        self._bump(self.est_e, w, float(kw))
-        self.guard_e[x] -= self.nprocs * kx
-        self.guard_e[w] += self.nprocs * kw
-        dcx = kx - kw - ko
-        dcw = kx - kw + ko
-        self.c_c[x] += dcx
-        self.c_c[w] += dcw
-        self._bump(self.est_c, x, float(dcx))
-        self._bump(self.est_c, w, float(dcw))
-        self.guard_c[x] += self.nprocs * dcx
-        self.guard_c[w] += self.nprocs * dcw
 
 
 def _sweep_balance(
@@ -470,15 +439,28 @@ def _sweep_balance(
     chunk: int,
     tc: _TaskCounters,
     max_v: float,
-    score_w,  # per-part attraction multipliers, updated after every move
-    recompute_w,  # recompute score_w entries for two parts
-    edge_stage: bool,
-) -> list[tuple[int, int]]:
-    """Degree-weighted sweep: counts scaled by score_w, vertex guard on destinations."""
-    moves: list[tuple[int, int]] = []
+    score_w: list[float],  # per-part attraction multipliers at iteration start
+    vert_target: float,
+    edge_weights: tuple[float, float, float, float] | None,
+) -> np.ndarray:
+    """Degree-weighted sweep: counts scaled by the part scores, vertex guard on
+    destinations; returns the moved global ids.
+
+    A part's score is its vertex weight against ``vert_target``, or in the
+    edge stage, with ``edge_weights = (edge_target, max_c, r_e, r_c)``,
+    ``r_e`` times its intra-edge weight plus ``r_c`` times its cut weight.
+    """
+    moved: list[int] = []
     owned_deg = lg.degrees[: lg.num_owned]
     deg_f = lg.degrees.astype(np.float64)
-    guard_v = tc.guard_v
+    c_v, est_v, guard_v = tc.c_v, tc.est_v, tc.guard_v
+    mult, nprocs = tc.mult, tc.nprocs
+    edge_stage = edge_weights is not None
+    if edge_stage:
+        edge_target, max_c, r_e, r_c = edge_weights
+        est_e, est_c = tc.est_e, tc.est_c
+    # the score of every part the vertex guard admits, -1.0 for the others
+    sw = [-1.0 if g + 1.0 > max_v else s for s, g in zip(score_w, guard_v)]
     for b0 in range(0, lg.num_owned, chunk):
         b1 = min(b0 + chunk, lg.num_owned)
         B = b1 - b0
@@ -495,31 +477,54 @@ def _sweep_balance(
             continue
         wmat = np.bincount(flat, weights=deg_f[nbr], minlength=B * p).reshape(B, p)
         w_rows = wmat[cand].tolist()
-        raw_rows = raw[cand].tolist()
         cur_rows = cur[cand].tolist()
-        deg_rows = owned_deg[b0 + cand].tolist()
-        gid_rows = lg.owned[b0 + cand].tolist()
+        if edge_stage:
+            raw_rows = raw[cand].tolist()
+            deg_rows = owned_deg[b0 + cand].tolist()
         for j, r in enumerate(cand.tolist()):
             x = cur_rows[j]
-            roww = w_rows[j]
-            best = 0.0 if guard_v[x] + 1.0 > max_v else roww[x] * score_w[x]
-            w = x
-            for i in range(p):
-                if i == x or guard_v[i] + 1.0 > max_v:
-                    continue
-                s = roww[i] * score_w[i]
-                if s > best:
-                    best = s
-                    w = i
-            if w == x:
+            prods = list(map(mul, w_rows[j], sw))
+            # staying scores zero when the guard closes the current part;
+            # closed parts score at most zero, so they never beat it
+            base = prods[x]
+            if base < 0.0:
+                base = prods[x] = 0.0
+            top = max(prods)
+            if not top > base:
                 continue
+            w = prods.index(top)
             parts[b0 + r] = w
-            moves.append((gid_rows[j], w))
-            tc.move_vertex(x, w)
+            moved.append(b0 + r)
+            c_v[x] -= 1
+            c_v[w] += 1
+            guard_v[x] -= nprocs
+            guard_v[w] += nprocs
+            # rescore the two touched parts: _weight inlined, same operations
             if edge_stage:
-                tc.move_edges(x, w, raw_rows[j], deg_rows[j])
-            recompute_w(x, w)
-    return moves
+                raw_row = raw_rows[j]
+                kx = raw_row[x]
+                kw = raw_row[w]
+                ko = deg_rows[j] - kx - kw
+                dcx = kx - kw - ko
+                dcw = kx - kw + ko
+                est_e[x] -= nprocs * kx
+                est_e[w] += (mult if kw > 0 else nprocs) * kw
+                est_c[x] += (mult if dcx > 0 else nprocs) * dcx
+                est_c[w] += (mult if dcw > 0 else nprocs) * dcw
+                for i in (x, w):
+                    e, c = est_e[i], est_c[i]
+                    we = edge_target / (1.0 if 1.0 > e else e) - 1.0
+                    wc = max_c / (1.0 if 1.0 > c else c) - 1.0
+                    s = r_e * (0.0 if 0.0 > we else we) + r_c * (0.0 if 0.0 > wc else wc)
+                    sw[i] = -1.0 if guard_v[i] + 1.0 > max_v else s
+            else:
+                est_v[x] -= nprocs
+                est_v[w] += mult
+                for i in (x, w):
+                    e = est_v[i]
+                    s = vert_target / (1.0 if 1.0 > e else e) - 1.0
+                    sw[i] = -1.0 if guard_v[i] + 1.0 > max_v else (0.0 if 0.0 > s else s)
+    return lg.owned[np.asarray(moved, dtype=np.int64)]
 
 
 def _sweep_refine(
@@ -533,18 +538,23 @@ def _sweep_refine(
     max_c: float,
     edge_stage: bool,
     exact_caps: bool,
-) -> list[tuple[int, int]]:
+) -> np.ndarray:
     """Plurality sweep: move to the raw-count argmax, vetoed (vertex stays)
     when the destination's estimated size would exceed the vertex cap or, in
-    the edge stage, the current max intra-edge or max cut sizes."""
-    moves: list[tuple[int, int]] = []
+    the edge stage, the current max intra-edge or max cut sizes; returns the
+    moved global ids."""
+    moved: list[int] = []
     owned_deg = lg.degrees[: lg.num_owned]
+    c_v, est_v, guard_v = tc.c_v, tc.est_v, tc.guard_v
+    mult, nprocs = tc.mult, tc.nprocs
+    if edge_stage:
+        guard_e, guard_c = tc.guard_e, tc.guard_c
     # early vertex-stage refinement mobility scales with the update-limit
     # ramp (ramped destination test: small x/y admit more moves, which is
     # where the ramp buys cut quality, and the next balancing round repairs
     # any overshoot); the closing round of each stage charges full shares so
     # transient overage cannot outlive the stage
-    est_v = tc.guard_v if exact_caps else tc.est_v
+    cap_v = guard_v if exact_caps else est_v
     for b0 in range(0, lg.num_owned, chunk):
         b1 = min(b0 + chunk, lg.num_owned)
         B = b1 - b0
@@ -555,35 +565,40 @@ def _sweep_refine(
         flat = rows * p + parts[lg.nbr_slots[e0:e1]]
         raw = np.bincount(flat, minlength=B * p).reshape(B, p)
         cur = parts[b0:b1]
-        cand = np.nonzero(owned_deg[b0:b1] > raw[np.arange(B), cur])[0]
-        if not len(cand):
+        k_cur = raw[np.arange(B), cur]
+        # a tie with the current part keeps it, so only rows whose current
+        # count is below the maximum move, to their first maximum
+        movers = np.nonzero(k_cur < raw.max(axis=1))[0]
+        if not len(movers):
             continue
-        raw_rows = raw[cand].tolist()
-        cur_rows = cur[cand].tolist()
-        deg_rows = owned_deg[b0 + cand].tolist()
-        gid_rows = lg.owned[b0 + cand].tolist()
-        for j, r in enumerate(cand.tolist()):
-            x = cur_rows[j]
-            rowr = raw_rows[j]
-            dv = deg_rows[j]
-            best = rowr[x]
-            w = x
-            for i in range(p):
-                if i != x and rowr[i] > best:
-                    best = rowr[i]
-                    w = i
-            if w == x:
+        dest = raw[movers].argmax(axis=1)
+        for r, x, w, kx, kw, dv in zip(
+            movers.tolist(),
+            cur[movers].tolist(),
+            dest.tolist(),
+            k_cur[movers].tolist(),
+            raw[movers, dest].tolist(),
+            owned_deg[b0 + movers].tolist(),
+        ):
+            if cap_v[w] + 1.0 > max_v:
                 continue
-            if est_v[w] + 1.0 > max_v:
-                continue
-            if edge_stage and (tc.guard_e[w] + dv > max_e or tc.guard_c[w] + dv > max_c):
+            if edge_stage and (guard_e[w] + dv > max_e or guard_c[w] + dv > max_c):
                 continue
             parts[b0 + r] = w
-            moves.append((gid_rows[j], w))
-            tc.move_vertex(x, w)
+            moved.append(b0 + r)
+            c_v[x] -= 1
+            c_v[w] += 1
+            est_v[x] -= nprocs
+            est_v[w] += mult
+            guard_v[x] -= nprocs
+            guard_v[w] += nprocs
             if edge_stage:
-                tc.move_edges(x, w, rowr, dv)
-    return moves
+                ko = dv - kx - kw
+                guard_e[x] -= nprocs * kx
+                guard_e[w] += nprocs * kw
+                guard_c[x] += nprocs * (kx - kw - ko)
+                guard_c[w] += nprocs * (kx - kw + ko)
+    return lg.owned[np.asarray(moved, dtype=np.int64)]
 
 
 def _place_isolated(
@@ -593,8 +608,9 @@ def _place_isolated(
     tc: _TaskCounters,
     max_v: float,
     mean_size: float,
-) -> list[tuple[int, int]]:
-    """Water-fill degree-zero vertices toward parts below the mean size.
+) -> np.ndarray:
+    """Water-fill degree-zero vertices toward parts below the mean size;
+    returns the moved global ids.
 
     Neighbor counts carry no signal for an isolated vertex, so it would
     otherwise be pinned to its initial random part forever; moving it is
@@ -602,32 +618,34 @@ def _place_isolated(
     population unless this mass can flow to wherever vertices are missing.
     Weighted against the mean rather than the cap so the balance headroom
     stays available to vertices whose moves do affect the cut.
+
+    Every isolated vertex sees the same fills, so the destination ``k`` (the
+    first open part with the largest fill) changes only after a move: a
+    vertex in ``k`` stays, any other moves to ``k`` iff ``k``'s fill beats
+    its own part's (zero when the guard closes it).
     """
-    moves: list[tuple[int, int]] = []
     rows = np.nonzero(lg.degrees[: lg.num_owned] == 0)[0]
-    if not len(rows):
-        return moves
-    guard_v = tc.guard_v
-    fill = [_weight(mean_size, guard_v[i]) for i in range(p)]
-    gids = lg.owned[rows].tolist()
-    for j, v in enumerate(rows.tolist()):
-        x = int(parts[v])
-        best = 0.0 if guard_v[x] + 1.0 > max_v else fill[x]
-        w = x
-        for i in range(p):
-            if i == x or guard_v[i] + 1.0 > max_v:
-                continue
-            if fill[i] > best:
-                best = fill[i]
-                w = i
-        if w == x:
+    c_v, guard_v, nprocs = tc.c_v, tc.guard_v, tc.nprocs
+    # the fill of every part the vertex guard admits, -1.0 for the others
+    fill = [-1.0 if g + 1.0 > max_v else _weight(mean_size, g) for g in guard_v]
+    top = max(fill)
+    k = fill.index(top)
+    moved: list[int] = []
+    for v, x in zip(rows.tolist(), parts[rows].tolist()):
+        if x == k or not top > (0.0 if 0.0 > fill[x] else fill[x]):
             continue
-        parts[v] = w
-        moves.append((gids[j], w))
-        tc.move_vertex(x, w)
-        fill[x] = _weight(mean_size, guard_v[x])
-        fill[w] = _weight(mean_size, guard_v[w])
-    return moves
+        parts[v] = k
+        moved.append(v)
+        c_v[x] -= 1
+        c_v[k] += 1
+        guard_v[x] -= nprocs
+        guard_v[k] += nprocs
+        for i in (x, k):
+            g = guard_v[i]
+            fill[i] = -1.0 if g + 1.0 > max_v else _weight(mean_size, g)
+        top = max(fill)
+        k = fill.index(top)
+    return lg.owned[np.asarray(moved, dtype=np.int64)]
 
 
 # ---------------------------------------------------------------------------
@@ -675,44 +693,33 @@ def _run_phase(runtime, local_graphs, state, ledger, cfg, iters, phase, observer
             r_c = cfg.y if hit is None else _ramp(ledger.iter_tot - hit, ledger.total_iters, cfg.x, cfg.y)
             ledger.ramp_edge, ledger.ramp_cut = r_e, r_c
 
+        if balance and edge_stage:
+            w_e, w_c = w_e0.tolist(), w_c0.tolist()
+            score_w = [r_e * w_e[i] + r_c * w_c[i] for i in range(p)]
+            edge_weights = (ledger.edge_target, max_c, r_e, r_c)
+        elif balance:
+            score_w = w_v0.tolist()
+            edge_weights = None
         task_cv = [None] * T
 
         def step(t):
             lg, parts = local_graphs[t], state.parts[t]
             tc = _TaskCounters(ledger, mult, T, edge_stage)
             if balance:
-                if edge_stage:
-                    w_e = w_e0.tolist()
-                    w_c = w_c0.tolist()
-                    score_w = [r_e * w_e[i] + r_c * w_c[i] for i in range(p)]
-
-                    def recompute(a, b):
-                        for i in (a, b):
-                            w_e[i] = _weight(ledger.edge_target, tc.est_e[i])
-                            w_c[i] = _weight(max_c, tc.est_c[i])
-                            score_w[i] = r_e * w_e[i] + r_c * w_c[i]
-
-                else:
-                    score_w = w_v0.tolist()
-
-                    def recompute(a, b):
-                        score_w[a] = _weight(ledger.vert_target, tc.est_v[a])
-                        score_w[b] = _weight(ledger.vert_target, tc.est_v[b])
-
-                moves = _sweep_balance(lg, parts, p, cfg.chunk, tc, max_v, score_w, recompute, edge_stage)
+                moved = _sweep_balance(lg, parts, p, cfg.chunk, tc, max_v, score_w, ledger.vert_target, edge_weights)
                 if phase == PHASE_VERT_BALANCE:
-                    moves += _place_isolated(lg, parts, p, tc, max_v, float(ledger.verts.sum()) / p)
+                    isolated = _place_isolated(lg, parts, p, tc, max_v, float(ledger.verts.sum()) / p)
+                    moved = np.concatenate([moved, isolated])
             else:
-                moves = _sweep_refine(
+                moved = _sweep_refine(
                     lg, parts, p, cfg.chunk, tc, max_v,
                     max_e if edge_stage else 0.0, max_c if edge_stage else 0.0, edge_stage, exact_caps,
                 )
             task_cv[t] = np.array(tc.c_v, dtype=np.int64)
-            return moves
+            return moved
 
         results = runtime.run_superstep(step)
-        queues = [_queue_from_moves(moves, cfg.workers) for moves in results]
-        _exchange_round(runtime, local_graphs, state, queues, phase, it)
+        _exchange_round(runtime, local_graphs, state, results, phase, it)
 
         c_v_global = allreduce_sum(task_cv)
         old_intra = ledger.intra_edges

@@ -6,7 +6,6 @@ from conftest import random_pairs
 from lppart.bsp import (
     Runtime,
     SuperstepError,
-    UpdateQueue,
     allreduce_sum,
     apply_updates,
     broadcast,
@@ -26,10 +25,8 @@ def _setup(rng, n=256, m=800, T=4, kind=RANDOM_HASH):
 
 
 def _queue(entries):
-    q = UpdateQueue()
-    for gid, part in entries:
-        q.push(0, gid, part)
-    return q
+    """The int64 gid array a task queues for (gid, part) entries already in its parts array."""
+    return np.array([gid for gid, _ in entries], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -158,22 +155,6 @@ def test_apply_rejects_owned_updates(rng):
     gid = int(locals_[0].owned[0])
     with pytest.raises(ProtocolError):
         apply_updates(locals_[0], parts[0], (np.array([gid]), np.array([1])))
-
-
-# ---------------------------------------------------------------------------
-# update queues
-
-
-def test_update_queue_merges_in_worker_order():
-    q = UpdateQueue(num_workers=3)
-    q.push(2, 30, 1)
-    q.push(0, 10, 2)
-    q.push(1, 20, 3)
-    q.push(0, 11, 4)
-    gids, labels = q.merged()
-    assert gids.tolist() == [10, 11, 20, 30]
-    assert labels.tolist() == [2, 4, 3, 1]
-    assert len(q) == 4
 
 
 # ---------------------------------------------------------------------------

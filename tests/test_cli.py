@@ -75,6 +75,18 @@ def test_partition_bad_input_exits_2(tmp_path):
     assert run_cli("partition", "-i", bad, "-p", 2) == 2
 
 
+def test_partition_id_past_int64_exits_2_naming_the_line(tmp_path, capsys):
+    bad = tmp_path / "big.txt"
+    for text, line in (("0 1\n9223372036854775808 1\n", 2), ("# ids\n0 1\n\n1 2\n2 -9223372036854775809\n", 5)):
+        bad.write_text(text)
+        assert run_cli("partition", "-i", bad, "-p", 2) == 2
+        assert f"{bad}:{line}: vertex id outside" in capsys.readouterr().err
+    # the extremes of the range still parse
+    ok = tmp_path / "edge.txt"
+    ok.write_text("9223372036854775807 -9223372036854775808\n0 1\n")
+    assert run_cli("partition", "-i", ok, "-p", 2, "-o", tmp_path / "edge.parts") == 0
+
+
 def test_partition_missing_file_exits_2(tmp_path):
     assert run_cli("partition", "-i", tmp_path / "nope.txt", "-p", 2) == 2
 

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -7,7 +8,8 @@ import oracles
 from conftest import cycle_pairs, grid_pairs, path_pairs, random_pairs, two_cliques_pairs
 from lppart.bsp import Runtime
 from lppart.errors import ConfigError
-from lppart.graph import BLOCK, build_csr, distribute, make_distribution
+from lppart.gen import GenSpec, gen_er, gen_rmat
+from lppart.graph import BLOCK, RANDOM_HASH, build_csr, distribute, make_distribution
 from lppart.metrics import edge_cut
 from lppart.partition import (
     Config,
@@ -388,6 +390,158 @@ def test_balance_iteration_matches_async_reference(rng):
         assert state.parts[0].tolist() == expected, f"trial {trial}"
 
 
+def _water_fill_reference(labels, deg, p, max_v):
+    """Literal isolated-vertex pass at T=1: each degree-zero vertex in turn
+    moves to the eligible part pulling hardest toward the mean size (its own
+    part wins ties, then the smallest index), sizes updated after every move."""
+    labels = list(labels)
+    sizes = [0.0] * p
+    for x in labels:
+        sizes[x] += 1.0
+    mean = len(labels) / p
+    fill = [max(mean / max(s, 1.0) - 1.0, 0.0) for s in sizes]
+    for v in range(len(labels)):
+        if deg[v] != 0:
+            continue
+        x = labels[v]
+        best = 0.0 if sizes[x] + 1.0 > max_v else fill[x]
+        w = x
+        for i in range(p):
+            if i == x or sizes[i] + 1.0 > max_v:
+                continue
+            if fill[i] > best:
+                best, w = fill[i], i
+        if w == x:
+            continue
+        labels[v] = w
+        sizes[x] -= 1.0
+        sizes[w] += 1.0
+        fill[x] = max(mean / max(sizes[x], 1.0) - 1.0, 0.0)
+        fill[w] = max(mean / max(sizes[w], 1.0) - 1.0, 0.0)
+    return labels
+
+
+def test_isolated_water_fill_matches_async_reference(rng):
+    # the vertex-balance superstep is the balance sweep over connected
+    # vertices followed by the water-fill over degree-zero ones
+    for trial in range(5):
+        n, p = 60, 4
+        ids = rng.permutation(n)[:40]
+        g = build_csr(ids[random_pairs(rng, 40, 120)], n)
+        locals_ = distribute(g, make_distribution(BLOCK, n, 1))
+        labels = rng.choice(p, size=n, p=[0.4, 0.3, 0.2, 0.1]).tolist()
+        state = preset(locals_, p, labels)
+        cfg = Config(num_parts=p, num_tasks=1, chunk=1)
+        imb_v = 1.1 * n / p
+        mult = compute_mult(0, cfg.total_iters, 1, cfg.x, cfg.y)
+        max_v = max(max(np.bincount(labels, minlength=p)), imb_v)
+        balanced = _balance_reference(g, labels, p, imb_v, mult)
+        expected = _water_fill_reference(balanced, g.degrees, p, max_v)
+        assert expected != balanced, f"trial {trial}: the water-fill moved nothing"
+        run_phase(vert_balance, locals_, state, cfg, iters=1)
+        assert state.parts[0].tolist() == expected, f"trial {trial}"
+
+
+def _edge_balance_reference(g, labels, p, imb_v, imb_e, mult, r_e, r_c):
+    """Literal per-vertex edge-balance pass at T=1: degree-weighted counts
+    scaled by ``r_e`` times the intra-edge weight plus ``r_c`` times the cut
+    weight, destination guard at the vertex target, and per-move intra-edge
+    and cut estimates (additions damped by ``mult``, removals in full)."""
+    labels = list(labels)
+    deg = g.degrees
+    sizes = [0.0] * p
+    intra = [0] * p
+    cut = [0] * p
+    for v in range(g.num_vertices):
+        sizes[labels[v]] += 1.0
+        for u in g.neighbors(v):
+            if labels[u] == labels[v]:
+                intra[labels[v]] += 1
+            else:
+                cut[labels[v]] += 1
+    est_e = [s / 2 for s in intra]  # every intra edge was seen from both ends
+    est_c = [float(c) for c in cut]
+    max_c = float(max(cut))
+
+    def weight(target, e):
+        return max(target / max(e, 1.0) - 1.0, 0.0)
+
+    def score(i):
+        return r_e * weight(imb_e, est_e[i]) + r_c * weight(max_c, est_c[i])
+
+    scores = [score(i) for i in range(p)]
+    for v in range(g.num_vertices):
+        counts = [0] * p
+        wcounts = [0.0] * p
+        for u in g.neighbors(v):
+            counts[labels[u]] += 1
+            wcounts[labels[u]] += deg[u]
+        x = labels[v]
+        best = 0.0 if sizes[x] + 1.0 > imb_v else wcounts[x] * scores[x]
+        w = x
+        for i in range(p):
+            if i == x or sizes[i] + 1.0 > imb_v:
+                continue
+            s = wcounts[i] * scores[i]
+            if s > best:
+                best, w = s, i
+        if w == x:
+            continue
+        labels[v] = w
+        sizes[x] -= 1.0
+        sizes[w] += 1.0
+        kx, kw = counts[x], counts[w]
+        ko = deg[v] - kx - kw
+        est_e[x] -= kx
+        est_e[w] += mult * kw
+        dcx, dcw = kx - kw - ko, kx - kw + ko
+        est_c[x] += (mult if dcx > 0 else 1.0) * dcx
+        est_c[w] += (mult if dcw > 0 else 1.0) * dcw
+        scores[x], scores[w] = score(x), score(w)
+    return labels
+
+
+def test_edge_balance_iteration_matches_async_reference(rng):
+    for trial in range(5):
+        n, p = 80, 6
+        g = build_csr(random_pairs(rng, n, 240), n)
+        locals_ = distribute(g, make_distribution(BLOCK, n, 1))
+        labels = rng.integers(0, p, size=n).tolist()
+        state = preset(locals_, p, labels)
+        cfg = Config(num_parts=p, num_tasks=1, chunk=1)
+        ledger = make_ledger(locals_, state, cfg)
+        # late in the stage: the edge ramp froze at iteration 3 and the cut
+        # ramp has grown for 27 iterations since, so the two terms differ
+        ledger.iter_tot, ledger.edge_balance_hit = 30, 3
+        mult = compute_mult(30, cfg.total_iters, 1, cfg.x, cfg.y)
+        r_e = (cfg.x - cfg.y) * (3 / cfg.total_iters) + cfg.y
+        r_c = (cfg.x - cfg.y) * (27 / cfg.total_iters) + cfg.y
+        expected = _edge_balance_reference(g, labels, p, 1.1 * n / p, 1.1 * g.num_edges / p, mult, r_e, r_c)
+        assert expected != labels, f"trial {trial}: the reference moved nothing"
+        edge_balance(Runtime(1), locals_, state, ledger, cfg, iters=1)
+        assert state.parts[0].tolist() == expected, f"trial {trial}"
+
+
+def test_refine_tie_with_current_part_keeps_it():
+    # vertex 0 (part 1) sees two neighbors in part 0 and two in part 1: the
+    # first maximum is part 0, but a tie with the current part never moves
+    pairs = [(0, 1), (0, 2), (0, 3), (0, 4)]
+    g, locals_ = single_task(pairs, 5)
+    state = preset(locals_, 2, [1, 0, 0, 1, 1])
+    run_phase(vert_refine, locals_, state, Config(num_parts=2, num_tasks=1, vert_imb=3.0), iters=1)
+    assert state.parts[0][0] == 1
+
+
+def test_refine_tie_between_other_parts_takes_lower_index():
+    # vertex 0 (part 0) sees one neighbor in part 0 and two each in parts 3
+    # and 1: it moves to part 1
+    pairs = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]
+    g, locals_ = single_task(pairs, 6)
+    state = preset(locals_, 4, [0, 0, 3, 3, 1, 1])
+    run_phase(vert_refine, locals_, state, Config(num_parts=4, num_tasks=1, vert_imb=3.0), iters=1)
+    assert state.parts[0][0] == 1
+
+
 # ---------------------------------------------------------------------------
 # edge stage
 
@@ -574,23 +728,34 @@ def test_sequential_determinism(rng):
     assert np.array_equal(a, b)
 
 
+# sha256 of the little-endian int64 labels of n=1024 partitions into 8 parts;
+# rmat scale 10 has 308 isolated vertices, so every stage and the water-fill
+# run, and the hashes pin every label of every sweep
+GOLDEN = [
+    ("rmat", 1, BLOCK, {}, "c95cc5f68d8835d51598403be60b903ad294fbb5ed51fd138c95f381b30e8916"),
+    ("rmat", 3, BLOCK, {}, "a7da8d554ca035981c2a7220a1293ac8ed836e02f31c57154e99974a035f6fe1"),
+    ("rmat", 4, RANDOM_HASH, {}, "fd85169ae3000530c5cd7ca46c101a2d890dbee3d92eed83be52dcb03eaddadf"),
+    ("rmat", 2, BLOCK, {"chunk": 64}, "e8d8b9d0aeaab7cadde96ce75efca74aafcf5f1a9cf7b22cbaca77e0a447e400"),
+    ("er", 3, BLOCK, {"init_mode": "random"}, "10c945d8e1e6fa85a4ea61dbe84ca20eb6efbf322b4f5ba3d09f7c3ef1c42a76"),
+]
+
+
+@pytest.mark.parametrize("kind,T,dist,extra,digest", GOLDEN, ids=["rmat-T1", "rmat-T3", "rmat-hash-T4", "rmat-chunk64", "er-random-init"])
+def test_partition_matches_golden_hash(kind, T, dist, extra, digest):
+    n = 1 << 10
+    pairs = gen_rmat(GenSpec("rmat", n, 8, seed=4)) if kind == "rmat" else gen_er(n, 8, seed=4)
+    g = build_csr(pairs, n)
+    locals_ = distribute(g, make_distribution(dist, n, T, seed=2))
+    st = xtrapulp(locals_, Config(num_parts=8, num_tasks=T, seed=3, **extra))
+    parts = st.to_global(locals_, n)
+    assert hashlib.sha256(parts.astype("<i8").tobytes()).hexdigest() == digest
+
+
 def test_task_count_mismatch_rejected(rng):
     g = build_csr(random_pairs(rng, 20, 40), 20)
     locals_ = distribute(g, make_distribution(BLOCK, 20, 2))
     with pytest.raises(ConfigError):
         xtrapulp(locals_, Config(num_parts=2, num_tasks=3))
-
-
-def test_worker_subqueues_do_not_change_results(rng):
-    n = 90
-    g = build_csr(random_pairs(rng, n, 300), n)
-
-    def run(workers):
-        locals_ = distribute(g, make_distribution(BLOCK, n, 2))
-        st = xtrapulp(locals_, Config(num_parts=4, num_tasks=2, seed=6, workers=workers))
-        return st.to_global(locals_, n)
-
-    assert np.array_equal(run(1), run(3))
 
 
 def test_ledger_targets_match_configuration(rng):
