@@ -2,8 +2,8 @@
 
 Tasks are simulated in one process.  Within a superstep every task runs the
 same step function against its private state; cross-task state moves only
-through the collectives below, so results are independent of the order in
-which tasks are executed (sequential round-robin or a thread pool).
+through the collectives below, so results do not depend on the order in
+which the tasks of a superstep run.
 
 The update exchange mirrors a counts/offsets/buffer all-to-all.  Each task
 queues one int64 array: the global ids of the owned vertices it changed, in
@@ -18,7 +18,6 @@ two per queued vertex.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from copy import deepcopy
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -55,55 +54,32 @@ class ExchangeBuffers:
 
 
 class Runtime:
-    """Drives supersteps over ``num_tasks`` logical tasks."""
+    """Drives supersteps over ``num_tasks`` logical tasks, one task after another.
 
-    def __init__(self, num_tasks: int, threaded: bool = False, trace: Callable[[dict], None] | None = None):
+    A subclass may wrap ``run_superstep`` (to time the tasks, or to run them
+    in another order) as long as it returns the results in task order.
+    """
+
+    def __init__(self, num_tasks: int):
         if num_tasks < 1:
             raise ProtocolError(f"task count must be >= 1, got {num_tasks}")
         self.num_tasks = num_tasks
-        self.threaded = threaded
-        self.trace = trace
         self.superstep = 0
-        self._pool = ThreadPoolExecutor(max_workers=num_tasks) if threaded else None
 
     def run_superstep(self, step_fn: Callable[[int], object]) -> list:
-        """Run ``step_fn(task)`` on every task; barrier before returning.
+        """Run ``step_fn(task)`` for every task in task order; barrier before returning.
 
-        Any task failure aborts the superstep with a ``SuperstepError``
-        naming the task (lowest task index wins when several fail).
+        A task failure aborts the superstep with a ``SuperstepError`` naming
+        the task.
         """
-        if self._pool is not None:
-            futures = [self._pool.submit(step_fn, t) for t in range(self.num_tasks)]
-            results = []
-            failure = None
-            for t, fut in enumerate(futures):
-                try:
-                    results.append(fut.result())
-                except Exception as exc:  # noqa: BLE001 - diagnostic wrapper
-                    if failure is None:
-                        failure = SuperstepError(t, self.superstep, exc)
-                        failure.__cause__ = exc
-                    results.append(None)
-            if failure is not None:
-                raise failure
-        else:
-            results = []
-            for t in range(self.num_tasks):
-                try:
-                    results.append(step_fn(t))
-                except Exception as exc:  # noqa: BLE001
-                    err = SuperstepError(t, self.superstep, exc)
-                    raise err from exc
+        results = []
+        for t in range(self.num_tasks):
+            try:
+                results.append(step_fn(t))
+            except Exception as exc:  # noqa: BLE001 - diagnostic wrapper
+                raise SuperstepError(t, self.superstep, exc) from exc
         self.superstep += 1
         return results
-
-    def record_trace(self, record: dict) -> None:
-        if self.trace is not None:
-            self.trace(record)
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
 
 
 def allreduce_sum(per_task_vectors: Sequence[np.ndarray]) -> np.ndarray:

@@ -11,6 +11,7 @@ violation under ``--strict``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -26,7 +27,7 @@ from .errors import LppartError
 from .gen import GenSpec, generate
 from .graph import BLOCK, RANDOM_HASH, GlobalGraph, build_csr, distribute, make_distribution
 from .metrics import QualityReport, build_report, performance_ratio, write_method_table
-from .partition import Config, xtrapulp
+from .partition import Config, SuperstepEvent, xtrapulp
 from .seeds import subsystem_seed
 
 ENV_PREFIX = "LPPART_"
@@ -39,12 +40,16 @@ DIST_NAMES = {"block": BLOCK, "random": RANDOM_HASH}
 
 
 def _env_default(flag: str, fallback, cast):
-    raw = os.environ.get(ENV_PREFIX + flag.upper().replace("-", "_"))
+    name = ENV_PREFIX + flag.upper().replace("-", "_")
+    raw = os.environ.get(name)
     if raw is None:
         return fallback
     if cast is bool:
         return raw.lower() in ("1", "true", "yes", "on")
-    return cast(raw)
+    try:
+        return cast(raw)
+    except ValueError:
+        raise LppartError(f"{name}={raw!r} is not a valid {cast.__name__}") from None
 
 
 @dataclass
@@ -65,14 +70,13 @@ class RunManifest:
     init_mode: str
     distribution: str
     dedup: bool
-    sequential: bool
     outputs: dict
     tool_version: str = __version__
 
 
 def _add_common_run_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("-p", "--parts", type=int, default=_env_default("parts", None, int), help="number of parts (required)")
-    sub.add_argument("-T", "--tasks", type=int, default=_env_default("tasks", None, int), help="logical task count (default: available workers)")
+    sub.add_argument("-T", "--tasks", type=int, default=_env_default("tasks", 1, int), help="logical task count (default 1)")
     sub.add_argument("--vert-imb", type=float, default=_env_default("vert-imb", 0.10, float), help="vertex imbalance ratio (default 0.10)")
     sub.add_argument("--edge-imb", type=float, default=_env_default("edge-imb", 0.10, float), help="edge imbalance ratio (default 0.10)")
     sub.add_argument("-X", dest="x", type=float, default=_env_default("x", 1.0, float), help="update-limit ramp end (default 1.0)")
@@ -84,8 +88,8 @@ def _add_common_run_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--dist", choices=tuple(DIST_NAMES), default=_env_default("dist", "block", str), help="vertex-to-task distribution")
     sub.add_argument("--dedup", action="store_true", default=_env_default("dedup", False, bool), help="drop duplicate input edges")
     sub.add_argument("--strict", action="store_true", default=_env_default("strict", False, bool), help="exit 3 if the configured tolerances are violated")
-    sub.add_argument("--sequential", action="store_true", default=_env_default("sequential", False, bool), help="round-robin task execution (the default; kept for manifests)")
-    sub.add_argument("--threaded", action="store_true", default=_env_default("threaded", False, bool), help="run tasks on a thread pool (same results, mostly for testing)")
+    # tasks always run one after another; the flag is accepted so old manifests still parse
+    sub.add_argument("--sequential", action="store_true", help=argparse.SUPPRESS)
     sub.add_argument("--trace", default=_env_default("trace", None, str), help="write per-superstep message counts as JSON lines to this file")
 
 
@@ -135,15 +139,16 @@ def _parse_iters(text: str) -> tuple[int, int, int]:
     return outer, bal, ref
 
 
-def _open_trace(path: str | None):
-    if path is None:
-        return None, None
-    fh = open(path, "w")
-
-    def sink(record: dict) -> None:
-        fh.write(json.dumps(record) + "\n")
-
-    return sink, fh
+def _trace_line(event: SuperstepEvent) -> str:
+    """One ``--trace`` JSON line: the superstep's (vertex, part) pairs sent, in total and per task."""
+    record = {
+        "superstep": event.superstep,
+        "phase": event.phase,
+        "iteration": event.iteration,
+        "pairs_sent": sum(event.pairs_sent),
+        "per_task_sent": event.pairs_sent,
+    }
+    return json.dumps(record) + "\n"
 
 
 def cmd_partition(args) -> int:
@@ -152,15 +157,13 @@ def cmd_partition(args) -> int:
     g, id_map = _load_graph(args.input, args.dedup)
     if g.num_vertices == 0:
         raise LppartError(f"{args.input}: graph has no vertices")
-    tasks = args.tasks if args.tasks is not None else max(1, min(os.cpu_count() or 1, g.num_vertices))
     outer, bal, ref = _parse_iters(args.iters)
 
-    trace_sink, trace_fh = _open_trace(args.trace)
-    try:
+    with open(args.trace, "w") if args.trace else contextlib.nullcontext() as trace:
         if args.method == "xtrapulp":
             cfg = Config(
                 num_parts=args.parts,
-                num_tasks=tasks,
+                num_tasks=args.tasks,
                 vert_imb=args.vert_imb,
                 edge_imb=args.edge_imb,
                 x=args.x,
@@ -170,11 +173,11 @@ def cmd_partition(args) -> int:
                 refine_iters=ref,
                 seed=args.seed,
                 init_mode=args.init,
-                threaded=args.threaded and not args.sequential,
             )
-            dist = make_distribution(DIST_NAMES[args.dist], g.num_vertices, tasks, seed=subsystem_seed(args.seed, "dist"))
+            dist = make_distribution(DIST_NAMES[args.dist], g.num_vertices, args.tasks, seed=subsystem_seed(args.seed, "dist"))
             local_graphs = distribute(g, dist)
-            state = xtrapulp(local_graphs, cfg, trace=trace_sink)
+            observer = None if trace is None else lambda event: trace.write(_trace_line(event))
+            state = xtrapulp(local_graphs, cfg, observer=observer)
             parts = state.to_global(local_graphs, g.num_vertices)
         elif args.method == "random":
             parts = random_partition(g.num_vertices, args.parts, seed=args.seed)
@@ -182,9 +185,6 @@ def cmd_partition(args) -> int:
             parts = vertex_block_partition(g.num_vertices, args.parts)
         else:
             parts = edge_block_partition(g, args.parts)
-    finally:
-        if trace_fh is not None:
-            trace_fh.close()
 
     out_path = Path(args.output) if args.output else Path(args.input).with_suffix(".parts")
     io.write_parts(out_path, parts)
@@ -197,7 +197,7 @@ def cmd_partition(args) -> int:
         input={"path": str(args.input), "dedup": args.dedup, "relabeled": relabeled},
         method=args.method,
         num_parts=args.parts,
-        num_tasks=tasks,
+        num_tasks=args.tasks,
         seed=args.seed,
         vert_imb=args.vert_imb,
         edge_imb=args.edge_imb,
@@ -207,7 +207,6 @@ def cmd_partition(args) -> int:
         init_mode=args.init,
         distribution=args.dist,
         dedup=args.dedup,
-        sequential=not args.threaded,
         outputs={"partition": str(out_path), "report": args.report},
     )
     report = build_report(
@@ -297,9 +296,8 @@ def cmd_evaluate(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "partition":
             return cmd_partition(args)
         if args.command == "generate":

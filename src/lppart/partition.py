@@ -85,7 +85,6 @@ class Config:
     seed: int = 0
     init_mode: str = "bfs-lp"
     chunk: int = 4096  # worker batch size for the vertex sweeps
-    threaded: bool = False  # run tasks on a thread pool instead of round-robin
 
     @property
     def total_iters(self) -> int:
@@ -174,7 +173,7 @@ class SuperstepEvent:
     local_graphs: Sequence[LocalGraph]
     state: PartitionState
     ledger: PartLedger | None  # None during initialization
-    runtime: Runtime
+    pairs_sent: list[int]  # (vertex, part) pairs each task sent in the superstep's exchange
 
 
 Observer = Callable[[SuperstepEvent], None]
@@ -273,20 +272,12 @@ def _sweep_init(lg: LocalGraph, parts: np.ndarray, rng: np.random.Generator, num
     return gids, len(gids)
 
 
-def _exchange_round(runtime, local_graphs, state, moved, phase, iteration):
+def _exchange_round(local_graphs, state, moved) -> list[int]:
+    """Exchange the moved labels into the ghost copies; returns the pairs each task sent."""
     received, buffers = exchange_updates(local_graphs, state.parts, moved)
     for lg, parts, recv in zip(local_graphs, state.parts, received):
         apply_updates(lg, parts, recv)
-    runtime.record_trace(
-        {
-            "superstep": runtime.superstep,
-            "phase": phase,
-            "iteration": iteration,
-            "pairs_sent": sum(b.pairs_sent for b in buffers),
-            "per_task_sent": [b.pairs_sent for b in buffers],
-        }
-    )
-    return buffers
+    return [b.pairs_sent for b in buffers]
 
 
 def init_parts(
@@ -304,9 +295,9 @@ def init_parts(
     for parts in state.parts:
         parts[:] = -1
 
-    def notify(iteration):
+    def notify(iteration, pairs_sent):
         if observer is not None:
-            observer(SuperstepEvent(PHASE_INIT, iteration, runtime.superstep, local_graphs, state, None, runtime))
+            observer(SuperstepEvent(PHASE_INIT, iteration, runtime.superstep, local_graphs, state, None, pairs_sent))
 
     if cfg.init_mode == "bfs-lp":
         _init_bfs_lp(runtime, local_graphs, state, cfg, notify)
@@ -353,8 +344,7 @@ def _init_bfs_lp(runtime, local_graphs, state, cfg, notify):
 
         results = runtime.run_superstep(step)
         pending = [np.empty(0, dtype=np.int64)] * len(local_graphs)
-        _exchange_round(runtime, local_graphs, state, [gids for gids, _ in results], PHASE_INIT, iteration)
-        notify(iteration)
+        notify(iteration, _exchange_round(local_graphs, state, [gids for gids, _ in results]))
         updates = int(allreduce_sum([np.array([assigned]) for _, assigned in results])[0])
         iteration += 1
         if updates == 0:
@@ -370,8 +360,7 @@ def _init_bfs_lp(runtime, local_graphs, state, cfg, notify):
         return lg.owned[open_rows]
 
     results = runtime.run_superstep(fallback)
-    _exchange_round(runtime, local_graphs, state, results, PHASE_INIT, iteration)
-    notify(iteration)
+    notify(iteration, _exchange_round(local_graphs, state, results))
 
 
 def _init_direct(runtime, local_graphs, state, cfg, notify):
@@ -390,8 +379,7 @@ def _init_direct(runtime, local_graphs, state, cfg, notify):
         return lg.owned
 
     results = runtime.run_superstep(step)
-    _exchange_round(runtime, local_graphs, state, results, PHASE_INIT, 0)
-    notify(0)
+    notify(0, _exchange_round(local_graphs, state, results))
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +707,7 @@ def _run_phase(runtime, local_graphs, state, ledger, cfg, iters, phase, observer
             return moved
 
         results = runtime.run_superstep(step)
-        _exchange_round(runtime, local_graphs, state, results, phase, it)
+        pairs_sent = _exchange_round(local_graphs, state, results)
 
         c_v_global = allreduce_sum(task_cv)
         old_intra = ledger.intra_edges
@@ -735,7 +723,7 @@ def _run_phase(runtime, local_graphs, state, ledger, cfg, iters, phase, observer
         ledger.cut_deltas = ledger.cut_edges - old_cut
         ledger.iter_tot += 1
         if observer is not None:
-            observer(SuperstepEvent(phase, it, runtime.superstep, local_graphs, state, ledger, runtime))
+            observer(SuperstepEvent(phase, it, runtime.superstep, local_graphs, state, ledger, pairs_sent))
 
 
 def vert_balance(runtime, local_graphs, state, ledger, cfg, iters=None, observer=None):
@@ -759,28 +747,24 @@ def xtrapulp(
     cfg: Config,
     runtime: Runtime | None = None,
     observer: Observer | None = None,
-    trace: Callable[[dict], None] | None = None,
 ) -> PartitionState:
     """Full pipeline: init, vertex balance/refine rounds, edge balance/refine rounds."""
     cfg.validate()
     if cfg.num_tasks != len(local_graphs):
         raise ConfigError(f"config expects {cfg.num_tasks} tasks but {len(local_graphs)} local graphs were given")
-    own_runtime = runtime is None
     if runtime is None:
-        runtime = Runtime(cfg.num_tasks, threaded=cfg.threaded, trace=trace)
+        runtime = Runtime(cfg.num_tasks)
+    elif runtime.num_tasks != cfg.num_tasks:
+        raise ConfigError(f"config expects {cfg.num_tasks} tasks but the runtime drives {runtime.num_tasks}")
     state = make_state(local_graphs, cfg.num_parts)
-    try:
-        init_parts(runtime, local_graphs, state, cfg, observer)
-        ledger = make_ledger(local_graphs, state, cfg)
-        for outer in range(cfg.outer_iters):
-            vert_balance(runtime, local_graphs, state, ledger, cfg, observer=observer)
-            vert_refine(runtime, local_graphs, state, ledger, cfg, observer=observer,
-                        closing_round=outer == cfg.outer_iters - 1)
-        ledger.iter_tot = 0
-        for _ in range(cfg.outer_iters):
-            edge_balance(runtime, local_graphs, state, ledger, cfg, observer=observer)
-            edge_refine(runtime, local_graphs, state, ledger, cfg, observer=observer)
-    finally:
-        if own_runtime:
-            runtime.close()
+    init_parts(runtime, local_graphs, state, cfg, observer)
+    ledger = make_ledger(local_graphs, state, cfg)
+    for outer in range(cfg.outer_iters):
+        vert_balance(runtime, local_graphs, state, ledger, cfg, observer=observer)
+        vert_refine(runtime, local_graphs, state, ledger, cfg, observer=observer,
+                    closing_round=outer == cfg.outer_iters - 1)
+    ledger.iter_tot = 0
+    for _ in range(cfg.outer_iters):
+        edge_balance(runtime, local_graphs, state, ledger, cfg, observer=observer)
+        edge_refine(runtime, local_graphs, state, ledger, cfg, observer=observer)
     return state

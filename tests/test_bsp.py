@@ -3,6 +3,7 @@ import pytest
 
 import oracles
 from conftest import random_pairs
+from lppart import partition
 from lppart.bsp import (
     Runtime,
     SuperstepError,
@@ -190,24 +191,54 @@ def test_task_failure_aborts_superstep():
         rt.run_superstep(step)
 
 
-def test_threaded_matches_sequential(rng):
-    g = build_csr(random_pairs(rng, 300, 900), 300)
+class ReversedRuntime(Runtime):
+    """Runs each superstep's tasks last to first; results still come back in task order."""
 
-    def run(threaded):
-        locals_ = distribute(g, make_distribution(BLOCK, 300, 4))
-        cfg = Config(num_parts=5, num_tasks=4, seed=11, threaded=threaded)
-        state = xtrapulp(locals_, cfg)
-        return state.to_global(locals_, 300)
+    def __init__(self, num_tasks):
+        super().__init__(num_tasks)
+        self.order = []
 
-    assert np.array_equal(run(False), run(True))
+    def run_superstep(self, step_fn):
+        last = self.num_tasks - 1
+
+        def step(t):
+            self.order.append(last - t)
+            return step_fn(last - t)
+
+        return super().run_superstep(step)[::-1]
 
 
-def test_trace_records_message_counts(rng):
+def test_task_order_does_not_change_labels(rng):
+    n = 300
+    g = build_csr(random_pairs(rng, n, 900), n)
+    for init_mode in ("bfs-lp", "random", "block"):
+        for kind in (BLOCK, RANDOM_HASH):
+            locals_ = distribute(g, make_distribution(kind, n, 4, seed=3))
+            cfg = Config(num_parts=5, num_tasks=4, seed=11, init_mode=init_mode)
+            expected = xtrapulp(locals_, cfg).to_global(locals_, n)
+            rt = ReversedRuntime(4)
+            got = xtrapulp(locals_, cfg, runtime=rt).to_global(locals_, n)
+            assert rt.order[:4] == [3, 2, 1, 0]
+            assert np.array_equal(got, expected), (init_mode, kind)
+
+
+def test_trace_records_message_counts(rng, monkeypatch):
     g = build_csr(random_pairs(rng, 64, 200), 64)
     locals_ = distribute(g, make_distribution(BLOCK, 64, 2))
-    records = []
-    state = xtrapulp(locals_, Config(num_parts=3, num_tasks=2, seed=0), trace=records.append)
-    assert records, "trace should capture supersteps"
-    for rec in records:
-        assert rec["pairs_sent"] == sum(rec["per_task_sent"])
-        assert {"superstep", "phase", "iteration"} <= set(rec)
+    exchanged = []
+    real_exchange = partition.exchange_updates
+
+    def recording_exchange(*args):
+        received, buffers = real_exchange(*args)
+        exchanged.append(([len(b.send_buffer) // 2 for b in buffers], sum(len(b.recv_buffer) for b in buffers) // 2))
+        return received, buffers
+
+    monkeypatch.setattr(partition, "exchange_updates", recording_exchange)
+    events = []
+    xtrapulp(locals_, Config(num_parts=3, num_tasks=2, seed=0), observer=events.append)
+    assert len(events) == len(exchanged) > 0, "one event per superstep exchange"
+    assert [ev.superstep for ev in events] == list(range(1, len(events) + 1))
+    assert any(sum(ev.pairs_sent) for ev in events)
+    for ev, (per_task, total) in zip(events, exchanged):
+        assert ev.pairs_sent == per_task
+        assert sum(ev.pairs_sent) == total

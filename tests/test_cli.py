@@ -222,15 +222,38 @@ def test_env_override_seed(grid_file, tmp_path, monkeypatch):
 def test_trace_flag_writes_json_lines(grid_file, tmp_path):
     path, n = grid_file
     trace = tmp_path / "trace.jsonl"
-    assert run_cli("partition", "-i", path, "-p", 2, "--seed", 0, "-o", tmp_path / "t.parts", "--trace", trace) == 0
+    assert run_cli("partition", "-i", path, "-p", 2, "-T", 2, "--seed", 0, "-o", tmp_path / "t.parts", "--trace", trace) == 0
     lines = [json.loads(l) for l in trace.read_text().splitlines()]
-    assert lines and all("pairs_sent" in rec for rec in lines)
+    assert lines
+    for rec in lines:
+        assert list(rec) == ["superstep", "phase", "iteration", "pairs_sent", "per_task_sent"]
+        assert rec["pairs_sent"] == sum(rec["per_task_sent"]) and len(rec["per_task_sent"]) == 2
 
 
 def test_sequential_flag_reproduces(grid_file, tmp_path):
     path, n = grid_file
     a = tmp_path / "s.parts"
     b = tmp_path / "t.parts"
-    assert run_cli("partition", "-i", path, "-p", 4, "--seed", 5, "--sequential", "-o", a) == 0
-    assert run_cli("partition", "-i", path, "-p", 4, "--seed", 5, "--threaded", "-o", b) == 0
+    assert run_cli("partition", "-i", path, "-p", 4, "-T", 2, "--seed", 5, "--sequential", "-o", a) == 0
+    assert run_cli("partition", "-i", path, "-p", 4, "-T", 2, "--seed", 5, "-o", b) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_default_task_count_is_one(grid_file, tmp_path):
+    path, n = grid_file
+    a = tmp_path / "default.parts"
+    b = tmp_path / "one.parts"
+    report = tmp_path / "default.json"
+    assert run_cli("partition", "-i", path, "-p", 4, "--seed", 3, "-o", a, "--report", report) == 0
+    assert run_cli("partition", "-i", path, "-p", 4, "--seed", 3, "-T", 1, "-o", b) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert json.loads(report.read_text())["metadata"]["manifest"]["num_tasks"] == 1
+
+
+@pytest.mark.parametrize("var,value", [("LPPART_SEED", "abc"), ("LPPART_VERT_IMB", "0.1x")])
+def test_malformed_env_value_exits_2_naming_the_variable(grid_file, tmp_path, monkeypatch, capsys, var, value):
+    path, n = grid_file
+    monkeypatch.setenv(var, value)
+    assert run_cli("partition", "-i", path, "-p", 2, "-o", tmp_path / "e.parts") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("lppart: error:") and var in err and repr(value) in err

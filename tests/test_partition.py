@@ -753,9 +753,10 @@ def test_partition_matches_golden_hash(kind, T, dist, extra, digest):
 
 def test_task_count_mismatch_rejected(rng):
     g = build_csr(random_pairs(rng, 20, 40), 20)
-    locals_ = distribute(g, make_distribution(BLOCK, 20, 2))
-    with pytest.raises(ConfigError):
-        xtrapulp(locals_, Config(num_parts=2, num_tasks=3))
+    for graph_tasks, runtime in ((2, None), (3, Runtime(2))):
+        locals_ = distribute(g, make_distribution(BLOCK, 20, graph_tasks))
+        with pytest.raises(ConfigError):
+            xtrapulp(locals_, Config(num_parts=2, num_tasks=3), runtime=runtime)
 
 
 def test_ledger_targets_match_configuration(rng):
