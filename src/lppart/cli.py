@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, io
 from .baselines import edge_block_partition, random_partition, vertex_block_partition
-from .errors import LppartError
+from .errors import InputError, LppartError
 from .gen import GenSpec, generate
 from .graph import BLOCK, RANDOM_HASH, GlobalGraph, build_csr, distribute, make_distribution
 from .metrics import QualityReport, build_report, performance_ratio, write_method_table
@@ -45,7 +45,12 @@ def _env_default(flag: str, fallback, cast):
     if raw is None:
         return fallback
     if cast is bool:
-        return raw.lower() in ("1", "true", "yes", "on")
+        word = raw.lower()
+        if word in ("1", "true", "yes", "on"):
+            return True
+        if word in ("", "0", "false", "no", "off"):
+            return False
+        raise LppartError(f"{name}={raw!r} is not a valid bool (use 1/true/yes/on or 0/false/no/off)")
     try:
         return cast(raw)
     except ValueError:
@@ -245,7 +250,10 @@ def cmd_generate(args) -> int:
         n = args.n
     probs = GenSpec.__dataclass_fields__["probs"].default
     if args.probs:
-        parts = [float(x) for x in args.probs.split(",")]
+        try:
+            parts = [float(x) for x in args.probs.split(",")]
+        except ValueError:
+            raise LppartError(f"--probs expects four comma-separated numbers, got {args.probs!r}") from None
         if len(parts) != 4:
             raise LppartError("--probs expects four comma-separated values")
         probs = tuple(parts)
@@ -270,7 +278,10 @@ def cmd_evaluate(args) -> int:
             raise LppartError(f"{path}: {len(parts)} labels for a graph with {g.num_vertices} vertices")
         p = args.parts if args.parts is not None else int(parts.max()) + 1
         name = Path(path).stem
-        reports[name] = build_report(g, parts, p, metadata={"partition_file": str(path)})
+        try:
+            reports[name] = build_report(g, parts, p, metadata={"partition_file": str(path)})
+        except InputError as exc:
+            raise InputError(f"{path}: {exc}") from None
 
     ratios = {
         "edge_cut": performance_ratio({"graph": {name: rep.edge_cut for name, rep in reports.items()}}),

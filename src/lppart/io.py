@@ -14,6 +14,8 @@ dense vertex i.
 
 from __future__ import annotations
 
+import zipfile
+import zlib
 from itertools import islice
 from pathlib import Path
 
@@ -85,10 +87,16 @@ def write_cache(path: str | Path, pairs: np.ndarray, num_vertices: int) -> None:
 
 
 def read_cache(path: str | Path) -> tuple[np.ndarray, int]:
-    with np.load(path) as data:
-        if "format_version" not in data or int(data["format_version"]) != CACHE_FORMAT_VERSION:
-            raise InputError(f"{path}: unsupported or missing cache format version")
-        return data["pairs"].astype(np.int64), int(data["num_vertices"])
+    try:
+        with np.load(path) as data:
+            if "format_version" not in data or int(data["format_version"]) != CACHE_FORMAT_VERSION:
+                raise InputError(f"{path}: unsupported or missing cache format version")
+            missing = [key for key in ("pairs", "num_vertices") if key not in data]
+            if missing:
+                raise InputError(f"{path}: cache has no {' or '.join(missing)} array")
+            return data["pairs"].astype(np.int64), int(data["num_vertices"])
+    except (zipfile.BadZipFile, zlib.error, EOFError, ValueError) as exc:
+        raise InputError(f"{path}: truncated or corrupt cache ({exc})") from exc
 
 
 def load_pairs(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
@@ -132,7 +140,16 @@ def read_parts(path: str | Path) -> np.ndarray:
                 values.append(int(stripped))
             except ValueError as exc:
                 raise InputError(f"{path}:{lineno}: non-integer part label {stripped!r}") from exc
-    return np.asarray(values, dtype=np.int64)
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        pass
+    # some label does not fit int64; as in read_edge_list, the line is
+    # located only now so the common path pays nothing for it
+    k = next(i for i, x in enumerate(values) if not INT64_MIN <= x <= INT64_MAX)
+    with open(path) as fh:
+        lineno = next(islice((n for n, line in enumerate(fh, start=1) if line.strip()), k, None))
+    raise InputError(f"{path}:{lineno}: part label {values[k]} outside the signed 64-bit range")
 
 
 def write_id_map(path: str | Path, id_map: np.ndarray) -> None:

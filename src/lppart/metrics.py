@@ -10,7 +10,9 @@ defensible.
 
 The distributed variants compute the same quantities from per-task local
 views: every edge is counted exactly once by the task owning its lower-id
-endpoint.
+endpoint.  The per-task counts the ledger recounts every superstep and the
+global counts behind the report share one tally, fed the parts at both ends
+of each edge once.
 """
 
 from __future__ import annotations
@@ -59,20 +61,13 @@ def max_part_cut(g: GlobalGraph, parts) -> tuple[int, int]:
 
 def per_part_cut(g: GlobalGraph, parts, num_parts: int) -> np.ndarray:
     """Cut edges incident to each part (each cut edge counts toward both endpoint parts)."""
-    parts = _check_parts(g, parts)
-    src = np.repeat(np.arange(g.num_vertices), g.degrees)
-    mask = (src < g.nbrs) & (parts[src] != parts[g.nbrs])
-    return np.bincount(parts[src][mask], minlength=num_parts) + np.bincount(parts[g.nbrs][mask], minlength=num_parts)
+    return part_counts(g, parts, num_parts)[2]
 
 
-def per_part_sizes(g: GlobalGraph, parts, num_parts: int) -> tuple[np.ndarray, np.ndarray]:
-    """(vertices per part, intra-part edges per part)."""
-    parts = _check_parts(g, parts)
-    verts = np.bincount(parts, minlength=num_parts)
-    src = np.repeat(np.arange(g.num_vertices), g.degrees)
-    mask = (src < g.nbrs) & (parts[src] == parts[g.nbrs])
-    intra = np.bincount(parts[src][mask], minlength=num_parts)
-    return verts, intra
+def _imbalances(g: GlobalGraph, verts: np.ndarray, intra: np.ndarray, p: int) -> tuple[float, float]:
+    v_imb = float(verts.max() * p / g.num_vertices) if g.num_vertices else 0.0
+    e_imb = float(intra.max() * p / g.num_edges) if g.num_edges else 0.0
+    return v_imb, e_imb
 
 
 def imbalance(g: GlobalGraph, parts, num_parts: int | None = None) -> tuple[float, float]:
@@ -82,10 +77,26 @@ def imbalance(g: GlobalGraph, parts, num_parts: int | None = None) -> tuple[floa
     """
     parts = _check_parts(g, parts)
     p = num_parts if num_parts is not None else int(parts.max()) + 1
-    verts, intra = per_part_sizes(g, parts, p)
-    v_imb = float(verts.max() * p / g.num_vertices) if g.num_vertices else 0.0
-    e_imb = float(intra.max() * p / g.num_edges) if g.num_edges else 0.0
-    return v_imb, e_imb
+    verts, intra, _ = part_counts(g, parts, p)
+    return _imbalances(g, verts, intra, p)
+
+
+def _tally(vert_parts: np.ndarray, a: np.ndarray, b: np.ndarray, num_parts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(vertices, intra edges, cut incidence) per part from the parts of the
+    counted vertices and the parts ``a``, ``b`` at the two ends of each counted edge."""
+    same = a == b
+    verts = np.bincount(vert_parts, minlength=num_parts)
+    intra = np.bincount(a[same], minlength=num_parts)
+    cut = np.bincount(a[~same], minlength=num_parts) + np.bincount(b[~same], minlength=num_parts)
+    return verts, intra, cut
+
+
+def part_counts(g: GlobalGraph, parts, num_parts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(vertices, intra edges, cut incidence) per part of the whole graph."""
+    parts = _check_parts(g, parts)
+    src = np.repeat(np.arange(g.num_vertices), g.degrees)
+    once = src < g.nbrs
+    return _tally(parts, parts[src[once]], parts[g.nbrs[once]], num_parts)
 
 
 # ---------------------------------------------------------------------------
@@ -94,13 +105,7 @@ def imbalance(g: GlobalGraph, parts, num_parts: int | None = None) -> tuple[floa
 
 def per_task_counts(lg: LocalGraph, parts: np.ndarray, num_parts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """This task's exact contribution to (vertices, intra edges, cut incidence) per part."""
-    a = parts[lg.scan_src]
-    b = parts[lg.scan_dst]
-    same = a == b
-    verts = np.bincount(parts[: lg.num_owned], minlength=num_parts)
-    intra = np.bincount(a[same], minlength=num_parts)
-    cut = np.bincount(a[~same], minlength=num_parts) + np.bincount(b[~same], minlength=num_parts)
-    return verts, intra, cut
+    return _tally(parts[: lg.num_owned], parts[lg.scan_src], parts[lg.scan_dst], num_parts)
 
 
 def edge_cut_distributed(local_graphs: Sequence[LocalGraph], parts_arrays: Sequence[np.ndarray]) -> int:
@@ -114,13 +119,9 @@ def edge_cut_distributed(local_graphs: Sequence[LocalGraph], parts_arrays: Seque
 # diameter estimation
 
 
-def _bfs_levels(g: GlobalGraph, start: int, within: np.ndarray | None = None) -> np.ndarray:
-    """Distance from ``start`` (-1 where unreachable); ``within`` restricts the search."""
+def _bfs_levels(g: GlobalGraph, start: int) -> np.ndarray:
+    """Distance from ``start`` (-1 where unreachable)."""
     dist = np.full(g.num_vertices, -1, dtype=np.int64)
-    if within is not None:
-        allowed = within
-    else:
-        allowed = np.ones(g.num_vertices, dtype=bool)
     dist[start] = 0
     frontier = np.array([start], dtype=np.int64)
     level = 0
@@ -131,7 +132,7 @@ def _bfs_levels(g: GlobalGraph, start: int, within: np.ndarray | None = None) ->
             break
         gather = np.repeat(g.offsets[frontier] - np.cumsum(counts) + counts, counts) + np.arange(total, dtype=np.int64)
         nxt = np.unique(g.nbrs[gather])
-        nxt = nxt[(dist[nxt] < 0) & allowed[nxt]]
+        nxt = nxt[dist[nxt] < 0]
         level += 1
         dist[nxt] = level
         frontier = nxt
@@ -161,13 +162,13 @@ def approx_diameter(g: GlobalGraph, iterations: int = 10, seed: int = 0) -> int:
         raise InputError("cannot estimate the diameter of an empty graph")
     labels = connected_components(g)
     largest = int(np.bincount(labels).argmax())
-    within = labels == largest
-    members = np.nonzero(within)[0]
+    members = np.nonzero(labels == largest)[0]
     rng = rng_for(seed, "diameter")
     start = int(members[rng.integers(len(members))])
     best = 0
     for _ in range(iterations):
-        dist = _bfs_levels(g, start, within)
+        # a search from a vertex of the largest component stays in it
+        dist = _bfs_levels(g, start)
         ecc = int(dist.max())
         best = max(best, ecc)
         farthest = np.nonzero(dist == ecc)[0]
@@ -250,12 +251,10 @@ def build_report(g: GlobalGraph, parts, num_parts: int, metadata: dict | None = 
     parts = _check_parts(g, parts)
     if len(parts) and (parts.min() < 0 or parts.max() >= num_parts):
         raise InputError(f"part labels must lie in [0, {num_parts})")
-    cut = edge_cut(g, parts)
-    per_cut = per_part_cut(g, parts, num_parts)
+    verts, intra, per_cut = part_counts(g, parts, num_parts)
+    cut = int(per_cut.sum()) // 2
     winner = int(per_cut.argmax())
-    verts, intra = per_part_sizes(g, parts, num_parts)
-    v_imb = float(verts.max() * num_parts / g.num_vertices) if g.num_vertices else 0.0
-    e_imb = float(intra.max() * num_parts / g.num_edges) if g.num_edges else 0.0
+    v_imb, e_imb = _imbalances(g, verts, intra, num_parts)
     max_cut = int(per_cut[winner])
     return QualityReport(
         num_vertices=g.num_vertices,

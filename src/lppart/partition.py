@@ -130,9 +130,10 @@ class PartLedger:
     """Global per-part bookkeeping, exact at every superstep boundary.
 
     ``verts`` / ``intra_edges`` / ``cut_edges`` are the current global part
-    sizes in vertices, intra-part edges, and incident cut edges; the
-    ``*_deltas`` hold the last iteration's folded global changes.  Targets
-    are the configured caps ``(1 + ratio) * total / num_parts``.
+    sizes in vertices, intra-part edges, and incident cut edges;
+    ``cut_deltas`` holds the last superstep's change to ``cut_edges``, so
+    observers can read the cut on entry as ``cut_edges - cut_deltas``.
+    Targets are the configured caps ``(1 + ratio) * total / num_parts``.
     """
 
     num_parts: int
@@ -143,13 +144,8 @@ class PartLedger:
     edge_target: float
     total_iters: int
     iter_tot: int = 0
-    vert_deltas: np.ndarray = None
-    edge_deltas: np.ndarray = None
     cut_deltas: np.ndarray = None
     edge_balance_hit: int | None = None  # iter_tot when max intra_edges first met the target
-    weights_vert: np.ndarray = None  # iteration-start weights, for inspection
-    weights_edge: np.ndarray = None
-    weights_cut: np.ndarray = None
     ramp_edge: float = 0.0
     ramp_cut: float = 0.0
 
@@ -168,7 +164,7 @@ class SuperstepEvent:
     """Passed to observers after every superstep boundary."""
 
     phase: str
-    iteration: int  # within the phase
+    iteration: int  # counted from 0 in each phase
     superstep: int  # global runtime counter
     local_graphs: Sequence[LocalGraph]
     state: PartitionState
@@ -187,7 +183,11 @@ def compute_mult(iter_tot: int, total_iters: int, nprocs: int, x: float, y: floa
         raise ConfigError(f"nprocs must be >= 1, got {nprocs}")
     if not 0 <= iter_tot <= total_iters:
         raise ConfigError(f"iter_tot {iter_tot} outside [0, {total_iters}]")
-    return nprocs * ((x - y) * (iter_tot / total_iters) + y)
+    return nprocs * _ramp(iter_tot, total_iters, x, y)
+
+
+def _ramp(t: float, total: int, x: float, y: float) -> float:
+    return (x - y) * (t / total) + y
 
 
 def _weight(target: float, estimate: float) -> float:
@@ -213,7 +213,6 @@ def make_ledger(local_graphs: Sequence[LocalGraph], state: PartitionState, cfg: 
     verts, intra, cut = _global_counts(local_graphs, state.parts, p)
     n = int(verts.sum())
     m = sum(len(lg.scan_src) for lg in local_graphs)
-    zero = np.zeros(p, dtype=np.int64)
     return PartLedger(
         num_parts=p,
         verts=verts.astype(np.int64),
@@ -222,12 +221,7 @@ def make_ledger(local_graphs: Sequence[LocalGraph], state: PartitionState, cfg: 
         vert_target=(1.0 + cfg.vert_imb) * n / p,
         edge_target=(1.0 + cfg.edge_imb) * m / p,
         total_iters=cfg.total_iters,
-        vert_deltas=zero.copy(),
-        edge_deltas=zero.copy(),
-        cut_deltas=zero.copy(),
-        weights_vert=np.zeros(p),
-        weights_edge=np.zeros(p),
-        weights_cut=np.zeros(p),
+        cut_deltas=np.zeros(p, dtype=np.int64),
     )
 
 
@@ -533,16 +527,16 @@ def _sweep_refine(
     moved global ids."""
     moved: list[int] = []
     owned_deg = lg.degrees[: lg.num_owned]
-    c_v, est_v, guard_v = tc.c_v, tc.est_v, tc.guard_v
-    mult, nprocs = tc.mult, tc.nprocs
+    c_v, cap_v, nprocs = tc.c_v, tc.guard_v, tc.nprocs
     if edge_stage:
         guard_e, guard_c = tc.guard_e, tc.guard_c
     # early vertex-stage refinement mobility scales with the update-limit
     # ramp (ramped destination test: small x/y admit more moves, which is
     # where the ramp buys cut quality, and the next balancing round repairs
     # any overshoot); the closing round of each stage charges full shares so
-    # transient overage cannot outlive the stage
-    cap_v = guard_v if exact_caps else est_v
+    # transient overage cannot outlive the stage.  Only the list the vertex
+    # test reads is kept, charged for additions at the rate that test uses
+    add_v = nprocs if exact_caps else tc.mult
     for b0 in range(0, lg.num_owned, chunk):
         b1 = min(b0 + chunk, lg.num_owned)
         B = b1 - b0
@@ -576,10 +570,8 @@ def _sweep_refine(
             moved.append(b0 + r)
             c_v[x] -= 1
             c_v[w] += 1
-            est_v[x] -= nprocs
-            est_v[w] += mult
-            guard_v[x] -= nprocs
-            guard_v[w] += nprocs
+            cap_v[x] -= nprocs
+            cap_v[w] += add_v
             if edge_stage:
                 ko = dv - kx - kw
                 guard_e[x] -= nprocs * kx
@@ -640,10 +632,6 @@ def _place_isolated(
 # phase driver
 
 
-def _ramp(t: float, total: int, x: float, y: float) -> float:
-    return (x - y) * (t / total) + y
-
-
 def _run_phase(runtime, local_graphs, state, ledger, cfg, iters, phase, observer, closing_round=True):
     p = state.num_parts
     T = runtime.num_tasks
@@ -661,16 +649,9 @@ def _run_phase(runtime, local_graphs, state, ledger, cfg, iters, phase, observer
         elif it == 0:
             max_v = ledger.max_verts()
         mult = compute_mult(ledger.iter_tot, ledger.total_iters, T, cfg.x, cfg.y)
-        w_v0 = np.array([_weight(ledger.vert_target, float(s)) for s in ledger.verts])
-        ledger.weights_vert = w_v0
-        if edge_stage:
-            if balance or it == 0:
-                max_e = ledger.max_edges()
-                max_c = ledger.max_cut()
-            w_e0 = np.array([_weight(ledger.edge_target, float(s)) for s in ledger.intra_edges])
-            w_c0 = np.array([_weight(max_c, float(s)) for s in ledger.cut_edges])
-            ledger.weights_edge = w_e0
-            ledger.weights_cut = w_c0
+        if edge_stage and (balance or it == 0):
+            max_e = ledger.max_edges()
+            max_c = ledger.max_cut()
         if phase == PHASE_EDGE_BALANCE:
             # bias toward edge balance first; once met, freeze the edge ramp
             # and let the cut weighting grow from the same starting point
@@ -680,13 +661,12 @@ def _run_phase(runtime, local_graphs, state, ledger, cfg, iters, phase, observer
             r_e = _ramp(ledger.iter_tot if hit is None else hit, ledger.total_iters, cfg.x, cfg.y)
             r_c = cfg.y if hit is None else _ramp(ledger.iter_tot - hit, ledger.total_iters, cfg.x, cfg.y)
             ledger.ramp_edge, ledger.ramp_cut = r_e, r_c
-
-        if balance and edge_stage:
-            w_e, w_c = w_e0.tolist(), w_c0.tolist()
+            w_e = [_weight(ledger.edge_target, float(s)) for s in ledger.intra_edges]
+            w_c = [_weight(max_c, float(s)) for s in ledger.cut_edges]
             score_w = [r_e * w_e[i] + r_c * w_c[i] for i in range(p)]
             edge_weights = (ledger.edge_target, max_c, r_e, r_c)
-        elif balance:
-            score_w = w_v0.tolist()
+        elif phase == PHASE_VERT_BALANCE:
+            score_w = [_weight(ledger.vert_target, float(s)) for s in ledger.verts]
             edge_weights = None
         task_cv = [None] * T
 
@@ -709,17 +689,13 @@ def _run_phase(runtime, local_graphs, state, ledger, cfg, iters, phase, observer
         results = runtime.run_superstep(step)
         pairs_sent = _exchange_round(local_graphs, state, results)
 
-        c_v_global = allreduce_sum(task_cv)
-        old_intra = ledger.intra_edges
         old_cut = ledger.cut_edges
-        ledger.verts = ledger.verts + c_v_global
+        ledger.verts = ledger.verts + allreduce_sum(task_cv)
         verts_check, intra, cut = _global_counts(local_graphs, state.parts, p)
         if not np.array_equal(verts_check, ledger.verts):
             raise ProtocolError(f"{phase} iteration {it}: folded vertex sizes disagree with recount")
         ledger.intra_edges = intra.astype(np.int64)
         ledger.cut_edges = cut.astype(np.int64)
-        ledger.vert_deltas = c_v_global
-        ledger.edge_deltas = ledger.intra_edges - old_intra
         ledger.cut_deltas = ledger.cut_edges - old_cut
         ledger.iter_tot += 1
         if observer is not None:

@@ -87,6 +87,45 @@ def test_partition_id_past_int64_exits_2_naming_the_line(tmp_path, capsys):
     assert run_cli("partition", "-i", ok, "-p", 2, "-o", tmp_path / "edge.parts") == 0
 
 
+def _truncated_cache(tmp_path):
+    good = tmp_path / "good.npz"
+    io.write_cache(good, np.array([[0, 1], [1, 2]]), 3)
+    cut = tmp_path / "cut.npz"
+    cut.write_bytes(good.read_bytes()[:-40])
+    return cut
+
+
+def _cache_without_pairs(tmp_path):
+    path = tmp_path / "nopairs.npz"
+    np.savez(path, format_version=np.int64(io.CACHE_FORMAT_VERSION), num_vertices=np.int64(3))
+    return path
+
+
+def _parts_file(tmp_path, text):
+    path = tmp_path / "labels.parts"
+    path.write_text(text)
+    return path
+
+
+# each case: (argv, text the error must contain), built from tmp_path and the 256-vertex grid
+MALFORMED = {
+    "truncated-npz-partition": lambda d, grid: (("partition", "-i", _truncated_cache(d), "-p", 2), f"{d / 'cut.npz'}: truncated"),
+    "truncated-npz-evaluate": lambda d, grid: (("evaluate", "-i", _truncated_cache(d), _parts_file(d, "0\n0\n1\n")), f"{d / 'cut.npz'}: truncated"),
+    "npz-without-pairs": lambda d, grid: (("partition", "-i", _cache_without_pairs(d), "-p", 2), f"{d / 'nopairs.npz'}: cache has no pairs"),
+    "part-label-past-int64": lambda d, grid: (("evaluate", "-i", grid, _parts_file(d, "0\n\n99999999999999999999\n" + "0\n" * 253)), f"{d / 'labels.parts'}:3: part label"),
+    "part-label-out-of-range": lambda d, grid: (("evaluate", "-i", grid, "-p", 2, _parts_file(d, "0\n1\n2\n" + "0\n" * 253)), f"{d / 'labels.parts'}: part labels must lie in [0, 2)"),
+    "rmat-probs-not-numbers": lambda d, grid: (("generate", "rmat", "--scale", 4, "--probs", "a,b,c,d", "-o", d / "g.txt"), "--probs expects four comma-separated numbers"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2_with_a_located_message(case, grid_file, tmp_path, capsys):
+    argv, located = MALFORMED[case](tmp_path, grid_file[0])
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("lppart: error:") and located in err
+
+
 def test_partition_missing_file_exits_2(tmp_path):
     assert run_cli("partition", "-i", tmp_path / "nope.txt", "-p", 2) == 2
 
@@ -250,7 +289,7 @@ def test_default_task_count_is_one(grid_file, tmp_path):
     assert json.loads(report.read_text())["metadata"]["manifest"]["num_tasks"] == 1
 
 
-@pytest.mark.parametrize("var,value", [("LPPART_SEED", "abc"), ("LPPART_VERT_IMB", "0.1x")])
+@pytest.mark.parametrize("var,value", [("LPPART_SEED", "abc"), ("LPPART_VERT_IMB", "0.1x"), ("LPPART_STRICT", "maybe")])
 def test_malformed_env_value_exits_2_naming_the_variable(grid_file, tmp_path, monkeypatch, capsys, var, value):
     path, n = grid_file
     monkeypatch.setenv(var, value)

@@ -1,0 +1,67 @@
+"""Property tests over small drawn multigraphs (self-loops, duplicate edges and
+isolated vertices included) against the brute-force oracles."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from lppart.graph import BLOCK, RANDOM_HASH, build_csr, distribute, make_distribution
+from lppart.metrics import QualityReport, build_report, part_counts, per_task_counts
+
+PROPERTY_SETTINGS = settings(deadline=None, max_examples=60)
+
+
+@st.composite
+def partitioned_multigraphs(draw):
+    """(pairs, n, p, parts): edges drawn with replacement over the first
+    vertices, so loops and duplicates occur, plus 0-3 vertices no edge touches."""
+    touched = draw(st.integers(1, 10))
+    n = touched + draw(st.integers(0, 3))
+    vertex = st.integers(0, touched - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=30))
+    p = draw(st.integers(1, 4))
+    parts = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+    return pairs, n, p, parts
+
+
+@PROPERTY_SETTINGS
+@given(partitioned_multigraphs())
+def test_report_matches_oracles(case):
+    pairs, n, p, parts = case
+    rep = build_report(build_csr(pairs, n), np.asarray(parts), p)
+    cut = oracles.edge_cut(pairs, parts)
+    per_cut = oracles.per_part_cut(pairs, parts, p)
+    verts, intra = oracles.part_sizes(pairs, parts, n, p)
+    m = len(oracles.undirected_pairs(pairs))
+    assert (rep.num_vertices, rep.num_edges, rep.num_parts) == (n, m, p)
+    assert rep.edge_cut == cut
+    assert rep.cut_ratio == (cut / m if m else 0.0)
+    assert rep.parts_cut_edges == per_cut
+    assert (rep.max_part_cut, rep.max_part_cut_part) == (max(per_cut), per_cut.index(max(per_cut)))
+    assert rep.parts_vertices == verts and rep.parts_intra_edges == intra
+    assert (rep.vertex_imbalance, rep.edge_imbalance) == oracles.imbalance(pairs, parts, n, p)
+
+
+@PROPERTY_SETTINGS
+@given(partitioned_multigraphs(), st.integers(0, 2**63 - 1))
+def test_report_survives_json_round_trip(case, seed):
+    pairs, n, p, parts = case
+    metadata = {"seed": seed, "pairs": [list(e) for e in pairs]}
+    rep = build_report(build_csr(pairs, n), np.asarray(parts), p, metadata=metadata)
+    assert QualityReport.from_json(rep.to_json()) == rep
+    assert QualityReport.from_json(rep.to_json(indent=None)) == rep
+
+
+@PROPERTY_SETTINGS
+@given(partitioned_multigraphs(), st.integers(1, 3), st.sampled_from([BLOCK, RANDOM_HASH]), st.integers(0, 9))
+def test_per_task_tallies_sum_to_part_counts(case, num_tasks, kind, seed):
+    pairs, n, p, parts = case
+    g = build_csr(pairs, n)
+    T = min(num_tasks, n)
+    glob = np.asarray(parts, dtype=np.int64)
+    totals = [np.zeros(p, dtype=np.int64) for _ in range(3)]
+    for lg in distribute(g, make_distribution(kind, n, T, seed=seed)):
+        for total, count in zip(totals, per_task_counts(lg, glob[lg.local_to_global], p)):
+            total += count
+    assert [t.tolist() for t in totals] == [c.tolist() for c in part_counts(g, glob, p)]
