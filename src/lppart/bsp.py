@@ -6,14 +6,15 @@ through the collectives below, so results do not depend on the order in
 which the tasks of a superstep run.
 
 The update exchange mirrors a counts/offsets/buffer all-to-all.  Each task
-queues one int64 array: the global ids of the owned vertices it changed, in
+queues one int64 array: the local rows of the owned vertices it changed, in
 the order it changed them.  A first pass over the queue tallies how many
 items go to each neighboring task (deduplicated so a vertex is sent to a
 given task at most once per exchange), a prefix sum turns the tallies into
 buffer offsets, a second pass fills the flattened (vertex, part) send buffer
-with each vertex's current label from the task's parts array, and an
-all-to-all of the counts sizes the receive side.  Counts are in buffer items,
-two per queued vertex.
+with each vertex's global id and current label, and an all-to-all of the
+counts sizes the receive side.  Counts are in buffer items, two per queued
+vertex.  Only the wire carries global ids: the receiver maps them to its
+ghost slots.
 """
 
 from __future__ import annotations
@@ -100,21 +101,19 @@ def broadcast(root_value, num_tasks: int) -> list:
     return [deepcopy(root_value) for _ in range(num_tasks)]
 
 
-def build_send_buffers(lg: LocalGraph, parts: np.ndarray, queue_gids: np.ndarray) -> ExchangeBuffers:
+def build_send_buffers(lg: LocalGraph, parts: np.ndarray, rows: np.ndarray) -> ExchangeBuffers:
     """Counts pass, prefix sums, fill pass for one task's outgoing updates.
 
-    Each queued vertex is sent (with its current part label) once to every
-    distinct neighboring task.  Queued vertices must be owned by this task.
+    Each queued row is sent as its (global id, current part) pair once to
+    every distinct neighboring task; a row outside ``[0, num_owned)`` raises.
     """
     T = lg.num_tasks
-    if len(queue_gids) == 0:
+    if len(rows) == 0:
         zero = np.zeros(T, dtype=np.int64)
         return ExchangeBuffers(zero, zero.copy(), np.empty(0, dtype=np.int64))
-
-    rows = lg.global_to_local[queue_gids]
-    if rows.min() < 0 or rows.max() >= lg.num_owned or (lg.owned[rows] != queue_gids).any():
-        bad = queue_gids[(rows < 0) | (rows >= lg.num_owned)]
-        raise ProtocolError(f"task {lg.task} queued vertices it does not own: {bad[:5].tolist()}")
+    if rows.min() < 0 or rows.max() >= lg.num_owned:
+        bad = rows[(rows < 0) | (rows >= lg.num_owned)]
+        raise ProtocolError(f"task {lg.task} queued rows it does not own: {bad[:5].tolist()}")
 
     counts = lg.offsets[rows + 1] - lg.offsets[rows]
     total = int(counts.sum())
@@ -133,7 +132,7 @@ def build_send_buffers(lg: LocalGraph, parts: np.ndarray, queue_gids: np.ndarray
     send_offsets = np.zeros(T, dtype=np.int64)
     np.cumsum(send_counts[:-1], out=send_offsets[1:])
     send_buffer = np.empty(2 * len(src), dtype=np.int64)
-    send_buffer[0::2] = queue_gids[src]
+    send_buffer[0::2] = lg.owned[rows[src]]
     send_buffer[1::2] = parts[rows[src]]
     return ExchangeBuffers(send_counts, send_offsets, send_buffer)
 
@@ -145,12 +144,12 @@ def exchange_updates(
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[ExchangeBuffers]]:
     """All-to-all exchange of queued part updates.
 
-    ``queues[t]`` holds the global ids task t changed.  Returns per-task
-    received (vertices, parts) queues, ordered by sending task, plus the
+    ``queues[t]`` holds the local rows task t changed.  Returns per-task
+    received (global ids, parts) queues, ordered by sending task, plus the
     per-task buffers for tracing/inspection.
     """
     T = len(local_graphs)
-    buffers = [build_send_buffers(lg, parts, gids) for lg, parts, gids in zip(local_graphs, parts_arrays, queues)]
+    buffers = [build_send_buffers(lg, parts, rows) for lg, parts, rows in zip(local_graphs, parts_arrays, queues)]
 
     received: list[tuple[np.ndarray, np.ndarray]] = []
     for t in range(T):
@@ -177,5 +176,6 @@ def apply_updates(lg: LocalGraph, parts: np.ndarray, received: tuple[np.ndarray,
         return
     slots = lg.global_to_local[gids]
     if slots.min() < lg.num_owned:
-        raise ProtocolError(f"task {lg.task} received an update for a vertex it owns")
+        what = "it does not ghost" if slots.min() < 0 else "it owns"
+        raise ProtocolError(f"task {lg.task} received an update for a vertex {what}")
     parts[slots] = labels

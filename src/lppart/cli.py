@@ -130,10 +130,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_graph(path: str, dedup: bool) -> tuple[GlobalGraph, np.ndarray]:
     pairs, id_map = io.load_pairs(path)
+    if len(id_map) == 0:
+        raise LppartError(f"{path}: graph has no vertices")
     if dedup:
         pairs = io.dedup_pairs(pairs)
-    n = len(id_map)
-    return build_csr(pairs, n), id_map
+    return build_csr(pairs, len(id_map)), id_map
 
 
 def _parse_iters(text: str) -> tuple[int, int, int]:
@@ -160,8 +161,6 @@ def cmd_partition(args) -> int:
     if args.parts is None:
         raise LppartError("--parts is required")
     g, id_map = _load_graph(args.input, args.dedup)
-    if g.num_vertices == 0:
-        raise LppartError(f"{args.input}: graph has no vertices")
     outer, bal, ref = _parse_iters(args.iters)
 
     with open(args.trace, "w") if args.trace else contextlib.nullcontext() as trace:

@@ -22,10 +22,14 @@ y)`` grows linearly over a stage.  Early iterations (small ``y``) therefore
 let each task place several times its fair share of moves before a part stops
 looking attractive, which is where the ramp buys cut quality; by the last
 iteration each task is held to roughly ``1/nprocs`` of the remaining
-headroom.  The hard size caps, by contrast, always charge a task its full
-share (``size + nprocs * delta``), so independently-deciding tasks cannot
-collectively push a part past a cap no matter where the ramp stands (see
-``_TaskCounters``).
+headroom.  The hard size caps, by contrast, test a *guard* estimate that
+always charges a task its full share (``size + nprocs * delta``): if every
+task fills its guard, a part lands exactly on its cap instead of overshooting
+by ``nprocs / mult``, which would ratchet the caps upward every iteration.
+Weight estimates damp only additions: removals are charged in full, so a
+draining part regains its pull before the tasks collectively empty it.  A
+step keeps its net vertex change per part (``c_v``, folded into the ledger)
+and the vertex guard list; each sweep builds the other estimates it reads.
 
 Within a task the sweep walks fixed-size chunks: neighbor-label counts are
 gathered per chunk (so labels written earlier in the same chunk are not yet
@@ -42,8 +46,9 @@ differs from their part (the movers) pass one by one through the guards.
 Balancing scores every part of a vertex at once (a product list whose guard
 closed parts read -1.0) and rescores only the two parts a move touches; the
 isolated-vertex water-fill keeps its destination until a move changes it.
-Each task's step returns the global ids it moved, in move order, as one
-int64 array; the exchange reads their new labels from the parts arrays.
+Every task step, in every stage, returns the local rows it changed, in the
+order it changed them, as one int64 array; the exchange reads their global
+ids and new labels, so only the wire carries global ids.
 """
 
 from __future__ import annotations
@@ -146,8 +151,6 @@ class PartLedger:
     iter_tot: int = 0
     cut_deltas: np.ndarray = None
     edge_balance_hit: int | None = None  # iter_tot when max intra_edges first met the target
-    ramp_edge: float = 0.0
-    ramp_cut: float = 0.0
 
     def max_verts(self) -> float:
         return max(float(self.verts.max()), self.vert_target)
@@ -230,15 +233,15 @@ def make_ledger(local_graphs: Sequence[LocalGraph], state: PartitionState, cfg: 
 
 
 def _label_roots(lg: LocalGraph, parts: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """Give root i part i on the task owning it; returns the roots labeled here."""
+    """Give root i part i on the task owning it; returns the rows labeled here."""
     slots = lg.global_to_local[roots]
     mine = np.nonzero((slots >= 0) & (slots < lg.num_owned))[0]
     parts[slots[mine]] = mine
-    return roots[mine]
+    return slots[mine]
 
 
 def _sweep_init(lg: LocalGraph, parts: np.ndarray, rng: np.random.Generator, num_parts: int, chunk: int):
-    """One superstep of label flooding; returns (moved global ids, assigned count)."""
+    """One superstep of label flooding; returns the rows it labeled."""
     p1 = num_parts + 1  # column 0 counts unlabeled neighbors
     moved = [np.empty(0, dtype=np.int64)]
     owned_deg = lg.degrees[: lg.num_owned]
@@ -256,14 +259,12 @@ def _sweep_init(lg: LocalGraph, parts: np.ndarray, rng: np.random.Generator, num
         cand = np.nonzero(open_rows & (labeled > 0))[0]
         if not len(cand):
             continue
-        labels = []
-        for row in counts[cand, 1:].tolist():
-            present = [i for i, c in enumerate(row) if c > 0]
-            labels.append(present[int(rng.integers(len(present)))])
-        parts[b0 + cand] = labels
-        moved.append(lg.owned[b0 + cand])
-    gids = np.concatenate(moved)
-    return gids, len(gids)
+        # each row adopts its k-th present label, k uniform over the present ones
+        present = counts[cand, 1:] > 0
+        k = rng.integers(present.sum(axis=1))
+        parts[b0 + cand] = (present.cumsum(axis=1) > k[:, None]).argmax(axis=1)
+        moved.append(b0 + cand)
+    return np.concatenate(moved)
 
 
 def _exchange_round(local_graphs, state, moved) -> list[int]:
@@ -322,24 +323,21 @@ def _draw_roots(local_graphs, num_parts: int, seed: int) -> np.ndarray:
 def _init_bfs_lp(runtime, local_graphs, state, cfg, notify):
     p = state.num_parts
     # master task draws the roots; every task receives the same array
-    roots_master = _draw_roots(local_graphs, p, cfg.seed)
-    roots = broadcast(roots_master, runtime.num_tasks)
-    pending = [
-        _label_roots(lg, parts, task_roots)
-        for lg, parts, task_roots in zip(local_graphs, state.parts, roots)
-    ]
+    roots = broadcast(_draw_roots(local_graphs, p, cfg.seed), runtime.num_tasks)
     rngs = [rng_for(cfg.seed, "init", t) for t in range(runtime.num_tasks)]
 
     iteration = 0
     while True:
+        # superstep 0 labels each task's roots first; no task sees another's before the exchange
         def step(t):
-            gids, assigned = _sweep_init(local_graphs[t], state.parts[t], rngs[t], p, cfg.chunk)
-            return np.concatenate([pending[t], gids]), assigned
+            lg, parts = local_graphs[t], state.parts[t]
+            rows = [_label_roots(lg, parts, roots[t])] if iteration == 0 else []
+            return np.concatenate(rows + [_sweep_init(lg, parts, rngs[t], p, cfg.chunk)])
 
         results = runtime.run_superstep(step)
-        pending = [np.empty(0, dtype=np.int64)] * len(local_graphs)
-        notify(iteration, _exchange_round(local_graphs, state, [gids for gids, _ in results]))
-        updates = int(allreduce_sum([np.array([assigned]) for _, assigned in results])[0])
+        notify(iteration, _exchange_round(local_graphs, state, results))
+        # the flood stops when a superstep labels nothing beyond the p roots
+        updates = int(allreduce_sum([np.array([len(rows)]) for rows in results])[0]) - (p if iteration == 0 else 0)
         iteration += 1
         if updates == 0:
             break
@@ -350,8 +348,8 @@ def _init_bfs_lp(runtime, local_graphs, state, cfg, notify):
     def fallback(t):
         lg, parts = local_graphs[t], state.parts[t]
         open_rows = np.nonzero(parts[: lg.num_owned] == -1)[0]
-        parts[open_rows] = [int(fallback_rngs[t].integers(p)) for _ in range(len(open_rows))]
-        return lg.owned[open_rows]
+        parts[open_rows] = fallback_rngs[t].integers(p, size=len(open_rows))
+        return open_rows
 
     results = runtime.run_superstep(fallback)
     notify(iteration, _exchange_round(local_graphs, state, results))
@@ -370,7 +368,7 @@ def _init_direct(runtime, local_graphs, state, cfg, notify):
         else:
             labels = np.searchsorted(cuts, lg.owned, side="right") - 1
         parts[: lg.num_owned] = labels
-        return lg.owned
+        return np.arange(lg.num_owned, dtype=np.int64)
 
     results = runtime.run_superstep(step)
     notify(0, _exchange_round(local_graphs, state, results))
@@ -380,67 +378,39 @@ def _init_direct(runtime, local_graphs, state, cfg, notify):
 # weighted sweeps
 
 
-class _TaskCounters:
-    """One task's intra-iteration per-part accounting.
-
-    Two size estimates are kept for every quantity.  The *weight* estimate
-    ``size + mult * delta`` ramps with the stage (optimistic early, which is
-    what lets low ramp values move more mass and improve the cut), and feeds
-    the attraction weights only.  The *guard* estimate ``size + nprocs *
-    delta`` charges this task its full share of every move, and feeds the
-    hard caps: if every task fills its guard, the global size lands exactly
-    on the cap instead of overshooting by nprocs/mult, which at desk scale
-    would ratchet the caps upward every iteration.
-
-    Only additions to a weight estimate are damped by the ramp; removals are
-    charged at the full share so a draining part regains its pull before the
-    tasks collectively empty it out (a damped charge leaves it looking
-    overweight while its last vertices leave).  The sweeps update the lists
-    in place, each keeping current the ones it reads and ``c_v``, this task's
-    net vertex change per part, which `_run_phase` folds into the ledger.
-    """
-
-    def __init__(self, ledger: PartLedger, mult: float, nprocs: int, edge_stage: bool):
-        p = ledger.num_parts
-        self.mult = mult
-        self.nprocs = float(nprocs)
-        self.c_v = [0] * p
-        self.est_v = ledger.verts.astype(np.float64).tolist()
-        self.guard_v = ledger.verts.astype(np.float64).tolist()
-        if edge_stage:
-            self.est_e = ledger.intra_edges.astype(np.float64).tolist()
-            self.guard_e = ledger.intra_edges.astype(np.float64).tolist()
-            self.est_c = ledger.cut_edges.astype(np.float64).tolist()
-            self.guard_c = ledger.cut_edges.astype(np.float64).tolist()
-
-
 def _sweep_balance(
     lg: LocalGraph,
     parts: np.ndarray,
-    p: int,
     chunk: int,
-    tc: _TaskCounters,
+    ledger: PartLedger,
+    mult: float,
+    c_v: list[int],
+    guard_v: list[float],
     max_v: float,
     score_w: list[float],  # per-part attraction multipliers at iteration start
-    vert_target: float,
-    edge_weights: tuple[float, float, float, float] | None,
+    edge_weights: tuple[float, float, float] | None,
 ) -> np.ndarray:
     """Degree-weighted sweep: counts scaled by the part scores, vertex guard on
-    destinations; returns the moved global ids.
+    destinations; returns the moved rows.
 
-    A part's score is its vertex weight against ``vert_target``, or in the
-    edge stage, with ``edge_weights = (edge_target, max_c, r_e, r_c)``,
-    ``r_e`` times its intra-edge weight plus ``r_c`` times its cut weight.
+    A part's score is its vertex weight against the vertex target, or in the
+    edge stage, with ``edge_weights = (max_c, r_e, r_c)``, ``r_e`` times its
+    intra-edge weight plus ``r_c`` times its cut weight.
     """
+    p = ledger.num_parts
     moved: list[int] = []
     owned_deg = lg.degrees[: lg.num_owned]
     deg_f = lg.degrees.astype(np.float64)
-    c_v, est_v, guard_v = tc.c_v, tc.est_v, tc.guard_v
-    mult, nprocs = tc.mult, tc.nprocs
+    nprocs = float(lg.num_tasks)
     edge_stage = edge_weights is not None
     if edge_stage:
-        edge_target, max_c, r_e, r_c = edge_weights
-        est_e, est_c = tc.est_e, tc.est_c
+        max_c, r_e, r_c = edge_weights
+        edge_target = ledger.edge_target
+        est_e = ledger.intra_edges.astype(np.float64).tolist()
+        est_c = ledger.cut_edges.astype(np.float64).tolist()
+    else:
+        vert_target = ledger.vert_target
+        est_v = ledger.verts.astype(np.float64).tolist()
     # the score of every part the vertex guard admits, -1.0 for the others
     sw = [-1.0 if g + 1.0 > max_v else s for s, g in zip(score_w, guard_v)]
     for b0 in range(0, lg.num_owned, chunk):
@@ -506,37 +476,41 @@ def _sweep_balance(
                     e = est_v[i]
                     s = vert_target / (1.0 if 1.0 > e else e) - 1.0
                     sw[i] = -1.0 if guard_v[i] + 1.0 > max_v else (0.0 if 0.0 > s else s)
-    return lg.owned[np.asarray(moved, dtype=np.int64)]
+    return np.asarray(moved, dtype=np.int64)
 
 
 def _sweep_refine(
     lg: LocalGraph,
     parts: np.ndarray,
-    p: int,
     chunk: int,
-    tc: _TaskCounters,
+    ledger: PartLedger,
+    mult: float,
+    c_v: list[int],
+    cap_v: list[float],
     max_v: float,
-    max_e: float,
-    max_c: float,
-    edge_stage: bool,
+    edge_caps: tuple[float, float] | None,
     exact_caps: bool,
 ) -> np.ndarray:
     """Plurality sweep: move to the raw-count argmax, vetoed (vertex stays)
     when the destination's estimated size would exceed the vertex cap or, in
-    the edge stage, the current max intra-edge or max cut sizes; returns the
-    moved global ids."""
+    the edge stage, with ``edge_caps = (max_e, max_c)``, the max intra-edge or
+    max cut sizes at phase entry; returns the moved rows."""
+    p = ledger.num_parts
     moved: list[int] = []
     owned_deg = lg.degrees[: lg.num_owned]
-    c_v, cap_v, nprocs = tc.c_v, tc.guard_v, tc.nprocs
+    nprocs = float(lg.num_tasks)
+    edge_stage = edge_caps is not None
     if edge_stage:
-        guard_e, guard_c = tc.guard_e, tc.guard_c
+        max_e, max_c = edge_caps
+        guard_e = ledger.intra_edges.astype(np.float64).tolist()
+        guard_c = ledger.cut_edges.astype(np.float64).tolist()
     # early vertex-stage refinement mobility scales with the update-limit
     # ramp (ramped destination test: small x/y admit more moves, which is
     # where the ramp buys cut quality, and the next balancing round repairs
     # any overshoot); the closing round of each stage charges full shares so
     # transient overage cannot outlive the stage.  Only the list the vertex
     # test reads is kept, charged for additions at the rate that test uses
-    add_v = nprocs if exact_caps else tc.mult
+    add_v = nprocs if exact_caps else mult
     for b0 in range(0, lg.num_owned, chunk):
         b1 = min(b0 + chunk, lg.num_owned)
         B = b1 - b0
@@ -578,19 +552,19 @@ def _sweep_refine(
                 guard_e[w] += nprocs * kw
                 guard_c[x] += nprocs * (kx - kw - ko)
                 guard_c[w] += nprocs * (kx - kw + ko)
-    return lg.owned[np.asarray(moved, dtype=np.int64)]
+    return np.asarray(moved, dtype=np.int64)
 
 
 def _place_isolated(
     lg: LocalGraph,
     parts: np.ndarray,
-    p: int,
-    tc: _TaskCounters,
+    c_v: list[int],
+    guard_v: list[float],
     max_v: float,
     mean_size: float,
 ) -> np.ndarray:
     """Water-fill degree-zero vertices toward parts below the mean size;
-    returns the moved global ids.
+    returns the moved rows.
 
     Neighbor counts carry no signal for an isolated vertex, so it would
     otherwise be pinned to its initial random part forever; moving it is
@@ -605,7 +579,7 @@ def _place_isolated(
     its own part's (zero when the guard closes it).
     """
     rows = np.nonzero(lg.degrees[: lg.num_owned] == 0)[0]
-    c_v, guard_v, nprocs = tc.c_v, tc.guard_v, tc.nprocs
+    nprocs = float(lg.num_tasks)
     # the fill of every part the vertex guard admits, -1.0 for the others
     fill = [-1.0 if g + 1.0 > max_v else _weight(mean_size, g) for g in guard_v]
     top = max(fill)
@@ -625,7 +599,7 @@ def _place_isolated(
             fill[i] = -1.0 if g + 1.0 > max_v else _weight(mean_size, g)
         top = max(fill)
         k = fill.index(top)
-    return lg.owned[np.asarray(moved, dtype=np.int64)]
+    return np.asarray(moved, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -648,11 +622,10 @@ def _run_phase(runtime, local_graphs, state, ledger, cfg, iters, phase, observer
             max_v = ledger.vert_target if phase == PHASE_EDGE_BALANCE else ledger.max_verts()
         elif it == 0:
             max_v = ledger.max_verts()
+            edge_caps = (ledger.max_edges(), ledger.max_cut()) if edge_stage else None
         mult = compute_mult(ledger.iter_tot, ledger.total_iters, T, cfg.x, cfg.y)
-        if edge_stage and (balance or it == 0):
-            max_e = ledger.max_edges()
-            max_c = ledger.max_cut()
         if phase == PHASE_EDGE_BALANCE:
+            max_c = ledger.max_cut()
             # bias toward edge balance first; once met, freeze the edge ramp
             # and let the cut weighting grow from the same starting point
             if ledger.edge_balance_hit is None and float(ledger.intra_edges.max()) <= ledger.edge_target:
@@ -660,11 +633,10 @@ def _run_phase(runtime, local_graphs, state, ledger, cfg, iters, phase, observer
             hit = ledger.edge_balance_hit
             r_e = _ramp(ledger.iter_tot if hit is None else hit, ledger.total_iters, cfg.x, cfg.y)
             r_c = cfg.y if hit is None else _ramp(ledger.iter_tot - hit, ledger.total_iters, cfg.x, cfg.y)
-            ledger.ramp_edge, ledger.ramp_cut = r_e, r_c
             w_e = [_weight(ledger.edge_target, float(s)) for s in ledger.intra_edges]
             w_c = [_weight(max_c, float(s)) for s in ledger.cut_edges]
             score_w = [r_e * w_e[i] + r_c * w_c[i] for i in range(p)]
-            edge_weights = (ledger.edge_target, max_c, r_e, r_c)
+            edge_weights = (max_c, r_e, r_c)
         elif phase == PHASE_VERT_BALANCE:
             score_w = [_weight(ledger.vert_target, float(s)) for s in ledger.verts]
             edge_weights = None
@@ -672,18 +644,16 @@ def _run_phase(runtime, local_graphs, state, ledger, cfg, iters, phase, observer
 
         def step(t):
             lg, parts = local_graphs[t], state.parts[t]
-            tc = _TaskCounters(ledger, mult, T, edge_stage)
+            c_v = [0] * p
+            guard_v = ledger.verts.astype(np.float64).tolist()
             if balance:
-                moved = _sweep_balance(lg, parts, p, cfg.chunk, tc, max_v, score_w, ledger.vert_target, edge_weights)
+                moved = _sweep_balance(lg, parts, cfg.chunk, ledger, mult, c_v, guard_v, max_v, score_w, edge_weights)
                 if phase == PHASE_VERT_BALANCE:
-                    isolated = _place_isolated(lg, parts, p, tc, max_v, float(ledger.verts.sum()) / p)
+                    isolated = _place_isolated(lg, parts, c_v, guard_v, max_v, float(ledger.verts.sum()) / p)
                     moved = np.concatenate([moved, isolated])
             else:
-                moved = _sweep_refine(
-                    lg, parts, p, cfg.chunk, tc, max_v,
-                    max_e if edge_stage else 0.0, max_c if edge_stage else 0.0, edge_stage, exact_caps,
-                )
-            task_cv[t] = np.array(tc.c_v, dtype=np.int64)
+                moved = _sweep_refine(lg, parts, cfg.chunk, ledger, mult, c_v, guard_v, max_v, edge_caps, exact_caps)
+            task_cv[t] = np.array(c_v, dtype=np.int64)
             return moved
 
         results = runtime.run_superstep(step)

@@ -25,9 +25,9 @@ def _setup(rng, n=256, m=800, T=4, kind=RANDOM_HASH):
     return g, locals_, parts
 
 
-def _queue(entries):
-    """The int64 gid array a task queues for (gid, part) entries already in its parts array."""
-    return np.array([gid for gid, _ in entries], dtype=np.int64)
+def _queue(rows):
+    """The int64 array of local rows a task queues; their labels are already in its parts array."""
+    return np.asarray(rows, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +79,8 @@ def test_single_cross_edge_delivery():
     g = build_csr([(0, 1), (1, 2), (2, 3)], 4)
     locals_ = distribute(g, make_distribution(BLOCK, 4, 2))
     parts = [np.zeros(lg.num_slots, dtype=np.int64) for lg in locals_]
-    parts[0][locals_[0].global_to_local[1]] = 5
-    received, _ = exchange_updates(locals_, parts, [_queue([(1, 5)]), _queue([])])
+    parts[0][1] = 5  # vertex 1 is row 1 of task 0
+    received, _ = exchange_updates(locals_, parts, [_queue([1]), _queue([])])
     gids, labels = received[1]
     assert gids.tolist() == [1] and labels.tolist() == [5]
     assert received[0][0].tolist() == []
@@ -96,9 +96,8 @@ def test_exchange_matches_brute_force_oracle(rng):
         rows = np.nonzero(take)[0]
         labels = rng2.integers(0, 6, size=len(rows))
         pl[rows] = labels
-        entries = list(zip(lg.owned[rows].tolist(), labels.tolist()))
-        queues.append(_queue(entries))
-        plan_queues.append(entries)
+        queues.append(_queue(rows))
+        plan_queues.append(list(zip(lg.owned[rows].tolist(), labels.tolist())))
 
     expected, total_sent = oracles.exchange_plan(locals_, plan_queues)
     received, buffers = exchange_updates(locals_, parts, queues)
@@ -115,20 +114,21 @@ def test_buffer_layout_offsets_and_counts(rng):
     g, locals_, parts = _setup(rng, T=3)
     lg = locals_[0]
     rows = np.arange(min(10, lg.num_owned))
-    entries = [(int(lg.owned[r]), 1) for r in rows]
-    for r in rows:
-        parts[0][r] = 1
-    buf = build_send_buffers(lg, parts[0], np.array([g for g, _ in entries]))
+    parts[0][rows] = 1
+    buf = build_send_buffers(lg, parts[0], _queue(rows))
     assert buf.send_offsets.tolist() == np.concatenate([[0], np.cumsum(buf.send_counts)[:-1]]).tolist()
     assert len(buf.send_buffer) == buf.send_counts.sum()
     assert buf.send_counts[lg.task] == 0
+    # the wire carries the global ids of the queued rows
+    assert set(buf.send_buffer[0::2].tolist()) <= set(lg.owned[rows].tolist())
+    assert buf.send_buffer[1::2].tolist() == [1] * buf.pairs_sent
 
 
 def test_unowned_vertex_rejected(rng):
     g, locals_, parts = _setup(rng, T=2)
-    ghost_gid = int(locals_[0].ghosts[0])
-    with pytest.raises(ProtocolError):
-        exchange_updates(locals_, parts, [_queue([(ghost_gid, 1)]), _queue([])])
+    for row in (locals_[0].num_owned, -1):  # the first ghost slot, and no slot at all
+        with pytest.raises(ProtocolError, match="does not own"):
+            exchange_updates(locals_, parts, [_queue([row]), _queue([])])
 
 
 def test_ghost_coherence_after_apply(rng):
@@ -139,7 +139,7 @@ def test_ghost_coherence_after_apply(rng):
         rows = np.nonzero(rng2.random(lg.num_owned) < 0.5)[0]
         labels = rng2.integers(0, 4, size=len(rows))
         pl[rows] = labels
-        queues.append(_queue(list(zip(lg.owned[rows].tolist(), labels.tolist()))))
+        queues.append(_queue(rows))
     received, _ = exchange_updates(locals_, parts, queues)
     for lg, pl, recv in zip(locals_, parts, received):
         apply_updates(lg, pl, recv)
@@ -153,9 +153,14 @@ def test_ghost_coherence_after_apply(rng):
 
 def test_apply_rejects_owned_updates(rng):
     g, locals_, parts = _setup(rng, T=2)
-    gid = int(locals_[0].owned[0])
-    with pytest.raises(ProtocolError):
-        apply_updates(locals_[0], parts[0], (np.array([gid]), np.array([1])))
+    lg = locals_[0]
+    gid = int(lg.owned[0])
+    with pytest.raises(ProtocolError, match="vertex it owns"):
+        apply_updates(lg, parts[0], (np.array([gid]), np.array([1])))
+    # a vertex this task neither owns nor ghosts
+    stray = int(np.nonzero(lg.global_to_local == -1)[0][0])
+    with pytest.raises(ProtocolError, match="vertex it does not ghost"):
+        apply_updates(lg, parts[0], (np.array([stray]), np.array([1])))
 
 
 # ---------------------------------------------------------------------------

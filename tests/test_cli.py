@@ -101,6 +101,12 @@ def _cache_without_pairs(tmp_path):
     return path
 
 
+def _empty_cache(tmp_path):
+    path = tmp_path / "empty.npz"
+    io.write_cache(path, np.empty((0, 2), dtype=np.int64), 0)
+    return path
+
+
 def _parts_file(tmp_path, text):
     path = tmp_path / "labels.parts"
     path.write_text(text)
@@ -111,6 +117,7 @@ def _parts_file(tmp_path, text):
 MALFORMED = {
     "truncated-npz-partition": lambda d, grid: (("partition", "-i", _truncated_cache(d), "-p", 2), f"{d / 'cut.npz'}: truncated"),
     "truncated-npz-evaluate": lambda d, grid: (("evaluate", "-i", _truncated_cache(d), _parts_file(d, "0\n0\n1\n")), f"{d / 'cut.npz'}: truncated"),
+    "empty-npz-evaluate": lambda d, grid: (("evaluate", "-i", _empty_cache(d), _parts_file(d, "")), f"{d / 'empty.npz'}: graph has no vertices"),
     "npz-without-pairs": lambda d, grid: (("partition", "-i", _cache_without_pairs(d), "-p", 2), f"{d / 'nopairs.npz'}: cache has no pairs"),
     "part-label-past-int64": lambda d, grid: (("evaluate", "-i", grid, _parts_file(d, "0\n\n99999999999999999999\n" + "0\n" * 253)), f"{d / 'labels.parts'}:3: part label"),
     "part-label-out-of-range": lambda d, grid: (("evaluate", "-i", grid, "-p", 2, _parts_file(d, "0\n1\n2\n" + "0\n" * 253)), f"{d / 'labels.parts'}: part labels must lie in [0, 2)"),

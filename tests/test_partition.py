@@ -7,6 +7,7 @@ import pytest
 import oracles
 from conftest import cycle_pairs, grid_pairs, path_pairs, random_pairs, two_cliques_pairs
 from lppart.bsp import Runtime
+from lppart.cli import main
 from lppart.errors import ConfigError
 from lppart.gen import GenSpec, gen_er, gen_rmat
 from lppart.graph import BLOCK, RANDOM_HASH, build_csr, distribute, make_distribution
@@ -141,6 +142,30 @@ def test_init_isolated_vertex_gets_fallback_part():
         assert state.parts[0][3] in (0, 1)
         seen.add(int(state.parts[0][3]))
     assert seen == {0, 1}  # uniform fallback hits both parts across seeds
+
+
+def test_flood_step_matches_scalar_draw_reference(rng):
+    """The flood's array draw picks the label, and consumes the generator, as
+    one scalar draw over each row's sorted present labels."""
+    from lppart.partition import _sweep_init
+
+    n, chunk = 300, 64
+    lg = distribute(build_csr(random_pairs(rng, n, 700), n), make_distribution(BLOCK, n, 2))[0]
+    got = rng.integers(-1, 5, size=lg.num_slots)  # -1: unlabeled
+    want = got.copy()
+    flood = np.random.default_rng(9)
+    rows = _sweep_init(lg, got, flood, 5, chunk)
+    draw, expected = np.random.default_rng(9), []
+    for b0 in range(0, lg.num_owned, chunk):
+        frozen = want.copy()  # labels written in a chunk are not seen within it
+        for r in range(b0, min(b0 + chunk, lg.num_owned)):
+            present = sorted({int(frozen[s]) for s in lg.nbr_slots[lg.offsets[r] : lg.offsets[r + 1]]} - {-1})
+            if frozen[r] == -1 and present:
+                want[r] = present[int(draw.integers(len(present)))]
+                expected.append(r)
+    assert rows.tolist() == expected and len(expected) > 0
+    assert np.array_equal(got, want)
+    assert flood.bit_generator.state == draw.bit_generator.state
 
 
 def test_init_rejects_more_parts_than_vertices():
@@ -751,6 +776,19 @@ def test_partition_matches_golden_hash(kind, T, dist, extra, digest):
     st = xtrapulp(locals_, Config(num_parts=8, num_tasks=T, seed=3, **extra))
     parts = st.to_global(locals_, n)
     assert hashlib.sha256(parts.astype("<i8").tobytes()).hexdigest() == digest
+
+
+# sha256 of the `lppart partition --trace` file for rmat scale 10 (seed 1), p=4,
+# -T 3, seed 1: pins the pairs every task sends in every superstep, init included
+TRACE_GOLDEN = "e646e765f1be526b4415872a15e75ae9e4f02af27d829386a5eaa635df8e4b9a"
+
+
+def test_partition_trace_matches_golden_hash(tmp_path):
+    graph, trace = tmp_path / "rmat10.txt", tmp_path / "run.trace"
+    assert main(["generate", "rmat", "--scale", "10", "--seed", "1", "-o", str(graph)]) == 0
+    argv = ["partition", "-i", str(graph), "-p", "4", "-T", "3", "--seed", "1", "--trace", str(trace)]
+    assert main(argv + ["-o", str(tmp_path / "run.parts")]) == 0
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == TRACE_GOLDEN
 
 
 def test_task_count_mismatch_rejected(rng):

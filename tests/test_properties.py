@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from lppart.bsp import apply_updates, exchange_updates
 from lppart.graph import BLOCK, RANDOM_HASH, build_csr, distribute, make_distribution
+from lppart.io import relabel_pairs
 from lppart.metrics import QualityReport, build_report, part_counts, per_task_counts
 
 PROPERTY_SETTINGS = settings(deadline=None, max_examples=60)
@@ -65,3 +67,45 @@ def test_per_task_tallies_sum_to_part_counts(case, num_tasks, kind, seed):
         for total, count in zip(totals, per_task_counts(lg, glob[lg.local_to_global], p)):
             total += count
     assert [t.tolist() for t in totals] == [c.tolist() for c in part_counts(g, glob, p)]
+
+
+@PROPERTY_SETTINGS
+@given(partitioned_multigraphs(), st.integers(1, 4), st.sampled_from([BLOCK, RANDOM_HASH]), st.integers(0, 9), st.data())
+def test_exchange_matches_oracle_plan(case, num_tasks, kind, seed, data):
+    """Each task relabels a drawn set of its rows and queues them, in drawn order."""
+    pairs, n, p, parts = case
+    T = min(num_tasks, n)
+    local_graphs = distribute(build_csr(pairs, n), make_distribution(kind, n, T, seed=seed))
+    glob = np.asarray(parts, dtype=np.int64)
+    task_parts = [glob[lg.local_to_global] for lg in local_graphs]  # ghosts start coherent
+    queues, plan = [], []
+    for lg, tp in zip(local_graphs, task_parts):
+        rows = data.draw(st.lists(st.integers(0, lg.num_owned - 1), unique=True)) if lg.num_owned else []
+        labels = data.draw(st.lists(st.integers(0, p - 1), min_size=len(rows), max_size=len(rows)))
+        tp[rows] = labels
+        glob[lg.owned[rows]] = labels
+        queues.append(np.asarray(rows, dtype=np.int64))
+        plan.append(list(zip(lg.owned[rows].tolist(), labels)))
+
+    expected, total_sent = oracles.exchange_plan(local_graphs, plan)
+    received, buffers = exchange_updates(local_graphs, task_parts, queues)
+    assert sum(b.pairs_sent for b in buffers) == total_sent
+    for lg, tp, (gids, labels), want in zip(local_graphs, task_parts, received, expected):
+        assert list(zip(gids.tolist(), labels.tolist())) == want  # by sender, then queue order
+        assert len(set(gids.tolist())) == len(gids)
+        apply_updates(lg, tp, (gids, labels))
+        assert np.array_equal(tp, glob[lg.local_to_global])
+
+
+vertex_ids = st.one_of(st.integers(-3, 3), st.integers(-(2**63), 2**63 - 1))
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.tuples(vertex_ids, vertex_ids), max_size=30))
+def test_relabel_round_trips(raw):
+    pairs = np.asarray(raw, dtype=np.int64).reshape(-1, 2)
+    dense, id_map = relabel_pairs(pairs)
+    assert np.array_equal(id_map[dense], pairs)
+    assert (np.diff(id_map) > 0).all()
+    assert len(id_map) == len(set(pairs.ravel().tolist()))
+    assert ((dense >= 0) & (dense < len(id_map))).all()
