@@ -7,14 +7,18 @@ which the tasks of a superstep run.
 
 The update exchange mirrors a counts/offsets/buffer all-to-all.  Each task
 queues one int64 array: the local rows of the owned vertices it changed, in
-the order it changed them.  A first pass over the queue tallies how many
-items go to each neighboring task (deduplicated so a vertex is sent to a
-given task at most once per exchange), a prefix sum turns the tallies into
-buffer offsets, a second pass fills the flattened (vertex, part) send buffer
-with each vertex's global id and current label, and an all-to-all of the
-counts sizes the receive side.  Counts are in buffer items, two per queued
-vertex.  Only the wire carries global ids: the receiver maps them to its
-ghost slots.
+the order it changed them.  Which tasks need a row is fixed by the graph, so
+``distribute`` records it once per task as a send plan: for every owned row,
+the other tasks that ghost it and the ghost slot it has on each.  An exchange
+gathers the plan entries of the queued rows and sorts them stably by
+destination, which orders the send buffer by destination and then by queue
+position and sends a vertex to a given task at most once per exchange.  The
+per-destination tallies give the counts, a prefix sum turns them into buffer
+offsets, and the flattened (vertex, part) send buffer carries each vertex's
+global id and current label.  Counts are in buffer items, two per queued
+vertex.  The receiver's ghost slots travel beside the wire, one per pair, and
+the receiver writes the labels into them after checking that each slot is a
+ghost holding the wire's global id.
 """
 
 from __future__ import annotations
@@ -45,8 +49,7 @@ class ExchangeBuffers:
     send_counts: np.ndarray  # items destined to each task
     send_offsets: np.ndarray  # exclusive prefix sum of send_counts
     send_buffer: np.ndarray  # flattened (vertex, part) pairs
-    recv_counts: np.ndarray | None = None
-    recv_offsets: np.ndarray | None = None
+    send_slots: np.ndarray  # the receiver's ghost slot for each pair
     recv_buffer: np.ndarray | None = None
 
     @property
@@ -105,77 +108,66 @@ def build_send_buffers(lg: LocalGraph, parts: np.ndarray, rows: np.ndarray) -> E
     """Counts pass, prefix sums, fill pass for one task's outgoing updates.
 
     Each queued row is sent as its (global id, current part) pair once to
-    every distinct neighboring task; a row outside ``[0, num_owned)`` raises.
+    every task its send plan names; a row outside ``[0, num_owned)`` raises.
     """
     T = lg.num_tasks
     if len(rows) == 0:
         zero = np.zeros(T, dtype=np.int64)
-        return ExchangeBuffers(zero, zero.copy(), np.empty(0, dtype=np.int64))
+        return ExchangeBuffers(zero, zero.copy(), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
     if rows.min() < 0 or rows.max() >= lg.num_owned:
         bad = rows[(rows < 0) | (rows >= lg.num_owned)]
         raise ProtocolError(f"task {lg.task} queued rows it does not own: {bad[:5].tolist()}")
 
-    counts = lg.offsets[rows + 1] - lg.offsets[rows]
+    starts = lg.plan_offsets[rows]
+    counts = lg.plan_offsets[rows + 1] - starts
     total = int(counts.sum())
-    gather = np.repeat(lg.offsets[rows] - np.cumsum(counts) + counts, counts) + np.arange(total, dtype=np.int64)
-    nbr_tasks = lg.slot_owner[lg.nbr_slots[gather]]
-    src_idx = np.repeat(np.arange(len(rows), dtype=np.int64), counts)
-
-    remote = nbr_tasks != lg.task
-    # distinct (destination, queue position) pairs, ordered by destination
-    # then queue scan order -- the toSend deduplication
-    keys = np.unique(nbr_tasks[remote] * len(rows) + src_idx[remote])
-    dest = keys // len(rows)
-    src = keys % len(rows)
+    entries = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(total, dtype=np.int64)
+    dest = lg.plan_dest[entries]
+    # by destination, then queue position: each receiver's scan order
+    order = np.argsort(dest, kind="stable")
+    sent = np.repeat(rows, counts)[order]
 
     send_counts = 2 * np.bincount(dest, minlength=T).astype(np.int64)
     send_offsets = np.zeros(T, dtype=np.int64)
     np.cumsum(send_counts[:-1], out=send_offsets[1:])
-    send_buffer = np.empty(2 * len(src), dtype=np.int64)
-    send_buffer[0::2] = lg.owned[rows[src]]
-    send_buffer[1::2] = parts[rows[src]]
-    return ExchangeBuffers(send_counts, send_offsets, send_buffer)
+    send_buffer = np.empty(2 * total, dtype=np.int64)
+    send_buffer[0::2] = lg.owned[sent]
+    send_buffer[1::2] = parts[sent]
+    return ExchangeBuffers(send_counts, send_offsets, send_buffer, lg.plan_slot[entries[order]])
 
 
 def exchange_updates(
     local_graphs: Sequence[LocalGraph],
     parts_arrays: Sequence[np.ndarray],
     queues: Sequence[np.ndarray],
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[ExchangeBuffers]]:
+) -> tuple[list[tuple[np.ndarray, np.ndarray, np.ndarray]], list[ExchangeBuffers]]:
     """All-to-all exchange of queued part updates.
 
     ``queues[t]`` holds the local rows task t changed.  Returns per-task
-    received (global ids, parts) queues, ordered by sending task, plus the
-    per-task buffers for tracing/inspection.
+    received (global ids, parts, ghost slots) queues, ordered by sending
+    task, plus the per-task buffers for tracing/inspection.
     """
-    T = len(local_graphs)
     buffers = [build_send_buffers(lg, parts, rows) for lg, parts, rows in zip(local_graphs, parts_arrays, queues)]
+    # the all-to-all of send_counts: sender s's items for task t are bounds[s][t]:bounds[s][t + 1]
+    bounds = [np.append(b.send_offsets, len(b.send_buffer)).tolist() for b in buffers]
 
-    received: list[tuple[np.ndarray, np.ndarray]] = []
-    for t in range(T):
-        # all-to-all of send_counts tells task t its recv_counts
-        recv_counts = np.array([buffers[s].send_counts[t] for s in range(T)], dtype=np.int64)
-        recv_offsets = np.zeros(T, dtype=np.int64)
-        np.cumsum(recv_counts[:-1], out=recv_offsets[1:])
-        chunks = [
-            buffers[s].send_buffer[buffers[s].send_offsets[t] : buffers[s].send_offsets[t] + buffers[s].send_counts[t]]
-            for s in range(T)
-        ]
-        recv = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-        buffers[t].recv_counts = recv_counts
-        buffers[t].recv_offsets = recv_offsets
-        buffers[t].recv_buffer = recv
-        received.append((recv[0::2], recv[1::2]))
+    received: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    for t, buf in enumerate(buffers):
+        recv = np.concatenate([b.send_buffer[lim[t] : lim[t + 1]] for b, lim in zip(buffers, bounds)])
+        slots = np.concatenate([b.send_slots[lim[t] // 2 : lim[t + 1] // 2] for b, lim in zip(buffers, bounds)])
+        buf.recv_buffer = recv
+        received.append((recv[0::2], recv[1::2], slots))
     return received, buffers
 
 
-def apply_updates(lg: LocalGraph, parts: np.ndarray, received: tuple[np.ndarray, np.ndarray]) -> None:
-    """Write received part labels into this task's ghost slots."""
-    gids, labels = received
+def apply_updates(lg: LocalGraph, parts: np.ndarray, received: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
+    """Write received part labels into the ghost slots that came with them."""
+    gids, labels, slots = received
     if len(gids) == 0:
         return
-    slots = lg.global_to_local[gids]
-    if slots.min() < lg.num_owned:
-        what = "it does not ghost" if slots.min() < 0 else "it owns"
-        raise ProtocolError(f"task {lg.task} received an update for a vertex {what}")
+    in_range = slots.min() >= 0 and slots.max() < lg.num_slots
+    if in_range and slots.min() < lg.num_owned:
+        raise ProtocolError(f"task {lg.task} received an update for a vertex it owns")
+    if not in_range or not np.array_equal(lg.local_to_global[slots], gids):
+        raise ProtocolError(f"task {lg.task} received an update for a vertex it does not ghost")
     parts[slots] = labels

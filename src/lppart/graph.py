@@ -5,8 +5,9 @@ every undirected edge appears in both endpoints' neighbor lists.  Self-loops
 are dropped at construction; duplicate edges are kept (deduplication is a
 caller decision).  A ``Distribution`` assigns every vertex to exactly one
 owning task; ``distribute`` then builds one ``LocalGraph`` per task holding
-the owned vertices, their adjacency re-indexed to task-local slots, and ghost
-entries for one-hop neighbors owned elsewhere.
+the owned vertices, their adjacency re-indexed to task-local slots, ghost
+entries for one-hop neighbors owned elsewhere, and the send plan that says
+which tasks ghost each owned vertex and in which of their slots.
 """
 
 from __future__ import annotations
@@ -126,6 +127,13 @@ class LocalGraph:
     adjacency of owned vertices in slot indices.  ``degrees`` carries the
     *global* degree of every slot so weighting functions can read ghost
     degrees without communication.
+
+    The send plan is a CSR over the owned rows: row r's entries
+    ``plan_offsets[r]:plan_offsets[r + 1]`` name, in ascending order, every
+    other task that ghosts the row (``plan_dest``) and the ghost slot the row
+    has there (``plan_slot``).  A task's plan entries over all senders are
+    exactly its ghosts, so every array here is O(owned + ghosts + edges):
+    no field grows with the vertex count of the whole graph.
     """
 
     task: int
@@ -135,7 +143,6 @@ class LocalGraph:
     nbr_slots: np.ndarray  # neighbor local slot per directed edge
     ghosts: np.ndarray  # global ids of ghosts, ascending
     local_to_global: np.ndarray  # owned ++ ghosts
-    global_to_local: np.ndarray  # length n; -1 where absent
     slot_owner: np.ndarray  # owning task per local slot
     degrees: np.ndarray  # global degree per local slot
 
@@ -143,6 +150,11 @@ class LocalGraph:
     edge_src: np.ndarray = field(default=None, repr=False)  # owned local row per directed edge
     scan_src: np.ndarray = field(default=None, repr=False)  # rows of edges this task counts (gid(src) < gid(dst))
     scan_dst: np.ndarray = field(default=None, repr=False)  # matching neighbor slots
+
+    # send plan, filled by distribute()
+    plan_offsets: np.ndarray = field(default=None, repr=False)  # CSR offsets over owned, length num_owned + 1
+    plan_dest: np.ndarray = field(default=None, repr=False)  # task that ghosts the row, ascending per row
+    plan_slot: np.ndarray = field(default=None, repr=False)  # the row's ghost slot on that task
 
     @property
     def num_owned(self) -> int:
@@ -156,15 +168,12 @@ class LocalGraph:
     def num_slots(self) -> int:
         return len(self.local_to_global)
 
-    @property
-    def ghost_owner(self) -> np.ndarray:
-        return self.slot_owner[self.num_owned :]
-
     def neighbors(self, local_row: int) -> np.ndarray:
         return self.nbr_slots[self.offsets[local_row] : self.offsets[local_row + 1]]
 
 
-def _build_local(g: GlobalGraph, dist: Distribution, owners: np.ndarray, task: int) -> LocalGraph:
+def _build_local(g: GlobalGraph, dist: Distribution, owners: np.ndarray, task: int, slot_of: np.ndarray) -> LocalGraph:
+    """One task's LocalGraph; ``slot_of`` is length-n scratch shared by all tasks."""
     owned = np.nonzero(owners == task)[0].astype(np.int64)
     starts = g.offsets[owned]
     counts = g.offsets[owned + 1] - starts
@@ -176,17 +185,18 @@ def _build_local(g: GlobalGraph, dist: Distribution, owners: np.ndarray, task: i
     nbr_gids = g.nbrs[gather]
 
     ghost_mask = owners[nbr_gids] != task
-    ghosts = np.unique(nbr_gids[ghost_mask])
+    # np.unique by sort and compare: the same array, several times faster than np.unique here
+    ghosts = np.sort(nbr_gids[ghost_mask])
+    ghosts = ghosts[np.concatenate(([True], ghosts[1:] != ghosts[:-1]))] if len(ghosts) else ghosts
 
-    n = g.num_vertices
-    global_to_local = np.full(n, -1, dtype=np.int64)
-    global_to_local[owned] = np.arange(len(owned), dtype=np.int64)
-    global_to_local[ghosts] = len(owned) + np.arange(len(ghosts), dtype=np.int64)
+    # every neighbor is owned or a ghost, so each entry read here was just written
+    slot_of[owned] = np.arange(len(owned), dtype=np.int64)
+    slot_of[ghosts] = len(owned) + np.arange(len(ghosts), dtype=np.int64)
+    nbr_slots = slot_of[nbr_gids]
 
     local_to_global = np.concatenate([owned, ghosts])
     slot_owner = np.concatenate([np.full(len(owned), task, dtype=np.int64), owners[ghosts]])
     degrees = np.diff(g.offsets)[local_to_global]
-    nbr_slots = global_to_local[nbr_gids]
     edge_src = np.repeat(np.arange(len(owned), dtype=np.int64), counts)
 
     # Edges this task is responsible for counting exactly once globally:
@@ -201,7 +211,6 @@ def _build_local(g: GlobalGraph, dist: Distribution, owners: np.ndarray, task: i
         nbr_slots=nbr_slots,
         ghosts=ghosts,
         local_to_global=local_to_global,
-        global_to_local=global_to_local,
         slot_owner=slot_owner,
         degrees=degrees,
         edge_src=edge_src,
@@ -210,9 +219,41 @@ def _build_local(g: GlobalGraph, dist: Distribution, owners: np.ndarray, task: i
     )
 
 
+def _attach_send_plans(local_graphs: list[LocalGraph], num_vertices: int) -> None:
+    """Fill every task's send plan from the ghost lists of all tasks.
+
+    The graph is symmetric, so task d ghosts vertex v exactly when v's owner
+    must send v's label to d.  Each ghost slot is therefore one plan entry
+    of its owner: sorted by owner, then vertex, then destination, the ghost
+    lists become the owners' plans in row order.
+    """
+    T = len(local_graphs)
+    # every vertex's position in owner-major order: task 0's rows, then task 1's, ...
+    rank = np.empty(num_vertices, dtype=np.int64)
+    rank[np.concatenate([lg.owned for lg in local_graphs])] = np.arange(num_vertices, dtype=np.int64)
+    ghost_rank = rank[np.concatenate([lg.ghosts for lg in local_graphs])]
+    # the narrowest unsigned type: an exchange's stable sort by destination is then a radix sort
+    dest = np.repeat(np.arange(T, dtype=np.min_scalar_type(T - 1)), [lg.num_ghosts for lg in local_graphs])
+    slots = np.concatenate([lg.num_owned + np.arange(lg.num_ghosts, dtype=np.int64) for lg in local_graphs])
+    order = np.argsort(ghost_rank * T + dest)  # keys are distinct: a task ghosts a vertex once
+    dest, slots = dest[order], slots[order]
+    offsets = np.zeros(num_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ghost_rank, minlength=num_vertices), out=offsets[1:])
+    first = 0
+    for lg in local_graphs:
+        rows = offsets[first : first + lg.num_owned + 1]
+        lg.plan_offsets = rows - rows[0]
+        lg.plan_dest = dest[rows[0] : rows[-1]]
+        lg.plan_slot = slots[rows[0] : rows[-1]]
+        first += lg.num_owned
+
+
 def distribute(g: GlobalGraph, dist: Distribution) -> list[LocalGraph]:
     """Split ``g`` into one LocalGraph per task under ``dist``."""
     if dist.num_tasks > g.num_vertices:
         raise ConfigError(f"task count {dist.num_tasks} exceeds vertex count {g.num_vertices}; every task must own a vertex")
     owners = dist.owner_of(np.arange(g.num_vertices, dtype=np.int64))
-    return [_build_local(g, dist, owners, t) for t in range(dist.num_tasks)]
+    slot_of = np.empty(g.num_vertices, dtype=np.int64)
+    local_graphs = [_build_local(g, dist, owners, t, slot_of) for t in range(dist.num_tasks)]
+    _attach_send_plans(local_graphs, g.num_vertices)
+    return local_graphs

@@ -234,10 +234,11 @@ def make_ledger(local_graphs: Sequence[LocalGraph], state: PartitionState, cfg: 
 
 def _label_roots(lg: LocalGraph, parts: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """Give root i part i on the task owning it; returns the rows labeled here."""
-    slots = lg.global_to_local[roots]
-    mine = np.nonzero((slots >= 0) & (slots < lg.num_owned))[0]
-    parts[slots[mine]] = mine
-    return slots[mine]
+    rows = np.searchsorted(lg.owned, roots)
+    mine = np.nonzero(rows < lg.num_owned)[0]
+    mine = mine[lg.owned[rows[mine]] == roots[mine]]
+    parts[rows[mine]] = mine
+    return rows[mine]
 
 
 def _sweep_init(lg: LocalGraph, parts: np.ndarray, rng: np.random.Generator, num_parts: int, chunk: int):

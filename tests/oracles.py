@@ -7,6 +7,8 @@ under test.
 
 from collections import defaultdict
 
+import numpy as np
+
 
 def undirected_pairs(pairs):
     """Self-loops dropped, duplicates kept (the library's multigraph semantics)."""
@@ -98,7 +100,8 @@ def exchange_plan(local_graphs, queues):
     for lg, queue in zip(local_graphs, queues):
         buckets = [[] for _ in range(T)]
         for gid, part in queue:
-            row = int(lg.global_to_local[gid])
+            row = int(np.searchsorted(lg.owned, gid))
+            assert lg.owned[row] == gid, f"task {lg.task} queued vertex {gid} it does not own"
             to_send = [False] * T
             for slot in lg.nbr_slots[lg.offsets[row] : lg.offsets[row + 1]]:
                 task = int(lg.slot_owner[slot])

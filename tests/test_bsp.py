@@ -81,8 +81,9 @@ def test_single_cross_edge_delivery():
     parts = [np.zeros(lg.num_slots, dtype=np.int64) for lg in locals_]
     parts[0][1] = 5  # vertex 1 is row 1 of task 0
     received, _ = exchange_updates(locals_, parts, [_queue([1]), _queue([])])
-    gids, labels = received[1]
+    gids, labels, slots = received[1]
     assert gids.tolist() == [1] and labels.tolist() == [5]
+    assert locals_[1].local_to_global[slots].tolist() == [1]
     assert received[0][0].tolist() == []
 
 
@@ -103,7 +104,7 @@ def test_exchange_matches_brute_force_oracle(rng):
     received, buffers = exchange_updates(locals_, parts, queues)
     assert sum(b.pairs_sent for b in buffers) == total_sent  # no phantom traffic
     assert sum(len(r[0]) for r in received) == total_sent  # conservation
-    for t, (gids, labels) in enumerate(received):
+    for t, (gids, labels, _) in enumerate(received):
         got = sorted(zip(gids.tolist(), labels.tolist()))
         assert got == sorted(expected[t])
         # at most one copy of each vertex per exchange
@@ -156,11 +157,11 @@ def test_apply_rejects_owned_updates(rng):
     lg = locals_[0]
     gid = int(lg.owned[0])
     with pytest.raises(ProtocolError, match="vertex it owns"):
-        apply_updates(lg, parts[0], (np.array([gid]), np.array([1])))
-    # a vertex this task neither owns nor ghosts
-    stray = int(np.nonzero(lg.global_to_local == -1)[0][0])
+        apply_updates(lg, parts[0], (np.array([gid]), np.array([1]), np.array([0])))
+    # a vertex this task neither owns nor ghosts, sent to its first ghost slot
+    stray = int(np.setdiff1d(np.arange(g.num_vertices), lg.local_to_global)[0])
     with pytest.raises(ProtocolError, match="vertex it does not ghost"):
-        apply_updates(lg, parts[0], (np.array([stray]), np.array([1])))
+        apply_updates(lg, parts[0], (np.array([stray]), np.array([1]), np.array([lg.num_owned])))
 
 
 # ---------------------------------------------------------------------------

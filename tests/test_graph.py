@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import grid_pairs, path_pairs, random_pairs
+from conftest import cycle_pairs, grid_pairs, path_pairs, random_pairs
 from lppart.errors import ConfigError, InputError
 from lppart.graph import BLOCK, RANDOM_HASH, build_csr, distribute, make_distribution
 
@@ -114,14 +114,17 @@ def test_local_graph_invariants(rng, kind, num_tasks):
     rebuilt = {v: [] for v in range(n)}
     for lg in locals_:
         assert not set(lg.owned.tolist()) & set(lg.ghosts.tolist())
-        # local/global maps are mutually inverse
-        assert np.array_equal(lg.global_to_local[lg.local_to_global], np.arange(lg.num_slots))
+        # slots are owned ++ ghosts, each ascending, so every global id has one slot
+        assert np.array_equal(lg.local_to_global, np.concatenate([lg.owned, lg.ghosts]))
+        assert (np.diff(lg.owned) > 0).all() and (np.diff(lg.ghosts) > 0).all()
         for row, gid in enumerate(lg.owned.tolist()):
             nbrs = lg.local_to_global[lg.neighbors(row)]
+            # neighbor slots resolve to the global neighbor list
+            assert np.array_equal(nbrs, g.neighbors(gid))
             rebuilt[gid].extend(nbrs.tolist())
             # degree preservation
             assert len(nbrs) == g.degrees[gid]
-        for ghost, owner in zip(lg.ghosts.tolist(), lg.ghost_owner.tolist()):
+        for ghost, owner in zip(lg.ghosts.tolist(), lg.slot_owner[lg.num_owned :].tolist()):
             assert owner != lg.task
             assert owner == dist.owner_of(np.array([ghost]))[0]
         # every ghost is adjacent to an owned vertex
@@ -141,3 +144,15 @@ def test_edge_scan_covers_each_edge_once(rng):
         locals_ = distribute(g, make_distribution(BLOCK, n, T))
         total = sum(len(lg.scan_src) for lg in locals_)
         assert total == g.num_edges
+
+
+def test_local_graph_fields_grow_with_owned_and_ghosts():
+    """No per-task array grows with n: a small core among many isolated vertices."""
+    n, core = 4096, 64
+    pairs, _ = cycle_pairs(core)
+    g = build_csr(pairs + [(0, core // 2), (1, core // 3)], n)
+    for lg in distribute(g, make_distribution(RANDOM_HASH, n, 4, seed=1)):
+        limit = max(lg.num_slots + 1, len(lg.nbr_slots))
+        for name, value in vars(lg).items():
+            if isinstance(value, np.ndarray):
+                assert len(value) <= limit, (lg.task, name, len(value), limit)

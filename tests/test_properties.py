@@ -90,11 +90,37 @@ def test_exchange_matches_oracle_plan(case, num_tasks, kind, seed, data):
     expected, total_sent = oracles.exchange_plan(local_graphs, plan)
     received, buffers = exchange_updates(local_graphs, task_parts, queues)
     assert sum(b.pairs_sent for b in buffers) == total_sent
-    for lg, tp, (gids, labels), want in zip(local_graphs, task_parts, received, expected):
+    for lg, tp, recv, want in zip(local_graphs, task_parts, received, expected):
+        gids, labels, _ = recv
         assert list(zip(gids.tolist(), labels.tolist())) == want  # by sender, then queue order
         assert len(set(gids.tolist())) == len(gids)
-        apply_updates(lg, tp, (gids, labels))
+        apply_updates(lg, tp, recv)
         assert np.array_equal(tp, glob[lg.local_to_global])
+
+
+@PROPERTY_SETTINGS
+@given(partitioned_multigraphs(), st.integers(1, 4), st.sampled_from([BLOCK, RANDOM_HASH]), st.integers(0, 9))
+def test_send_plan_names_every_ghosting_task(case, num_tasks, kind, seed):
+    """Each row's plan lists the distinct remote owners of its neighbors, each
+    with the slot where that task ghosts the row."""
+    pairs, n, _, _ = case
+    T = min(num_tasks, n)
+    local_graphs = distribute(build_csr(pairs, n), make_distribution(kind, n, T, seed=seed))
+    owner = {gid: lg.task for lg in local_graphs for gid in lg.owned.tolist()}
+    adj = oracles.adjacency(pairs, n)
+    slots_to = [[] for _ in range(T)]
+    for lg in local_graphs:
+        assert len(lg.plan_offsets) == lg.num_owned + 1 and lg.plan_offsets[0] == 0
+        for row, gid in enumerate(lg.owned.tolist()):
+            entries = slice(lg.plan_offsets[row], lg.plan_offsets[row + 1])
+            dests, slots = lg.plan_dest[entries].tolist(), lg.plan_slot[entries].tolist()
+            assert dests == sorted({owner[v] for v in adj[gid]} - {lg.task})
+            for d, slot in zip(dests, slots):
+                assert local_graphs[d].local_to_global[slot] == gid
+                slots_to[d].append(slot)
+    assert sum(len(lg.plan_dest) for lg in local_graphs) == sum(lg.num_ghosts for lg in local_graphs)
+    for lg, slots in zip(local_graphs, slots_to):
+        assert sorted(slots) == list(range(lg.num_owned, lg.num_slots))
 
 
 vertex_ids = st.one_of(st.integers(-3, 3), st.integers(-(2**63), 2**63 - 1))
