@@ -172,9 +172,10 @@ class LocalGraph:
         return self.nbr_slots[self.offsets[local_row] : self.offsets[local_row + 1]]
 
 
-def _build_local(g: GlobalGraph, dist: Distribution, owners: np.ndarray, task: int, slot_of: np.ndarray) -> LocalGraph:
-    """One task's LocalGraph; ``slot_of`` is length-n scratch shared by all tasks."""
-    owned = np.nonzero(owners == task)[0].astype(np.int64)
+def _build_local(
+    g: GlobalGraph, dist: Distribution, owners: np.ndarray, degrees: np.ndarray, task: int, owned: np.ndarray, slot_of: np.ndarray
+) -> LocalGraph:
+    """One task's LocalGraph from its ``owned`` ids (ascending); ``slot_of`` is length-n scratch shared by all tasks."""
     starts = g.offsets[owned]
     counts = g.offsets[owned + 1] - starts
     offsets = np.zeros(len(owned) + 1, dtype=np.int64)
@@ -196,7 +197,6 @@ def _build_local(g: GlobalGraph, dist: Distribution, owners: np.ndarray, task: i
 
     local_to_global = np.concatenate([owned, ghosts])
     slot_owner = np.concatenate([np.full(len(owned), task, dtype=np.int64), owners[ghosts]])
-    degrees = np.diff(g.offsets)[local_to_global]
     edge_src = np.repeat(np.arange(len(owned), dtype=np.int64), counts)
 
     # Edges this task is responsible for counting exactly once globally:
@@ -212,7 +212,7 @@ def _build_local(g: GlobalGraph, dist: Distribution, owners: np.ndarray, task: i
         ghosts=ghosts,
         local_to_global=local_to_global,
         slot_owner=slot_owner,
-        degrees=degrees,
+        degrees=degrees[local_to_global],
         edge_src=edge_src,
         scan_src=edge_src[mask],
         scan_dst=nbr_slots[mask],
@@ -252,8 +252,14 @@ def distribute(g: GlobalGraph, dist: Distribution) -> list[LocalGraph]:
     """Split ``g`` into one LocalGraph per task under ``dist``."""
     if dist.num_tasks > g.num_vertices:
         raise ConfigError(f"task count {dist.num_tasks} exceeds vertex count {g.num_vertices}; every task must own a vertex")
+    T = dist.num_tasks
     owners = dist.owner_of(np.arange(g.num_vertices, dtype=np.int64))
+    # every task's owned ids, ascending, as one slice of a stable (radix) sort by owner
+    by_owner = np.argsort(owners.astype(np.min_scalar_type(T - 1)), kind="stable")
+    bounds = np.zeros(T + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owners, minlength=T), out=bounds[1:])
+    degrees = g.degrees
     slot_of = np.empty(g.num_vertices, dtype=np.int64)
-    local_graphs = [_build_local(g, dist, owners, t, slot_of) for t in range(dist.num_tasks)]
+    local_graphs = [_build_local(g, dist, owners, degrees, t, by_owner[bounds[t] : bounds[t + 1]], slot_of) for t in range(T)]
     _attach_send_plans(local_graphs, g.num_vertices)
     return local_graphs

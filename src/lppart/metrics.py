@@ -13,6 +13,12 @@ views: every edge is counted exactly once by the task owning its lower-id
 endpoint.  The per-task counts the ledger recounts every superstep and the
 global counts behind the report share one tally, fed the parts at both ends
 of each edge once.
+
+The diameter estimate runs its sweeps on the largest connected component.
+Components come from hook-and-shortcut union-find in O(log n) array rounds,
+labelled in order of each component's smallest vertex; each sweep is a
+level-synchronous search whose levels cost O(frontier edges), deduplicated
+by a scatter instead of a sort.
 """
 
 from __future__ import annotations
@@ -120,36 +126,66 @@ def edge_cut_distributed(local_graphs: Sequence[LocalGraph], parts_arrays: Seque
 
 
 def _bfs_levels(g: GlobalGraph, start: int) -> np.ndarray:
-    """Distance from ``start`` (-1 where unreachable)."""
+    """Distance from ``start`` (-1 where unreachable), one level per array pass.
+
+    Each level gathers the frontier's neighbor lists, keeps the unvisited
+    entries and drops repeats without a sort: every entry writes its position
+    into a scratch array, and the one entry per vertex that reads its own
+    position back stays.  A level therefore costs O(frontier edges), however
+    many levels the graph has.
+    """
     dist = np.full(g.num_vertices, -1, dtype=np.int64)
+    position = np.empty(g.num_vertices, dtype=np.int64)
     dist[start] = 0
     frontier = np.array([start], dtype=np.int64)
     level = 0
     while len(frontier):
-        counts = g.degrees[frontier]
+        starts = g.offsets[frontier]
+        counts = g.offsets[frontier + 1] - starts
         total = int(counts.sum())
         if total == 0:
             break
-        gather = np.repeat(g.offsets[frontier] - np.cumsum(counts) + counts, counts) + np.arange(total, dtype=np.int64)
-        nxt = np.unique(g.nbrs[gather])
-        nxt = nxt[dist[nxt] < 0]
+        gather = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(total, dtype=np.int64)
+        reached = g.nbrs[gather]
+        reached = reached[dist[reached] < 0]
+        order = np.arange(len(reached), dtype=np.int64)
+        position[reached] = order
+        frontier = reached[position[reached] == order]
         level += 1
-        dist[nxt] = level
-        frontier = nxt
+        dist[frontier] = level
     return dist
 
 
 def connected_components(g: GlobalGraph) -> np.ndarray:
-    """Component label per vertex."""
-    labels = np.full(g.num_vertices, -1, dtype=np.int64)
-    comp = 0
-    for v in range(g.num_vertices):
-        if labels[v] >= 0:
-            continue
-        dist = _bfs_levels(g, v)
-        labels[dist >= 0] = comp
-        comp += 1
-    return labels
+    """Component label per vertex, numbered in order of each component's smallest vertex.
+
+    Hook and shortcut (Shiloach & Vishkin 1982) over each undirected edge
+    once: every round drops the edges whose endpoints already share a root,
+    hooks the larger root of each remaining edge under the smallest root it
+    meets, then jumps pointers until every vertex points at its root.  A
+    parent is never larger than its child, so every root is the smallest
+    vertex of its tree.  The roots that still have an edge to another tree
+    at least halve every two rounds, so the number of rounds grows with
+    log n, not with the diameter.
+    """
+    n = g.num_vertices
+    src = np.repeat(np.arange(n, dtype=np.int64), g.degrees)
+    once = src < g.nbrs
+    u, v = src[once], g.nbrs[once]
+    parent = np.arange(n, dtype=np.int64)
+    while len(u):
+        ru, rv = parent[u], parent[v]
+        live = ru != rv
+        u, v, ru, rv = u[live], v[live], ru[live], rv[live]
+        np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+    # roots ascend with their components' smallest vertices: number them by rank
+    is_root = parent == np.arange(n, dtype=np.int64)
+    return (np.cumsum(is_root) - 1)[parent]
 
 
 def approx_diameter(g: GlobalGraph, iterations: int = 10, seed: int = 0) -> int:

@@ -69,21 +69,28 @@ def bfs_distances(adj, start):
     return dist
 
 
+def connected_components(pairs, n):
+    """Component label per vertex, numbered in order of each component's smallest vertex."""
+    adj = adjacency(pairs, n)
+    labels = [-1] * n
+    comp = 0
+    for v in range(n):
+        if labels[v] < 0:
+            for w in bfs_distances(adj, v):
+                labels[w] = comp
+            comp += 1
+    return labels
+
+
 def exact_diameter(pairs, n):
     """All-pairs BFS over the largest component (small graphs only)."""
     adj = adjacency(pairs, n)
-    seen = set()
-    components = []
-    for v in range(n):
-        if v in seen:
-            continue
-        comp = set(bfs_distances(adj, v))
-        seen |= comp
-        components.append(comp)
-    comp = max(components, key=len)
+    labels = connected_components(pairs, n)
+    largest = max(range(max(labels) + 1), key=labels.count)  # ties to the lower label
     best = 0
-    for v in comp:
-        best = max(best, max(bfs_distances(adj, v).values()))
+    for v in range(n):
+        if labels[v] == largest:
+            best = max(best, max(bfs_distances(adj, v).values()))
     return best
 
 

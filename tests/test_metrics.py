@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -7,12 +8,13 @@ import oracles
 from conftest import cycle_pairs, path_pairs, random_pairs
 from lppart.baselines import random_partition
 from lppart.errors import InputError
-from lppart.gen import gen_er
+from lppart.gen import GenSpec, gen_er, generate
 from lppart.graph import BLOCK, RANDOM_HASH, build_csr, distribute, make_distribution
 from lppart.metrics import (
     QualityReport,
     approx_diameter,
     build_report,
+    connected_components,
     edge_cut,
     edge_cut_distributed,
     imbalance,
@@ -121,6 +123,42 @@ def test_diameter_is_lower_bound(rng):
         g = build_csr(pairs, n)
         est = approx_diameter(g, seed=seed)
         assert est <= oracles.exact_diameter(pairs, n)
+
+
+@pytest.mark.parametrize("star_holds_zero", [True, False])
+def test_diameter_ties_go_to_the_component_with_the_smaller_vertex(star_holds_zero):
+    """Two 4-vertex components, a star (diameter 2) and a path (diameter 3),
+    with interleaved ids; vertex 0 is a singleton, so labels alone decide."""
+    a, b = (1, 2, 5, 6), (3, 4, 7, 8)
+    star, path = (a, b) if star_holds_zero else (b, a)
+    pairs = [(star[0], star[1]), (star[0], star[2]), (star[0], star[3])]
+    pairs += [(path[0], path[1]), (path[1], path[2]), (path[2], path[3])]
+    g = build_csr(pairs, 9)
+    for seed in range(5):
+        assert approx_diameter(g, seed=seed) == (2 if star_holds_zero else 3)
+
+
+def test_shuffled_long_path_is_one_component():
+    n = 1 << 15
+    ids = np.random.default_rng(7).permutation(n)
+    g = build_csr(np.stack([ids[:-1], ids[1:]], axis=1), n)
+    assert not connected_components(g).any()
+
+
+# sha256 of the little-endian int64 component labels of two n=4096 graphs
+# (average degree 16, graph seed 5) and approx_diameter for seeds 0-4.
+COMPONENT_GOLDEN = [
+    ("rmat", "0642cc24fb1cfee251f817644c1b904d2d9b463a87bf2260ff32a2cde1d1bd02", [6] * 5),
+    ("randhd", "c35020473aed1b4642cd726cad727b63fff2824ad68cedd7ffb73c7cbd890479", [280] * 5),
+]
+
+
+@pytest.mark.parametrize("kind,digest,diameters", COMPONENT_GOLDEN, ids=[row[0] for row in COMPONENT_GOLDEN])
+def test_components_and_diameter_golden(kind, digest, diameters):
+    n = 1 << 12
+    g = build_csr(generate(GenSpec(kind, n, 16, seed=5)), n)
+    assert hashlib.sha256(connected_components(g).astype("<i8").tobytes()).hexdigest() == digest
+    assert [approx_diameter(g, seed=seed) for seed in range(5)] == diameters
 
 
 def test_diameter_empty_graph_rejected():
