@@ -39,9 +39,14 @@ def vertex_block_partition(num_vertices: int, num_parts: int) -> np.ndarray:
 def edge_block_partition(g: GlobalGraph, num_parts: int) -> np.ndarray:
     """Contiguous ranges balancing incident-edge mass.
 
-    Greedy sweep in id order: a part closes once its cumulative degree mass
-    reaches its share of 2m, provided enough vertices remain to keep every
-    later part nonempty.
+    A greedy sweep in id order closes part k - 1 after the first vertex
+    whose cumulative degree mass reaches k shares of 2m, provided enough
+    vertices remain to keep every later part nonempty.  In closed form part
+    k opens after vertex ``b_k = max(s_k, b_{k-1} + 1)``, where ``s_k`` is
+    the first vertex whose mass reaches k shares, so ``b_k - k`` is a
+    running maximum of ``s_k - k``.  Parts open while ``b_k <= n - 1 - p + k``;
+    once one cannot, the sweep forces the trailing vertices into the parts
+    still unopened, one each.
     """
     n, p = g.num_vertices, num_parts
     if p < 1:
@@ -49,17 +54,13 @@ def edge_block_partition(g: GlobalGraph, num_parts: int) -> np.ndarray:
     if p > n:
         raise ConfigError(f"part count {p} exceeds vertex count {n}")
     target = 2.0 * g.num_edges / p
-    degrees = g.degrees
-    parts = np.empty(n, dtype=np.int64)
-    cur = 0
-    mass = 0
-    for v in range(n):
-        parts[v] = cur
-        mass += degrees[v]
-        remaining = n - v - 1
-        if cur < p - 1 and mass >= (cur + 1) * target and remaining >= p - 1 - cur:
-            cur += 1
-    if cur < p - 1:
+    k = np.arange(1, p)
+    first_reaching = np.searchsorted(np.cumsum(g.degrees), k * target)
+    opened_after = np.maximum.accumulate(first_reaching - k) + k
+    opened_after = opened_after[: int(np.count_nonzero(opened_after <= n - 1 - p + k))]
+    parts = np.searchsorted(opened_after, np.arange(n)).astype(np.int64)
+    opened = len(opened_after)
+    if opened < p - 1:
         # degree mass ran short; force the trailing vertices into the open parts
-        parts[n - (p - 1 - cur) :] = np.arange(cur + 1, p)
+        parts[n - (p - 1 - opened) :] = np.arange(opened + 1, p)
     return parts

@@ -259,8 +259,7 @@ def cmd_generate(args) -> int:
     spec = GenSpec(kind=args.kind, num_vertices=n, avg_degree=args.davg, seed=args.seed, probs=probs)
     pairs = generate(spec)
     if args.output is None:
-        for u, v in pairs:
-            sys.stdout.write(f"{u} {v}\n")
+        sys.stdout.write(io.edge_list_text(pairs))
     elif args.output.endswith(".npz"):
         io.write_cache(args.output, pairs, n)
     else:

@@ -1,22 +1,35 @@
 """File formats: edge-list text, binary edge cache, partition files.
 
-Edge-list text is one ``u v`` pair per line, whitespace separated; blank
-lines and lines starting with ``#`` are ignored.  Input ids may be arbitrary
-integers; ``relabel_pairs`` maps them onto dense [0, n) in ascending original
-order and returns the mapping.
+Text files are UTF-8, and ``\\n``, ``\\r\\n`` and a lone ``\\r`` each end a line,
+as in Python's text mode.  Edge-list text is one ``u v`` pair per line,
+whitespace separated; fields after the second are ignored, and blank lines
+and lines whose first non-blank character is ``#`` are skipped.  Input ids
+may be arbitrary integers; ``relabel_pairs`` maps them onto dense [0, n) in
+ascending original order and returns the mapping.
 
 The binary cache is an ``.npz`` with a version field, the pair array, and the
 vertex count; it round-trips exactly and loads much faster than text.
 
 A partition file has exactly n lines; line i is the (ASCII decimal) part of
 dense vertex i.
+
+Both text readers read the file's bytes once and parse the whole text in one
+``np.loadtxt`` call, after one regular expression has cut the whole-line
+comments.  Whatever numpy refuses -- a malformed line, an id past int64, bad
+UTF-8, or a token that Python's ``int`` takes and numpy does not, such as
+``1_000`` -- is read again by a plain line loop, which returns the array or
+raises an ``InputError`` naming the file and line.  The fast path therefore
+never accepts a file the loop rejects, and never returns a different array.
+The writers format the whole array from one ``tolist()`` and write it once.
 """
 
 from __future__ import annotations
 
+import re
+import warnings
 import zipfile
 import zlib
-from itertools import islice
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -25,43 +38,92 @@ from .errors import InputError
 
 CACHE_FORMAT_VERSION = 1
 INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1  # vertex ids are stored as int64
+_COMMENT_LINE = re.compile(r"\n[^\S\n]*#[^\n]*")  # matched after a newline, so a leading literal keeps the scan fast
+
+
+def _universal_newlines(text: str) -> str:
+    """Turn ``\\r\\n`` and a lone ``\\r`` into ``\\n``, as text-mode reading does."""
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def _loadtxt_int64(data: bytes, usecols: tuple[int, ...] | None, cut_comments: bool) -> np.ndarray | None:
+    """The 2-D int64 table of the file's data lines in one numpy pass, or None
+    where numpy refuses the text or it has no data lines (the caller's loop
+    then decides).  ``usecols=None`` requires every line to have the same
+    number of fields."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    text = _universal_newlines(text)
+    if cut_comments and "#" in text:
+        text = _COMMENT_LINE.sub("\n", "\n" + text)
+    if not text or text.isspace():
+        return None
+    try:
+        # a warning (numpy < 2 parses "1.0" into an int with a DeprecationWarning) means numpy read
+        # the text more loosely than ``int`` would, so it refuses the file like an error does
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(StringIO(text), dtype=np.int64, comments=None, usecols=usecols, ndmin=2)
+    except (ValueError, Warning):
+        return None
+
+
+def _text_lines(path: str | Path, data: bytes) -> list[str]:
+    """The file's lines as text-mode reading splits them; bad UTF-8 raises at its line."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = _universal_newlines(data[: exc.start].decode("utf-8")).count("\n") + 1
+        raise InputError(f"{path}:{lineno}: not valid UTF-8") from None
+    return _universal_newlines(text).split("\n")
 
 
 def read_edge_list(path: str | Path) -> np.ndarray:
     """Parse (u, v) pairs from text; raises ``InputError`` naming a bad line."""
+    data = Path(path).read_bytes()
+    table = _loadtxt_int64(data, usecols=(0, 1), cut_comments=True)
+    return table if table is not None else _read_edge_list_loop(path, data)
+
+
+def _read_edge_list_loop(path: str | Path, data: bytes) -> np.ndarray:
+    """``read_edge_list`` one line at a time: the reference for every file, and
+    the reader of those numpy refuses."""
     pairs: list[tuple[int, int]] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            fields = stripped.split()
-            if len(fields) < 2:
-                raise InputError(f"{path}:{lineno}: expected 'u v', got {stripped!r}")
-            try:
-                u, v = int(fields[0]), int(fields[1])
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: non-integer vertex id in {stripped!r}") from exc
-            pairs.append((u, v))
+    linenos: list[int] = []
+    for lineno, line in enumerate(_text_lines(path, data), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        fields = stripped.split()
+        if len(fields) < 2:
+            raise InputError(f"{path}:{lineno}: expected 'u v', got {stripped!r}")
+        try:
+            u, v = int(fields[0]), int(fields[1])
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: non-integer vertex id in {stripped!r}") from exc
+        pairs.append((u, v))
+        linenos.append(lineno)
     if not pairs:
         return np.empty((0, 2), dtype=np.int64)
     try:
         return np.asarray(pairs, dtype=np.int64)
     except OverflowError:
         pass
-    # some id does not fit int64; a range test on every line slows the
-    # common case by about a tenth, so the line is located only now
+    # some id does not fit int64; every line parsed, so a malformed line later in the file wins
     k = next(i for i, (u, v) in enumerate(pairs) if not (INT64_MIN <= u <= INT64_MAX and INT64_MIN <= v <= INT64_MAX))
-    with open(path) as fh:
-        data_lines = (n for n, line in enumerate(fh, start=1) if line.strip() and not line.strip().startswith("#"))
-        lineno = next(islice(data_lines, k, None))
-    raise InputError(f"{path}:{lineno}: vertex id outside the signed 64-bit range in '{pairs[k][0]} {pairs[k][1]}'")
+    raise InputError(f"{path}:{linenos[k]}: vertex id outside the signed 64-bit range in '{pairs[k][0]} {pairs[k][1]}'")
+
+
+def edge_list_text(pairs: np.ndarray) -> str:
+    """The edge-list text of ``pairs``: one ``u v`` line per pair."""
+    return "".join(map("{} {}\n".format, *np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T.tolist()))
 
 
 def write_edge_list(path: str | Path, pairs: np.ndarray) -> None:
     with open(path, "w") as fh:
-        for u, v in np.asarray(pairs, dtype=np.int64):
-            fh.write(f"{u} {v}\n")
+        fh.write(edge_list_text(pairs))
 
 
 def relabel_pairs(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -125,35 +187,40 @@ def dedup_pairs(pairs: np.ndarray) -> np.ndarray:
 
 def write_parts(path: str | Path, parts: np.ndarray) -> None:
     with open(path, "w") as fh:
-        fh.write("\n".join(str(int(x)) for x in parts))
-        fh.write("\n")
+        fh.write("\n".join(map(str, np.asarray(parts, dtype=np.int64).tolist())) + "\n")
 
 
 def read_parts(path: str | Path) -> np.ndarray:
-    values = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                values.append(int(stripped))
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: non-integer part label {stripped!r}") from exc
+    """One int64 part label per non-blank line; raises ``InputError`` naming a bad line."""
+    data = Path(path).read_bytes()
+    table = _loadtxt_int64(data, usecols=None, cut_comments=False)
+    if table is not None and table.shape[1] == 1:
+        return table.ravel()
+    return _read_parts_loop(path, data)
+
+
+def _read_parts_loop(path: str | Path, data: bytes) -> np.ndarray:
+    """``read_parts`` one line at a time, as ``_read_edge_list_loop`` is for edges."""
+    values: list[int] = []
+    linenos: list[int] = []
+    for lineno, line in enumerate(_text_lines(path, data), start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        try:
+            values.append(int(stripped))
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: non-integer part label {stripped!r}") from exc
+        linenos.append(lineno)
     try:
         return np.asarray(values, dtype=np.int64)
     except OverflowError:
         pass
-    # some label does not fit int64; as in read_edge_list, the line is
-    # located only now so the common path pays nothing for it
     k = next(i for i, x in enumerate(values) if not INT64_MIN <= x <= INT64_MAX)
-    with open(path) as fh:
-        lineno = next(islice((n for n, line in enumerate(fh, start=1) if line.strip()), k, None))
-    raise InputError(f"{path}:{lineno}: part label {values[k]} outside the signed 64-bit range")
+    raise InputError(f"{path}:{linenos[k]}: part label {values[k]} outside the signed 64-bit range")
 
 
 def write_id_map(path: str | Path, id_map: np.ndarray) -> None:
     """Original id of each dense vertex, one per line."""
     with open(path, "w") as fh:
-        for gid in id_map:
-            fh.write(f"{int(gid)}\n")
+        fh.write("".join(map("{}\n".format, np.asarray(id_map, dtype=np.int64).tolist())))

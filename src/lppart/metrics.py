@@ -90,10 +90,10 @@ def imbalance(g: GlobalGraph, parts, num_parts: int | None = None) -> tuple[floa
 def _tally(vert_parts: np.ndarray, a: np.ndarray, b: np.ndarray, num_parts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(vertices, intra edges, cut incidence) per part from the parts of the
     counted vertices and the parts ``a``, ``b`` at the two ends of each counted edge."""
-    same = a == b
     verts = np.bincount(vert_parts, minlength=num_parts)
-    intra = np.bincount(a[same], minlength=num_parts)
-    cut = np.bincount(a[~same], minlength=num_parts) + np.bincount(b[~same], minlength=num_parts)
+    intra = np.bincount(a[a == b], minlength=num_parts)
+    # an edge inside part k puts k at both ends; every other end is one cut incidence
+    cut = np.bincount(a, minlength=num_parts) + np.bincount(b, minlength=num_parts) - 2 * intra
     return verts, intra, cut
 
 

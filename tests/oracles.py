@@ -6,8 +6,13 @@ under test.
 """
 
 from collections import defaultdict
+from itertools import islice
 
 import numpy as np
+
+from lppart.errors import InputError
+
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
 def undirected_pairs(pairs):
@@ -128,3 +133,94 @@ def geometric_mean(values):
     import math
 
     return math.exp(sum(math.log(v) for v in values) / len(values))
+
+
+# ---------------------------------------------------------------------------
+# text formats, one line at a time (the readers as they were before their
+# whole-file fast path, with the encoding spelled out)
+
+
+def read_edge_list(path):
+    pairs = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            fields = stripped.split()
+            if len(fields) < 2:
+                raise InputError(f"{path}:{lineno}: expected 'u v', got {stripped!r}")
+            try:
+                u, v = int(fields[0]), int(fields[1])
+            except ValueError as exc:
+                raise InputError(f"{path}:{lineno}: non-integer vertex id in {stripped!r}") from exc
+            pairs.append((u, v))
+    if not pairs:
+        return np.empty((0, 2), dtype=np.int64)
+    try:
+        return np.asarray(pairs, dtype=np.int64)
+    except OverflowError:
+        pass
+    k = next(i for i, (u, v) in enumerate(pairs) if not (INT64_MIN <= u <= INT64_MAX and INT64_MIN <= v <= INT64_MAX))
+    with open(path, encoding="utf-8") as fh:
+        data_lines = (n for n, line in enumerate(fh, start=1) if line.strip() and not line.strip().startswith("#"))
+        lineno = next(islice(data_lines, k, None))
+    raise InputError(f"{path}:{lineno}: vertex id outside the signed 64-bit range in '{pairs[k][0]} {pairs[k][1]}'")
+
+
+def read_parts(path):
+    values = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            stripped = line.strip()
+            if not stripped:
+                continue
+            try:
+                values.append(int(stripped))
+            except ValueError as exc:
+                raise InputError(f"{path}:{lineno}: non-integer part label {stripped!r}") from exc
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        pass
+    k = next(i for i, x in enumerate(values) if not INT64_MIN <= x <= INT64_MAX)
+    with open(path, encoding="utf-8") as fh:
+        lineno = next(islice((n for n, line in enumerate(fh, start=1) if line.strip()), k, None))
+    raise InputError(f"{path}:{lineno}: part label {values[k]} outside the signed 64-bit range")
+
+
+def write_edge_list(path, pairs):
+    with open(path, "w") as fh:
+        for u, v in np.asarray(pairs, dtype=np.int64):
+            fh.write(f"{u} {v}\n")
+
+
+def write_parts(path, parts):
+    with open(path, "w") as fh:
+        fh.write("\n".join(str(int(x)) for x in parts))
+        fh.write("\n")
+
+
+def write_id_map(path, id_map):
+    with open(path, "w") as fh:
+        for gid in id_map:
+            fh.write(f"{int(gid)}\n")
+
+
+def edge_block_partition(degrees, num_edges, p):
+    """The greedy id-order sweep: part ``cur`` closes once its cumulative degree
+    mass reaches ``(cur + 1)`` shares of 2m, if enough vertices remain."""
+    n = len(degrees)
+    target = 2.0 * num_edges / p
+    parts = np.empty(n, dtype=np.int64)
+    cur = 0
+    mass = 0
+    for v in range(n):
+        parts[v] = cur
+        mass += degrees[v]
+        remaining = n - v - 1
+        if cur < p - 1 and mass >= (cur + 1) * target and remaining >= p - 1 - cur:
+            cur += 1
+    if cur < p - 1:
+        parts[n - (p - 1 - cur) :] = np.arange(cur + 1, p)
+    return parts

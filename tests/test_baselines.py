@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from conftest import random_pairs
 from lppart.baselines import edge_block_partition, random_partition, vertex_block_partition
 from lppart.errors import ConfigError
@@ -99,3 +102,29 @@ def test_edge_block_adversarial_hub_exceeds_half_mass():
     sizes = np.bincount(parts, minlength=4)
     assert sizes.min() >= 1
     assert parts[0] == 0
+
+
+@st.composite
+def degree_skewed_graphs(draw):
+    """Small multigraphs whose edges may all sit among the highest ids, so the
+    degree mass can run short and force the trailing parts."""
+    n = draw(st.integers(1, 40))
+    low = draw(st.integers(0, n - 1))
+    ids = st.integers(low, n - 1)
+    pairs = draw(st.lists(st.tuples(ids, ids), max_size=60))
+    return build_csr(pairs, n), draw(st.integers(1, n))
+
+
+@settings(deadline=None, max_examples=300)
+@given(degree_skewed_graphs())
+def test_edge_block_matches_the_sweep(case):
+    g, p = case
+    assert edge_block_partition(g, p).tolist() == oracles.edge_block_partition(g.degrees, g.num_edges, p).tolist()
+
+
+def test_edge_block_forced_tail_matches_the_sweep():
+    # all mass on the last two vertices: parts 1..5 never reach their share in time
+    g = build_csr([(8, 9)] * 3, 10)
+    parts = edge_block_partition(g, 6)
+    assert parts.tolist() == oracles.edge_block_partition(g.degrees, g.num_edges, 6).tolist()
+    assert parts.tolist() == [0] * 5 + [1, 2, 3, 4, 5]

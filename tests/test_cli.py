@@ -113,6 +113,11 @@ def _parts_file(tmp_path, text):
     return path
 
 
+def _bytes_file(path, data):
+    path.write_bytes(data)
+    return path
+
+
 # each case: (argv, text the error must contain), built from tmp_path and the 256-vertex grid
 MALFORMED = {
     "truncated-npz-partition": lambda d, grid: (("partition", "-i", _truncated_cache(d), "-p", 2), f"{d / 'cut.npz'}: truncated"),
@@ -121,6 +126,8 @@ MALFORMED = {
     "npz-without-pairs": lambda d, grid: (("partition", "-i", _cache_without_pairs(d), "-p", 2), f"{d / 'nopairs.npz'}: cache has no pairs"),
     "part-label-past-int64": lambda d, grid: (("evaluate", "-i", grid, _parts_file(d, "0\n\n99999999999999999999\n" + "0\n" * 253)), f"{d / 'labels.parts'}:3: part label"),
     "part-label-out-of-range": lambda d, grid: (("evaluate", "-i", grid, "-p", 2, _parts_file(d, "0\n1\n2\n" + "0\n" * 253)), f"{d / 'labels.parts'}: part labels must lie in [0, 2)"),
+    "edge-list-not-utf8": lambda d, grid: (("partition", "-i", _bytes_file(d / "g.txt", b"0 1\n\xff\xfe 3\n"), "-p", 2), f"{d / 'g.txt'}:2: not valid UTF-8"),
+    "parts-not-utf8": lambda d, grid: (("evaluate", "-i", grid, _bytes_file(d / "labels.parts", b"0\n\xff\n" + b"0\n" * 254)), f"{d / 'labels.parts'}:2: not valid UTF-8"),
     "rmat-probs-not-numbers": lambda d, grid: (("generate", "rmat", "--scale", 4, "--probs", "a,b,c,d", "-o", d / "g.txt"), "--probs expects four comma-separated numbers"),
 }
 
@@ -178,9 +185,12 @@ def test_generate_counts_and_determinism(tmp_path, capsys):
     assert len(a.splitlines()) == (1 << 8) * 16 // 2
 
 
-def test_generate_stdout_and_randhd_locality(capsys):
+def test_generate_stdout_and_randhd_locality(capsys, tmp_path):
     assert run_cli("generate", "randhd", "--n", 200, "--davg", 8, "--seed", 2) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
+    out = capsys.readouterr().out
+    assert run_cli("generate", "randhd", "--n", 200, "--davg", 8, "--seed", 2, "-o", tmp_path / "g.txt") == 0
+    assert (tmp_path / "g.txt").read_text() == out
+    lines = out.strip().splitlines()
     assert len(lines) == 200 * 8
     for line in lines[:100]:
         u, v = map(int, line.split())

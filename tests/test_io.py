@@ -1,6 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from lppart import io
 from lppart.errors import InputError
 
@@ -63,3 +68,115 @@ def test_parts_roundtrip(tmp_path):
     path.write_text("0\nx\n")
     with pytest.raises(InputError, match=":2:"):
         io.read_parts(path)
+
+
+# ---------------------------------------------------------------------------
+# the whole-file fast path against the line loop
+
+
+def _outcome(read, path):
+    """The array a reader returns (with its dtype and shape) or the message it raises."""
+    try:
+        out = read(path)
+    except InputError as exc:
+        return "error", str(exc)
+    return out.dtype.str, out.shape, out.tolist()
+
+
+TEXT_CHARS = list("019-+_#.xé") + [" ", "\t", "\r", "\n", "\x0c"]
+TOKENS = ["0", "1", "-9", "+1", "007", "1_0", "#", "x", "1.0", "é", "١", "9223372036854775807",
+          "9223372036854775808", "-9223372036854775808", "-9223372036854775809"]
+texts = st.one_of(
+    st.text(alphabet=TEXT_CHARS, max_size=60),
+    # lines of whole tokens, so that valid files and out-of-range ids come up often
+    st.lists(
+        st.tuples(st.sampled_from(["", " ", "\x0c", "#"]),
+                  st.lists(st.sampled_from(TOKENS), max_size=4),
+                  st.sampled_from([" ", "\t", " \t"]),
+                  st.sampled_from(["\n", "\r\n", "\r"])),
+        max_size=8,
+    ).map(lambda lines: "".join(lead + sep.join(tokens) + end for lead, tokens, sep, end in lines)),
+)
+
+
+@settings(deadline=None, max_examples=400)
+@given(texts)
+def test_readers_match_the_line_loop(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("drawn") / "g.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(io.read_edge_list, path) == _outcome(oracles.read_edge_list, path)
+    assert _outcome(io.read_parts, path) == _outcome(oracles.read_parts, path)
+
+
+def test_comment_cut_only_at_line_start(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("1 2#3\n")
+    with pytest.raises(InputError, match=r"g\.txt:1: non-integer vertex id in '1 2#3'"):
+        io.read_edge_list(path)
+    path.write_bytes(b"\t# note\n1 2 # note\n\x0c#\n3 4\n")
+    assert io.read_edge_list(path).tolist() == [[1, 2], [3, 4]]
+
+
+def test_ids_numpy_refuses_still_parse(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("1_000 ２\n0 1\n", encoding="utf-8")
+    assert io.read_edge_list(path).tolist() == [[1000, 2], [0, 1]]
+    path.write_text("1_0\n+3\n", encoding="utf-8")
+    assert io.read_parts(path).tolist() == [10, 3]
+
+
+def test_non_utf8_names_its_line(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"0 1\r\n\xff\xfe 3\n")
+    with pytest.raises(InputError, match=r"g\.txt:2: not valid UTF-8"):
+        io.read_edge_list(path)
+    path.write_bytes(b"0\r1\n\n\xff\n")
+    with pytest.raises(InputError, match=r"g\.txt:4: not valid UTF-8"):
+        io.read_parts(path)
+
+
+def test_snap_shaped_file_takes_the_fast_path(tmp_path, monkeypatch):
+    def refuse(path, data):
+        raise AssertionError("fell back to the line loop")
+
+    monkeypatch.setattr(io, "_read_edge_list_loop", refuse)
+    monkeypatch.setattr(io, "_read_parts_loop", refuse)
+    path = tmp_path / "snap.txt"
+    path.write_bytes(b"# Directed graph (each unordered pair of nodes is saved once)\r\n"
+                     b"# Nodes: 4 Edges: 4\r\n\t# FromNodeId\tToNodeId\r\n"
+                     b"0\t1\t0.5\r\n\r\n1\t2\r\n2\t3\tw\r3\t0\r\n")
+    out = io.read_edge_list(path)
+    assert out.dtype == np.int64 and out.tolist() == [[0, 1], [1, 2], [2, 3], [3, 0]]
+    path.write_bytes(b"3\r\n1\r\n\r\n-2\r0\n")
+    assert io.read_parts(path).tolist() == [3, 1, -2, 0]
+
+
+def test_empty_and_comment_only_files_have_no_edges(tmp_path):
+    path = tmp_path / "g.txt"
+    for text in ("", "\n \n", "# only a header\r\n  # and another\n"):
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = io.read_edge_list(path)
+        assert out.dtype == np.int64 and out.shape == (0, 2)
+        with pytest.raises(InputError, match="no edges found"):
+            io.load_pairs(path)
+
+
+int64s = st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from([-(2**63), 2**63 - 1, 0, -1]))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(int64s, max_size=40))
+def test_writers_match_the_line_loop(tmp_path_factory, values):
+    d = tmp_path_factory.mktemp("written")
+    arr = np.array(values, dtype=np.int64)
+    pairs = arr[: len(arr) // 2 * 2].reshape(-1, 2)
+    oracles.write_edge_list(d / "old", pairs)
+    assert io.edge_list_text(pairs).encode() == (d / "old").read_bytes()
+    for write, oracle, data in ((io.write_edge_list, oracles.write_edge_list, pairs),
+                                (io.write_parts, oracles.write_parts, arr),
+                                (io.write_id_map, oracles.write_id_map, arr)):
+        write(d / "new", data)
+        oracle(d / "old", data)
+        assert (d / "new").read_bytes() == (d / "old").read_bytes()
