@@ -8,6 +8,12 @@ owning task; ``distribute`` then builds one ``LocalGraph`` per task holding
 the owned vertices, their adjacency re-indexed to task-local slots, ghost
 entries for one-hop neighbors owned elsewhere, and the send plan that says
 which tasks ghost each owned vertex and in which of their slots.
+
+No set-up step uses a comparison sort.  ``stable_order`` is the one ordering
+primitive: a least-significant-digit radix sort over 16-bit digits, so the
+CSR build is a stable counting sort of the edges by source, O(n + m) per 16
+bits of vertex id, and ``distribute`` orders owned vertices, ghosts and send
+plan entries the same way.
 """
 
 from __future__ import annotations
@@ -40,8 +46,40 @@ class GlobalGraph:
         return self.nbrs[self.offsets[v] : self.offsets[v + 1]]
 
 
+def stable_order(keys) -> np.ndarray:
+    """The permutation ``np.argsort(keys, kind="stable")`` returns, in O(N) per pass.
+
+    A least-significant-digit radix sort of the integer ``keys``: they are
+    shifted by their minimum, so the number of 16-bit digits is set by their
+    span, and each digit is ordered by one stable argsort of ``uint16``
+    values, which numpy runs as a counting (radix) sort.  Keys of at most
+    16 bits, or spanning fewer than 2^16 values, take a single pass.
+    """
+    keys = np.asarray(keys)
+    if keys.dtype.itemsize <= 2 or keys.size == 0:
+        return np.argsort(keys, kind="stable")
+    lo, hi = keys.min(), keys.max()
+    width = (int(hi) - int(lo)).bit_length()
+    # offsets from the minimum as unsigned ints of the same width: exact even across the int64 range
+    unsigned = np.dtype(f"u{keys.dtype.itemsize}")
+    shifted = keys.view(unsigned)
+    if lo:
+        shifted = shifted - np.array(lo, dtype=keys.dtype).view(unsigned)
+    order = np.argsort(shifted.astype(np.uint16), kind="stable")
+    for shift in range(16, width, 16):
+        digit = (shifted >> shift).astype(np.uint16)
+        order = order[np.argsort(digit[order], kind="stable")]
+    return order
+
+
 def build_csr(pairs, num_vertices: int) -> GlobalGraph:
-    """Build a symmetric CSR from (u, v) pairs.
+    """Build a symmetric CSR from (u, v) pairs by a stable counting sort.
+
+    The offsets are the prefix sums of the two endpoint columns' degree
+    counts; the neighbor lists are the other endpoints placed in the
+    ``stable_order`` of their source, so each vertex lists its edges in
+    input order, those where it is ``u`` before those where it is ``v``.
+    It costs O(n + m) per 16 bits of vertex id: one pass up to n = 2^16.
 
     Self-loops are dropped; duplicate pairs are retained with multiplicity.
     Raises ``InputError`` naming the first offending pair if an endpoint is
@@ -56,22 +94,24 @@ def build_csr(pairs, num_vertices: int) -> GlobalGraph:
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise InputError("edge list must be a sequence of (u, v) pairs")
 
-    bad = (arr < 0) | (arr >= n)
-    if bad.any():
-        idx = int(np.nonzero(bad.any(axis=1))[0][0])
+    if arr.size and (arr.min() < 0 or arr.max() >= n):
+        idx = int(np.nonzero(((arr < 0) | (arr >= n)).any(axis=1))[0][0])
         u, v = arr[idx]
         raise InputError(f"edge {idx}: endpoint out of range [0, {n}) in pair ({u}, {v})")
 
-    keep = arr[:, 0] != arr[:, 1]
-    arr = arr[keep]
-    m = arr.shape[0]
+    u, v = arr[:, 0], arr[:, 1]
+    keep = u != v
+    if not keep.all():
+        u, v = u[keep], v[keep]
+    m = len(u)
 
-    src = np.concatenate([arr[:, 0], arr[:, 1]])
-    dst = np.concatenate([arr[:, 1], arr[:, 0]])
-    order = np.argsort(src, kind="stable")
     offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
-    return GlobalGraph(num_vertices=n, num_edges=m, offsets=offsets, nbrs=dst[order])
+    np.cumsum(np.bincount(u, minlength=n) + np.bincount(v, minlength=n), out=offsets[1:])
+    # the sources in the narrowest type that holds a vertex id, so a pass reads 2 bytes per key when n <= 2^16
+    src = np.empty(2 * m, dtype=np.min_scalar_type(max(n - 1, 0)))
+    src[:m], src[m:] = u, v
+    nbrs = np.concatenate([v, u])[stable_order(src)]
+    return GlobalGraph(num_vertices=n, num_edges=m, offsets=offsets, nbrs=nbrs)
 
 
 @dataclass(frozen=True)
@@ -185,9 +225,9 @@ def _build_local(
     gather = np.repeat(starts - offsets[:-1], counts) + np.arange(total, dtype=np.int64) if total else np.empty(0, dtype=np.int64)
     nbr_gids = g.nbrs[gather]
 
-    ghost_mask = owners[nbr_gids] != task
-    # np.unique by sort and compare: the same array, several times faster than np.unique here
-    ghosts = np.sort(nbr_gids[ghost_mask])
+    # np.unique by radix sort and compare: the same array, without a comparison sort
+    ghosts = nbr_gids[owners[nbr_gids] != task]
+    ghosts = ghosts[stable_order(ghosts)]
     ghosts = ghosts[np.concatenate(([True], ghosts[1:] != ghosts[:-1]))] if len(ghosts) else ghosts
 
     # every neighbor is owned or a ghost, so each entry read here was just written
@@ -235,7 +275,8 @@ def _attach_send_plans(local_graphs: list[LocalGraph], num_vertices: int) -> Non
     # the narrowest unsigned type: an exchange's stable sort by destination is then a radix sort
     dest = np.repeat(np.arange(T, dtype=np.min_scalar_type(T - 1)), [lg.num_ghosts for lg in local_graphs])
     slots = np.concatenate([lg.num_owned + np.arange(lg.num_ghosts, dtype=np.int64) for lg in local_graphs])
-    order = np.argsort(ghost_rank * T + dest)  # keys are distinct: a task ghosts a vertex once
+    # the ghost lists are concatenated in task order, so a stable sort by rank keeps each row's destinations ascending
+    order = stable_order(ghost_rank)
     dest, slots = dest[order], slots[order]
     offsets = np.zeros(num_vertices + 1, dtype=np.int64)
     np.cumsum(np.bincount(ghost_rank, minlength=num_vertices), out=offsets[1:])
@@ -254,8 +295,8 @@ def distribute(g: GlobalGraph, dist: Distribution) -> list[LocalGraph]:
         raise ConfigError(f"task count {dist.num_tasks} exceeds vertex count {g.num_vertices}; every task must own a vertex")
     T = dist.num_tasks
     owners = dist.owner_of(np.arange(g.num_vertices, dtype=np.int64))
-    # every task's owned ids, ascending, as one slice of a stable (radix) sort by owner
-    by_owner = np.argsort(owners.astype(np.min_scalar_type(T - 1)), kind="stable")
+    # every task's owned ids, ascending, as one slice of a stable sort by owner
+    by_owner = stable_order(owners)
     bounds = np.zeros(T + 1, dtype=np.int64)
     np.cumsum(np.bincount(owners, minlength=T), out=bounds[1:])
     degrees = g.degrees

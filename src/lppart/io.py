@@ -5,7 +5,10 @@ as in Python's text mode.  Edge-list text is one ``u v`` pair per line,
 whitespace separated; fields after the second are ignored, and blank lines
 and lines whose first non-blank character is ``#`` are skipped.  Input ids
 may be arbitrary integers; ``relabel_pairs`` maps them onto dense [0, n) in
-ascending original order and returns the mapping.
+ascending original order and returns the mapping.  Ids that are already
+nonnegative and below the number of endpoints are relabelled by a mark
+table and a prefix sum, without a sort; ``dedup_pairs`` orders the canonical
+pairs by stable radix passes (``graph.stable_order``), not a comparison sort.
 
 The binary cache is an ``.npz`` with a version field, the pair array, and the
 vertex count; it round-trips exactly and loads much faster than text.
@@ -35,6 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError
+from .graph import stable_order
 
 CACHE_FORMAT_VERSION = 1
 INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1  # vertex ids are stored as int64
@@ -130,13 +134,23 @@ def relabel_pairs(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Map arbitrary integer ids onto dense [0, n).
 
     Returns (dense pairs, id_map) where ``id_map[i]`` is the original id of
-    dense vertex i (ascending original order).
+    dense vertex i (ascending original order), exactly as
+    ``np.unique(pairs, return_inverse=True)`` would.  When every id is
+    nonnegative and below the number of endpoints, the ids that occur are
+    marked in a table no longer than the pair array and numbered by a prefix
+    sum, in O(n + m) without a sort; negative or sparse ids go through
+    ``np.unique``.
     """
     pairs = np.asarray(pairs, dtype=np.int64)
     if pairs.size == 0:
         return pairs.reshape(0, 2), np.empty(0, dtype=np.int64)
-    id_map, dense_flat = np.unique(pairs, return_inverse=True)
-    return dense_flat.reshape(pairs.shape).astype(np.int64), id_map
+    lo, hi = pairs.min(), pairs.max()
+    if lo < 0 or hi >= pairs.size:
+        id_map, dense_flat = np.unique(pairs, return_inverse=True)
+        return dense_flat.reshape(pairs.shape).astype(np.int64), id_map
+    mark = np.zeros(hi + 1, dtype=bool)
+    mark[pairs] = True
+    return (np.cumsum(mark, dtype=np.int64) - 1)[pairs], np.flatnonzero(mark)
 
 
 def write_cache(path: str | Path, pairs: np.ndarray, num_vertices: int) -> None:
@@ -156,7 +170,7 @@ def read_cache(path: str | Path) -> tuple[np.ndarray, int]:
             missing = [key for key in ("pairs", "num_vertices") if key not in data]
             if missing:
                 raise InputError(f"{path}: cache has no {' or '.join(missing)} array")
-            return data["pairs"].astype(np.int64), int(data["num_vertices"])
+            return data["pairs"].astype(np.int64, copy=False), int(data["num_vertices"])
     except (zipfile.BadZipFile, zlib.error, EOFError, ValueError) as exc:
         raise InputError(f"{path}: truncated or corrupt cache ({exc})") from exc
 
@@ -177,12 +191,22 @@ def load_pairs(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def dedup_pairs(pairs: np.ndarray) -> np.ndarray:
-    """Collapse duplicate undirected pairs (orientation-insensitive)."""
+    """Collapse duplicate undirected pairs (orientation-insensitive).
+
+    Returns the distinct canonical ``(min, max)`` rows in ascending
+    lexicographic order, the array ``np.unique(canon, axis=0)`` returns.
+    The rows are ordered by two stable radix passes, by ``max`` and then by
+    ``min``, and adjacent repeats are dropped.
+    """
     pairs = np.asarray(pairs, dtype=np.int64)
     if pairs.size == 0:
         return pairs.reshape(0, 2)
-    canon = np.stack([pairs.min(axis=1), pairs.max(axis=1)], axis=1)
-    return np.unique(canon, axis=0)
+    lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
+    order = stable_order(hi)
+    order = order[stable_order(lo[order])]
+    lo, hi = lo[order], hi[order]
+    first = np.concatenate(([True], (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])))
+    return np.stack([lo[first], hi[first]], axis=1)
 
 
 def write_parts(path: str | Path, parts: np.ndarray) -> None:

@@ -129,6 +129,32 @@ def exchange_plan(local_graphs, queues):
     return received, sent
 
 
+def build_csr(pairs, num_vertices):
+    """(offsets, nbrs) by a stable int64 comparison sort of the doubled edge list."""
+    n = int(num_vertices)
+    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    arr = arr[arr[:, 0] != arr[:, 1]]
+    src = np.concatenate([arr[:, 0], arr[:, 1]])
+    dst = np.concatenate([arr[:, 1], arr[:, 0]])
+    order = np.argsort(src, kind="stable")
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+    return offsets, dst[order]
+
+
+def relabel_pairs(pairs):
+    """(dense pairs, id_map) by ``np.unique``."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    id_map, dense = np.unique(pairs, return_inverse=True)
+    return dense.reshape(pairs.shape).astype(np.int64), id_map
+
+
+def dedup_pairs(pairs):
+    """The distinct (min, max) rows by ``np.unique(axis=0)``."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return np.unique(np.stack([pairs.min(axis=1), pairs.max(axis=1)], axis=1), axis=0)
+
+
 def geometric_mean(values):
     import math
 

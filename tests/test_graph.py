@@ -1,10 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import cycle_pairs, grid_pairs, path_pairs, random_pairs
 from lppart.errors import ConfigError, InputError
-from lppart.graph import BLOCK, RANDOM_HASH, build_csr, distribute, make_distribution
+from lppart.gen import GenSpec, generate
+from lppart.graph import BLOCK, RANDOM_HASH, build_csr, distribute, make_distribution, stable_order
 
 
 def test_path_graph_by_hand():
@@ -54,6 +59,96 @@ def test_symmetry_property(rng):
         assert (g.neighbors(u) == v).sum() == (g.neighbors(v) == u).sum()
     assert g.offsets[-1] == 2 * g.num_edges
     assert np.all(np.diff(g.offsets) >= 0)
+
+
+# ---------------------------------------------------------------------------
+# the stable radix order and the CSR built from it
+
+
+@st.composite
+def radix_keys(draw):
+    """int64 keys whose span sits just below or above a 16-bit digit boundary,
+    or anywhere in the int64 range, with repeats."""
+    span = draw(st.sampled_from([0, 1, 2**16 - 1, 2**16, 2**16 + 1, 2**32 - 1, 2**32, 2**32 + 1,
+                                 2**48 - 1, 2**48, 2**48 + 1, 2**64 - 1]))
+    lo = draw(st.integers(-(2**63), 2**63 - 1 - span))
+    ends = [lo, lo + span]
+    values = draw(st.lists(st.one_of(st.sampled_from(ends), st.integers(lo, lo + span)), max_size=40))
+    if len(values) >= 2 and draw(st.booleans()):
+        values[:2] = ends  # the span is reached, so the digit count is the boundary case drawn
+    return np.array(values, dtype=np.int64)
+
+
+@settings(deadline=None, max_examples=300)
+@given(radix_keys(), st.sampled_from([np.int64, np.uint64, np.uint32, np.uint16, np.uint8]))
+def test_stable_order_is_stable_argsort(keys, dtype):
+    if dtype is not np.int64:
+        keys = (keys - keys.min()).astype(dtype) if len(keys) else keys.astype(dtype)
+    order = stable_order(keys)
+    expected = np.argsort(keys, kind="stable")
+    assert order.dtype == expected.dtype and np.array_equal(order, expected)
+
+
+def test_stable_order_of_no_and_one_key():
+    for keys in ([], [5], [-(2**63)], [2**63 - 1]):
+        keys = np.array(keys, dtype=np.int64)
+        assert np.array_equal(stable_order(keys), np.argsort(keys, kind="stable"))
+    limits = np.array([2**63 - 1, -(2**63), 0, 2**63 - 1, -(2**63)], dtype=np.int64)
+    assert stable_order(limits).tolist() == [1, 4, 2, 0, 3]
+
+
+@st.composite
+def csr_inputs(draw):
+    """Pairs over a few endpoints near the top and bottom of [0, n), so the
+    vertex ids' digit boundaries come up, with loops and repeats."""
+    n = draw(st.sampled_from([1, 2**16, 2**16 + 1, 2**17 + 3]))
+    ids = draw(st.lists(st.one_of(st.integers(0, min(n - 1, 5)), st.integers(max(n - 6, 0), n - 1)),
+                        min_size=1, max_size=8))
+    vertex = st.sampled_from(ids)
+    return draw(st.lists(st.tuples(vertex, vertex), max_size=40)), n
+
+
+@settings(deadline=None, max_examples=80)
+@given(csr_inputs())
+def test_build_csr_matches_the_comparison_sort(case):
+    pairs, n = case
+    g = build_csr(pairs, n)
+    offsets, nbrs = oracles.build_csr(pairs, n)
+    assert g.offsets.dtype == g.nbrs.dtype == np.int64
+    assert np.array_equal(g.offsets, offsets) and np.array_equal(g.nbrs, nbrs)
+    assert g.num_edges == len(oracles.undirected_pairs(pairs))
+
+
+# sha256 of the little-endian int64 ``offsets`` then ``nbrs`` of the CSR of each
+# generated graph (average degree 16, graph seed 5), and of every LocalGraph
+# array field, task by task in FIELDS order, of its distribution (seed 1)
+CSR_GOLDEN = [
+    ("rmat", 1 << 16, "38b7c5ef95ab67e62279cfdb43b231ef47f04f979a021b172a99e310af41edc7"),
+    ("er", 1 << 14, "a1d60aa72f9b96b29a5916a6777046e290fa059ebfab884c34eb67b5f9aff73e"),
+]
+FIELDS = ("owned", "offsets", "nbr_slots", "ghosts", "local_to_global", "slot_owner", "degrees",
+          "edge_src", "scan_src", "scan_dst", "plan_offsets", "plan_dest", "plan_slot")
+LOCAL_GOLDEN = [
+    ("er", RANDOM_HASH, 16, "d3240e54be5ef6d41878936363cd2e0a53a7c049a23f9e18f9a3466da5b5484f"),
+    ("rmat", BLOCK, 4, "cb72601eec069487aac1005883dd94f932de4055c9adb00d9de755e30124b933"),
+]
+
+
+@pytest.mark.parametrize("kind,n,digest", CSR_GOLDEN, ids=[row[0] for row in CSR_GOLDEN])
+def test_csr_golden(kind, n, digest):
+    g = build_csr(generate(GenSpec(kind, n, 16, seed=5)), n)
+    assert hashlib.sha256(g.offsets.astype("<i8").tobytes() + g.nbrs.astype("<i8").tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("kind,dist,num_tasks,digest", LOCAL_GOLDEN, ids=[row[0] for row in LOCAL_GOLDEN])
+def test_local_graphs_golden(kind, dist, num_tasks, digest):
+    n = 1 << 14
+    g = build_csr(generate(GenSpec(kind, n, 16, seed=5)), n)
+    h = hashlib.sha256()
+    for lg in distribute(g, make_distribution(dist, n, num_tasks, seed=1)):
+        for name in FIELDS:
+            h.update(getattr(lg, name).astype("<i8").tobytes())
+    assert h.hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

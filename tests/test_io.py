@@ -50,6 +50,25 @@ def test_dedup_orientation_insensitive():
     assert out.tolist() == [[0, 1], [2, 3]]
 
 
+@st.composite
+def id_pairs(draw):
+    """Pairs of dense small ids (the table path), or with negative, sparse or
+    int64-limit ids (the ``np.unique`` path), with repeats and both orientations."""
+    ids = draw(st.sampled_from([st.integers(0, 12), st.integers(-3, 12), st.integers(0, 2**20),
+                                st.sampled_from([-(2**63), 2**63 - 1, -1, 0, 1, 2**16, 2**32])]))
+    pairs = draw(st.lists(st.tuples(ids, ids), max_size=12))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+@settings(deadline=None, max_examples=300)
+@given(id_pairs())
+def test_relabel_and_dedup_match_np_unique(pairs):
+    for got, expected in ((io.relabel_pairs(pairs), oracles.relabel_pairs(pairs)),
+                          ((io.dedup_pairs(pairs),), (oracles.dedup_pairs(pairs),))):
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
 def test_cache_roundtrip_and_version(tmp_path):
     pairs = np.array([[0, 1], [1, 2]])
     path = tmp_path / "g.npz"
