@@ -268,6 +268,12 @@ def cmd_generate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    first_with: dict[str, str] = {}
+    for path in args.partitions:
+        name = Path(path).stem
+        if name in first_with:
+            raise LppartError(f"{first_with[name]} and {path} both name method {name!r}; rename one")
+        first_with[name] = path
     g, _ = _load_graph(args.input, args.dedup)
     reports: dict[str, QualityReport] = {}
     for path in args.partitions:

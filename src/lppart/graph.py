@@ -19,6 +19,7 @@ plan entries the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +45,21 @@ class GlobalGraph:
 
     def neighbors(self, v: int) -> np.ndarray:
         return self.nbrs[self.offsets[v] : self.offsets[v + 1]]
+
+    @cached_property
+    def edge_list(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each undirected edge once as int64 columns ``(u, v)`` with ``u < v``,
+        ordered by ``u`` and then by position in ``u``'s neighbor list.
+
+        Built on first use and kept, read-only, for the graph's lifetime, so
+        every whole-graph tally after the first reads it instead of
+        rebuilding it.
+        """
+        src = np.repeat(np.arange(self.num_vertices, dtype=np.int64), self.degrees)
+        once = src < self.nbrs
+        u, v = src[once], self.nbrs[once]
+        u.flags.writeable = v.flags.writeable = False
+        return u, v
 
 
 def stable_order(keys) -> np.ndarray:

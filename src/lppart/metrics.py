@@ -12,13 +12,16 @@ The distributed variants compute the same quantities from per-task local
 views: every edge is counted exactly once by the task owning its lower-id
 endpoint.  The per-task counts the ledger recounts every superstep and the
 global counts behind the report share one tally, fed the parts at both ends
-of each edge once.
+of each edge once.  The whole-graph tallies and the components read each
+edge once from ``GlobalGraph.edge_list``, which the first of them builds.
 
 The diameter estimate runs its sweeps on the largest connected component.
 Components come from hook-and-shortcut union-find in O(log n) array rounds,
-labelled in order of each component's smallest vertex; each sweep is a
-level-synchronous search whose levels cost O(frontier edges), deduplicated
-by a scatter instead of a sort.
+labelled in order of each component's smallest vertex.  Each sweep is a
+direction-optimizing breadth-first search: a level expands top-down from the
+frontier, or bottom-up from the unvisited vertices once a constant times the
+frontier's edges exceeds the edges left to visit, so every level costs
+O(frontier edges) and every sweep O(n + m).
 """
 
 from __future__ import annotations
@@ -49,8 +52,8 @@ def _check_parts(g: GlobalGraph, parts: np.ndarray) -> np.ndarray:
 def edge_cut(g: GlobalGraph, parts) -> int:
     """Number of undirected edges whose endpoints are in different parts."""
     parts = _check_parts(g, parts)
-    src = np.repeat(np.arange(g.num_vertices), g.degrees)
-    return int((parts[src] != parts[g.nbrs]).sum()) // 2
+    u, v = g.edge_list
+    return int((parts[u] != parts[v]).sum())
 
 
 def max_part_cut(g: GlobalGraph, parts) -> tuple[int, int]:
@@ -98,11 +101,18 @@ def _tally(vert_parts: np.ndarray, a: np.ndarray, b: np.ndarray, num_parts: int)
 
 
 def part_counts(g: GlobalGraph, parts, num_parts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(vertices, intra edges, cut incidence) per part of the whole graph."""
+    """(vertices, intra edges, cut incidence) per part of the whole graph.
+
+    Raises ``InputError`` naming the first vertex whose label is outside
+    [0, num_parts).
+    """
     parts = _check_parts(g, parts)
-    src = np.repeat(np.arange(g.num_vertices), g.degrees)
-    once = src < g.nbrs
-    return _tally(parts, parts[src[once]], parts[g.nbrs[once]], num_parts)
+    bad = (parts < 0) | (parts >= num_parts)
+    if bad.any():
+        vertex = int(bad.argmax())
+        raise InputError(f"part labels must lie in [0, {num_parts}), got {parts[vertex]} at vertex {vertex}")
+    u, v = g.edge_list
+    return _tally(parts, parts[u], parts[v], num_parts)
 
 
 # ---------------------------------------------------------------------------
@@ -124,36 +134,80 @@ def edge_cut_distributed(local_graphs: Sequence[LocalGraph], parts_arrays: Seque
 # ---------------------------------------------------------------------------
 # diameter estimation
 
+# A level goes bottom-up when this many times its frontier's edges exceed the
+# edges left to visit.  On rmat scale 16 and er 2^14 sweeps, 1-4 ran alike and
+# 8 or more ran 20-40% slower; randhd sweeps are top-down but for the last levels.
+BOTTOM_UP_ALPHA = 4
+
 
 def _bfs_levels(g: GlobalGraph, start: int) -> np.ndarray:
     """Distance from ``start`` (-1 where unreachable), one level per array pass.
 
-    Each level gathers the frontier's neighbor lists, keeps the unvisited
-    entries and drops repeats without a sort: every entry writes its position
-    into a scratch array, and the one entry per vertex that reads its own
-    position back stays.  A level therefore costs O(frontier edges), however
-    many levels the graph has.
+    Each level takes one of two directions (Beamer, Asanović & Patterson,
+    SC'12): top-down from the frontier, or bottom-up from the unvisited
+    vertices that have an edge.  A level goes bottom-up only when
+    ``BOTTOM_UP_ALPHA`` times the frontier's edges exceeds the edges of the
+    unvisited vertices, which that level scans, so either direction costs
+    O(frontier edges).  The list of unvisited vertices is built at the first
+    bottom-up level and shrunk only on bottom-up levels, so a sweep costs
+    O(n + m) however many levels the graph has.
     """
+    degrees = g.degrees
     dist = np.full(g.num_vertices, -1, dtype=np.int64)
     position = np.empty(g.num_vertices, dtype=np.int64)
     dist[start] = 0
     frontier = np.array([start], dtype=np.int64)
+    counts = degrees[frontier]
+    frontier_edges = int(counts[0])
+    unvisited_edges = 2 * g.num_edges - frontier_edges
+    unvisited = None
     level = 0
-    while len(frontier):
-        starts = g.offsets[frontier]
-        counts = g.offsets[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            break
-        gather = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(total, dtype=np.int64)
-        reached = g.nbrs[gather]
-        reached = reached[dist[reached] < 0]
-        order = np.arange(len(reached), dtype=np.int64)
-        position[reached] = order
-        frontier = reached[position[reached] == order]
+    # once no unvisited vertex has an edge, none can be reached
+    while frontier_edges and unvisited_edges:
+        if BOTTOM_UP_ALPHA * frontier_edges > unvisited_edges:
+            if unvisited is None:
+                unvisited = np.flatnonzero(degrees)
+            unvisited = unvisited[dist[unvisited] < 0]
+            frontier = _bottom_up(g, degrees[unvisited], unvisited_edges, dist, unvisited, level)
+        else:
+            frontier = _top_down(g, counts, frontier_edges, dist, position, frontier)
         level += 1
         dist[frontier] = level
+        counts = degrees[frontier]
+        frontier_edges = int(counts.sum())
+        unvisited_edges -= frontier_edges
     return dist
+
+
+def _top_down(g: GlobalGraph, counts: np.ndarray, total: int, dist: np.ndarray, position: np.ndarray, frontier: np.ndarray) -> np.ndarray:
+    """The unvisited neighbors of ``frontier``, whose degrees are ``counts``
+    summing to ``total``, each once.
+
+    Repeats drop without a sort: every reached entry writes its position
+    into the scratch array ``position``, and the one entry per vertex that
+    reads its own position back stays.
+    """
+    reached = g.nbrs[_row_entries(g.offsets[frontier], counts, total)[0]]
+    reached = reached[dist[reached] < 0]
+    order = np.arange(len(reached), dtype=np.int64)
+    position[reached] = order
+    return reached[position[reached] == order]
+
+
+def _bottom_up(g: GlobalGraph, counts: np.ndarray, total: int, dist: np.ndarray, unvisited: np.ndarray, level: int) -> np.ndarray:
+    """The vertices of ``unvisited``, whose degrees are ``counts`` (none 0)
+    summing to ``total``, that have a neighbor at ``level``."""
+    entries, begins = _row_entries(g.offsets[unvisited], counts, total)
+    # no row is empty, so every segment reduced here is one row's whole neighbor list
+    return unvisited[np.logical_or.reduceat(dist[g.nbrs[entries]] == level, begins)]
+
+
+def _row_entries(starts: np.ndarray, counts: np.ndarray, total: int) -> tuple[np.ndarray, np.ndarray]:
+    """(indices into ``nbrs`` of the rows beginning at ``starts`` with
+    ``counts`` entries summing to ``total``, concatenated; where each row
+    begins among them)."""
+    begins = np.cumsum(counts) - counts
+    return np.repeat(starts - begins, counts) + np.arange(total, dtype=np.int64), begins
 
 
 def connected_components(g: GlobalGraph) -> np.ndarray:
@@ -169,9 +223,7 @@ def connected_components(g: GlobalGraph) -> np.ndarray:
     log n, not with the diameter.
     """
     n = g.num_vertices
-    src = np.repeat(np.arange(n, dtype=np.int64), g.degrees)
-    once = src < g.nbrs
-    u, v = src[once], g.nbrs[once]
+    u, v = g.edge_list
     parent = np.arange(n, dtype=np.int64)
     while len(u):
         ru, rv = parent[u], parent[v]
@@ -284,9 +336,6 @@ class QualityReport:
 
 
 def build_report(g: GlobalGraph, parts, num_parts: int, metadata: dict | None = None) -> QualityReport:
-    parts = _check_parts(g, parts)
-    if len(parts) and (parts.min() < 0 or parts.max() >= num_parts):
-        raise InputError(f"part labels must lie in [0, {num_parts})")
     verts, intra, per_cut = part_counts(g, parts, num_parts)
     cut = int(per_cut.sum()) // 2
     winner = int(per_cut.argmax())

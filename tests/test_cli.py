@@ -118,6 +118,14 @@ def _bytes_file(path, data):
     return path
 
 
+def _same_stem_parts(tmp_path):
+    paths = [tmp_path / side / "x.parts" for side in ("a", "b")]
+    for path in paths:
+        path.parent.mkdir()
+        path.write_text("0\n" * 256)
+    return paths
+
+
 # each case: (argv, text the error must contain), built from tmp_path and the 256-vertex grid
 MALFORMED = {
     "truncated-npz-partition": lambda d, grid: (("partition", "-i", _truncated_cache(d), "-p", 2), f"{d / 'cut.npz'}: truncated"),
@@ -128,6 +136,7 @@ MALFORMED = {
     "part-label-out-of-range": lambda d, grid: (("evaluate", "-i", grid, "-p", 2, _parts_file(d, "0\n1\n2\n" + "0\n" * 253)), f"{d / 'labels.parts'}: part labels must lie in [0, 2)"),
     "edge-list-not-utf8": lambda d, grid: (("partition", "-i", _bytes_file(d / "g.txt", b"0 1\n\xff\xfe 3\n"), "-p", 2), f"{d / 'g.txt'}:2: not valid UTF-8"),
     "parts-not-utf8": lambda d, grid: (("evaluate", "-i", grid, _bytes_file(d / "labels.parts", b"0\n\xff\n" + b"0\n" * 254)), f"{d / 'labels.parts'}:2: not valid UTF-8"),
+    "evaluate-methods-share-a-stem": lambda d, grid: (("evaluate", "-i", grid, *_same_stem_parts(d)), f"{d / 'a' / 'x.parts'} and {d / 'b' / 'x.parts'} both name method 'x'"),
     "rmat-probs-not-numbers": lambda d, grid: (("generate", "rmat", "--scale", 4, "--probs", "a,b,c,d", "-o", d / "g.txt"), "--probs expects four comma-separated numbers"),
 }
 

@@ -10,8 +10,10 @@ from lppart.baselines import random_partition
 from lppart.errors import InputError
 from lppart.gen import GenSpec, gen_er, generate
 from lppart.graph import BLOCK, RANDOM_HASH, build_csr, distribute, make_distribution
+from lppart import metrics
 from lppart.metrics import (
     QualityReport,
+    _bfs_levels,
     approx_diameter,
     build_report,
     connected_components,
@@ -19,6 +21,7 @@ from lppart.metrics import (
     edge_cut_distributed,
     imbalance,
     max_part_cut,
+    per_part_cut,
     per_task_counts,
     performance_ratio,
     write_method_table,
@@ -69,6 +72,29 @@ def test_length_mismatch_rejected(rng):
     g = build_csr([(0, 1)], 2)
     with pytest.raises(InputError):
         edge_cut(g, [0])
+
+
+TALLIES = {
+    "imbalance": lambda g, parts: imbalance(g, parts, 2),
+    "imbalance-inferred-p": lambda g, parts: imbalance(g, parts),
+    "max_part_cut": lambda g, parts: max_part_cut(g, parts),
+    "per_part_cut": lambda g, parts: per_part_cut(g, parts, 2),
+    "build_report": lambda g, parts: build_report(g, parts, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TALLIES))
+def test_negative_label_is_named(name):
+    g = build_csr([(0, 1), (1, 2), (2, 3)], 4)
+    with pytest.raises(InputError, match=r"got -1 at vertex 2"):
+        TALLIES[name](g, [0, 1, -1, 1])
+
+
+@pytest.mark.parametrize("name", ["imbalance", "per_part_cut", "build_report"])
+def test_label_past_the_part_count_is_named(name):
+    g = build_csr([(0, 1), (1, 2), (2, 3)], 4)
+    with pytest.raises(InputError, match=r"must lie in \[0, 2\), got 2 at vertex 3"):
+        TALLIES[name](g, [0, 1, 0, 2])
 
 
 def test_distributed_metrics_match_sequential(rng):
@@ -136,6 +162,76 @@ def test_diameter_ties_go_to_the_component_with_the_smaller_vertex(star_holds_ze
     g = build_csr(pairs, 9)
     for seed in range(5):
         assert approx_diameter(g, seed=seed) == (2 if star_holds_zero else 3)
+
+
+@pytest.fixture
+def bfs_steps(monkeypatch):
+    """(direction, level) of every level ``_bfs_levels`` expands."""
+    steps = []
+    top_down, bottom_up = metrics._top_down, metrics._bottom_up
+
+    def record_top_down(g, counts, total, dist, position, frontier):
+        steps.append(("top-down", int(dist[frontier[0]])))
+        return top_down(g, counts, total, dist, position, frontier)
+
+    def record_bottom_up(g, counts, total, dist, unvisited, level):
+        steps.append(("bottom-up", level))
+        return bottom_up(g, counts, total, dist, unvisited, level)
+
+    monkeypatch.setattr(metrics, "_top_down", record_top_down)
+    monkeypatch.setattr(metrics, "_bottom_up", record_bottom_up)
+    return steps
+
+
+def _assert_bfs_matches_oracle(pairs, n, starts):
+    g = build_csr(pairs, n)
+    adj = oracles.adjacency(pairs, n)
+    for start in starts:
+        want = oracles.bfs_distances(adj, start)
+        assert _bfs_levels(g, start).tolist() == [want.get(v, -1) for v in range(n)], start
+
+
+def test_bfs_levels_match_the_oracle_in_both_directions(bfs_steps):
+    for seed in range(6):
+        r = np.random.default_rng(seed)
+        pairs = random_pairs(r, 40, 70)
+        pairs = np.concatenate([pairs, pairs[: 20 + seed]])  # repeated edges; loops occur too
+        _assert_bfs_matches_oracle(pairs, 40, range(40))
+    assert {kind for kind, _ in bfs_steps} == {"top-down", "bottom-up"}
+
+
+def test_bfs_levels_path_goes_top_down_until_its_last_edges(bfs_steps):
+    pairs, n = path_pairs(200)
+    _assert_bfs_matches_oracle(pairs, n, [0])
+    # a level goes bottom-up only once ALPHA times its 2 edges exceed the edges
+    # left, which on a path happens in its last ALPHA levels
+    top_down_levels = n - 1 - metrics.BOTTOM_UP_ALPHA
+    assert {kind for kind, _ in bfs_steps[:top_down_levels]} == {"top-down"}
+    assert len(bfs_steps) == n - 1
+    _assert_bfs_matches_oracle(pairs, n, range(n))
+
+
+def test_bfs_levels_star_from_a_leaf_goes_bottom_up_at_level_1(bfs_steps):
+    pairs = [(0, leaf) for leaf in range(1, 20)]
+    _assert_bfs_matches_oracle(pairs, 20, [7])
+    assert bfs_steps == [("top-down", 0), ("bottom-up", 1)]
+    _assert_bfs_matches_oracle(pairs, 20, range(20))
+
+
+def test_bfs_levels_from_an_isolated_vertex_expand_nothing(bfs_steps):
+    pairs, n = cycle_pairs(6)
+    _assert_bfs_matches_oracle(pairs, n + 1, [n])
+    assert bfs_steps == []
+
+
+def test_bfs_levels_from_the_smaller_component_leave_the_other_unreached(bfs_steps):
+    """A 7-vertex star and an 8-vertex path: from a leaf, the levels of the
+    centre and of the other leaves go bottom-up and scan the path's vertices
+    too, since the path's edges count among those left to visit."""
+    pairs = [(0, leaf) for leaf in range(1, 7)] + [(v, v + 1) for v in range(7, 14)]
+    _assert_bfs_matches_oracle(pairs, 15, [3])
+    assert bfs_steps == [("top-down", 0), ("bottom-up", 1), ("bottom-up", 2)]
+    _assert_bfs_matches_oracle(pairs, 15, range(15))
 
 
 def test_shuffled_long_path_is_one_component():

@@ -56,6 +56,25 @@ def test_report_survives_json_round_trip(case, seed):
 
 
 @PROPERTY_SETTINGS
+@given(partitioned_multigraphs(), st.data())
+def test_tallies_on_one_graph_match_fresh_graphs(case, data):
+    """Reports for two partitions, then components, all read the edge list
+    the first report caches on the graph; each must equal its value on a
+    freshly built graph."""
+    pairs, n, p, parts = case
+    other = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+    g = build_csr(pairs, n)
+    first, second = build_report(g, np.asarray(parts), p), build_report(g, np.asarray(other), p)
+    labels = connected_components(g)
+    assert first == build_report(build_csr(pairs, n), np.asarray(parts), p)
+    assert second == build_report(build_csr(pairs, n), np.asarray(other), p)
+    assert np.array_equal(labels, connected_components(build_csr(pairs, n)))
+    u, v = g.edge_list
+    assert (u < v).all() and not (u.flags.writeable or v.flags.writeable)
+    assert sorted(zip(u.tolist(), v.tolist())) == sorted((min(e), max(e)) for e in oracles.undirected_pairs(pairs))
+
+
+@PROPERTY_SETTINGS
 @given(partitioned_multigraphs(), st.integers(1, 3), st.sampled_from([BLOCK, RANDOM_HASH]), st.integers(0, 9))
 def test_per_task_tallies_sum_to_part_counts(case, num_tasks, kind, seed):
     pairs, n, p, parts = case
