@@ -50,7 +50,6 @@ class ExchangeBuffers:
     send_offsets: np.ndarray  # exclusive prefix sum of send_counts
     send_buffer: np.ndarray  # flattened (vertex, part) pairs
     send_slots: np.ndarray  # the receiver's ghost slot for each pair
-    recv_buffer: np.ndarray | None = None
 
     @property
     def pairs_sent(self) -> int:
@@ -152,10 +151,9 @@ def exchange_updates(
     bounds = [np.append(b.send_offsets, len(b.send_buffer)).tolist() for b in buffers]
 
     received: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for t, buf in enumerate(buffers):
+    for t in range(len(buffers)):
         recv = np.concatenate([b.send_buffer[lim[t] : lim[t + 1]] for b, lim in zip(buffers, bounds)])
         slots = np.concatenate([b.send_slots[lim[t] // 2 : lim[t + 1] // 2] for b, lim in zip(buffers, bounds)])
-        buf.recv_buffer = recv
         received.append((recv[0::2], recv[1::2], slots))
     return received, buffers
 

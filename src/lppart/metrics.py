@@ -92,12 +92,21 @@ def imbalance(g: GlobalGraph, parts, num_parts: int | None = None) -> tuple[floa
 
 def _tally(vert_parts: np.ndarray, a: np.ndarray, b: np.ndarray, num_parts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(vertices, intra edges, cut incidence) per part from the parts of the
-    counted vertices and the parts ``a``, ``b`` at the two ends of each counted edge."""
-    verts = np.bincount(vert_parts, minlength=num_parts)
-    intra = np.bincount(a[a == b], minlength=num_parts)
+    counted vertices and the parts ``a``, ``b`` at the two ends of each counted
+    edge.  Every label must lie in [0, num_parts): ``a * p + b`` would alias an
+    out-of-range end into another pair's bin."""
+    p = num_parts
+    verts = np.bincount(vert_parts, minlength=p)
+    if p * p > len(a):
+        # the p x p pair table would outgrow the edges it tallies
+        intra = np.bincount(a[a == b], minlength=p)
+        ends = np.bincount(a, minlength=p) + np.bincount(b, minlength=p)
+    else:
+        pair = np.bincount(a * p + b, minlength=p * p).reshape(p, p)
+        intra = pair.diagonal().copy()
+        ends = pair.sum(axis=0) + pair.sum(axis=1)
     # an edge inside part k puts k at both ends; every other end is one cut incidence
-    cut = np.bincount(a, minlength=num_parts) + np.bincount(b, minlength=num_parts) - 2 * intra
-    return verts, intra, cut
+    return verts, intra, ends - 2 * intra
 
 
 def part_counts(g: GlobalGraph, parts, num_parts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -120,7 +129,16 @@ def part_counts(g: GlobalGraph, parts, num_parts: int) -> tuple[np.ndarray, np.n
 
 
 def per_task_counts(lg: LocalGraph, parts: np.ndarray, num_parts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """This task's exact contribution to (vertices, intra edges, cut incidence) per part."""
+    """This task's exact contribution to (vertices, intra edges, cut incidence) per part.
+
+    Raises ``InputError`` naming the first owned or ghost slot whose label is
+    outside [0, num_parts).
+    """
+    if len(parts) and (parts.min() < 0 or parts.max() >= num_parts):
+        slot = int(((parts < 0) | (parts >= num_parts)).argmax())
+        raise InputError(
+            f"part labels must lie in [0, {num_parts}), got {parts[slot]} at slot {slot} (vertex {lg.local_to_global[slot]})"
+        )
     return _tally(parts[: lg.num_owned], parts[lg.scan_src], parts[lg.scan_dst], num_parts)
 
 

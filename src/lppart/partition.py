@@ -43,8 +43,13 @@ when that part ties for the best score, and otherwise the lowest part index
 wins.  Because counts are frozen per chunk, refinement finds each vertex's
 plurality part with array code, and only the vertices whose plurality
 differs from their part (the movers) pass one by one through the guards.
-Balancing scores every part of a vertex at once (a product list whose guard
-closed parts read -1.0) and rescores only the two parts a move touches; the
+Balancing scores a vertex only over its support, the other parts its
+neighbors are in, which each chunk gathers with array code into flat lists
+of parts and neighbor weights.  A move must beat the score of staying, which
+is never below zero, and a part no neighbor is in weighs zero, so no part
+outside the support can win.  Guard-closed parts score -1.0, and a move
+rescores only the two parts it touches.  Balancing writes a chunk's moved
+labels once, after its last candidate: nothing in the chunk reads them.  The
 isolated-vertex water-fill keeps its destination until a move changes it.
 Every task step, in every stage, returns the local rows it changed, in the
 order it changed them, as one int64 array; the exchange reads their global
@@ -54,7 +59,6 @@ ids and new labels, so only the wire carries global ids.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -397,9 +401,13 @@ def _sweep_balance(
     A part's score is its vertex weight against the vertex target, or in the
     edge stage, with ``edge_weights = (max_c, r_e, r_c)``, ``r_e`` times its
     intra-edge weight plus ``r_c`` times its cut weight.
+
+    A candidate is scored only over its support, in ascending part order
+    with a strict ``>``, which keeps the first maximum (see the module notes
+    for why no other part can win).
     """
     p = ledger.num_parts
-    moved: list[int] = []
+    moved = [np.empty(0, dtype=np.int64)]
     owned_deg = lg.degrees[: lg.num_owned]
     deg_f = lg.degrees.astype(np.float64)
     nprocs = float(lg.num_tasks)
@@ -420,44 +428,63 @@ def _sweep_balance(
         e0, e1 = lg.offsets[b0], lg.offsets[b1]
         if e0 == e1:
             continue
-        rows = lg.edge_src[e0:e1] - b0
         nbr = lg.nbr_slots[e0:e1]
-        flat = rows * p + parts[nbr]
+        flat = parts[nbr]  # summed in place: one chunk-sized temporary fewer
+        flat += (lg.edge_src[e0:e1] - b0) * p
         raw = np.bincount(flat, minlength=B * p).reshape(B, p)
         cur = parts[b0:b1]
-        cand = np.nonzero(owned_deg[b0:b1] > raw[np.arange(B), cur])[0]
+        k_cur = raw[np.arange(B), cur]
+        cand = np.nonzero(owned_deg[b0:b1] > k_cur)[0]
         if not len(cand):
             continue
         wmat = np.bincount(flat, weights=deg_f[nbr], minlength=B * p).reshape(B, p)
-        w_rows = wmat[cand].tolist()
-        cur_rows = cur[cand].tolist()
+        # the candidates' supports, one after another in one flat list of
+        # parts, with their neighbor weights and counts; wmat > 0 exactly
+        # where raw > 0, since every neighbor slot carries its global degree
+        C = len(cand)
+        x_c = cur[cand]
+        border = raw[cand]
+        border[np.arange(C), x_c] = 0
+        at = np.flatnonzero(border)
+        sup = (at % p).tolist()
+        w_c = wmat[cand]
+        sup_w = w_c.ravel()[at].tolist()
+        ends = np.count_nonzero(border, axis=1).cumsum().tolist()
+        own_w = w_c[np.arange(C), x_c].tolist()
         if edge_stage:
-            raw_rows = raw[cand].tolist()
-            deg_rows = owned_deg[b0 + cand].tolist()
-        for j, r in enumerate(cand.tolist()):
-            x = cur_rows[j]
-            prods = list(map(mul, w_rows[j], sw))
+            sup_k = border.ravel()[at].tolist()
+            kx_c = k_cur[cand].tolist()
+            deg_c = owned_deg[b0 + cand].tolist()
+        movers: list[int] = []
+        dests: list[int] = []
+        s0 = 0
+        for j, (r, x, ow, s1) in enumerate(zip((b0 + cand).tolist(), x_c.tolist(), own_w, ends)):
             # staying scores zero when the guard closes the current part;
             # closed parts score at most zero, so they never beat it
-            base = prods[x]
-            if base < 0.0:
-                base = prods[x] = 0.0
-            top = max(prods)
-            if not top > base:
+            top = ow * sw[x]
+            if top < 0.0:
+                top = 0.0
+            win = -1
+            for i in range(s0, s1):
+                v = sup_w[i] * sw[sup[i]]
+                if v > top:
+                    top = v
+                    win = i
+            s0 = s1
+            if win < 0:
                 continue
-            w = prods.index(top)
-            parts[b0 + r] = w
-            moved.append(b0 + r)
+            w = sup[win]
+            movers.append(r)
+            dests.append(w)
             c_v[x] -= 1
             c_v[w] += 1
             guard_v[x] -= nprocs
             guard_v[w] += nprocs
             # rescore the two touched parts: _weight inlined, same operations
             if edge_stage:
-                raw_row = raw_rows[j]
-                kx = raw_row[x]
-                kw = raw_row[w]
-                ko = deg_rows[j] - kx - kw
+                kx = kx_c[j]
+                kw = sup_k[win]
+                ko = deg_c[j] - kx - kw
                 dcx = kx - kw - ko
                 dcw = kx - kw + ko
                 est_e[x] -= nprocs * kx
@@ -477,7 +504,11 @@ def _sweep_balance(
                     e = est_v[i]
                     s = vert_target / (1.0 if 1.0 > e else e) - 1.0
                     sw[i] = -1.0 if guard_v[i] + 1.0 > max_v else (0.0 if 0.0 > s else s)
-    return np.asarray(moved, dtype=np.int64)
+        if movers:
+            rows = np.asarray(movers, dtype=np.int64)
+            parts[rows] = dests
+            moved.append(rows)
+    return np.concatenate(moved)
 
 
 def _sweep_refine(

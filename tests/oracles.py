@@ -7,6 +7,7 @@ under test.
 
 from collections import defaultdict
 from itertools import islice
+from operator import mul
 
 import numpy as np
 
@@ -250,3 +251,94 @@ def edge_block_partition(degrees, num_edges, p):
     if cur < p - 1:
         parts[n - (p - 1 - cur) :] = np.arange(cur + 1, p)
     return parts
+
+
+# ---------------------------------------------------------------------------
+# the balance sweep as it was before support-only scoring (it counts each
+# chunk with the library's bincounts; only the per-candidate scoring differs)
+
+
+def sweep_balance_dense(lg, parts, chunk, ledger, mult, c_v, guard_v, max_v, score_w, edge_weights):
+    """``partition._sweep_balance`` scoring every part of every candidate: a
+    dense product list per candidate whose first maximum is the destination,
+    labels written move by move.  Same arguments, results and side effects."""
+    p = ledger.num_parts
+    moved = []
+    owned_deg = lg.degrees[: lg.num_owned]
+    deg_f = lg.degrees.astype(np.float64)
+    nprocs = float(lg.num_tasks)
+    edge_stage = edge_weights is not None
+    if edge_stage:
+        max_c, r_e, r_c = edge_weights
+        edge_target = ledger.edge_target
+        est_e = ledger.intra_edges.astype(np.float64).tolist()
+        est_c = ledger.cut_edges.astype(np.float64).tolist()
+    else:
+        vert_target = ledger.vert_target
+        est_v = ledger.verts.astype(np.float64).tolist()
+    # the score of every part the vertex guard admits, -1.0 for the others
+    sw = [-1.0 if g + 1.0 > max_v else s for s, g in zip(score_w, guard_v)]
+    for b0 in range(0, lg.num_owned, chunk):
+        b1 = min(b0 + chunk, lg.num_owned)
+        B = b1 - b0
+        e0, e1 = lg.offsets[b0], lg.offsets[b1]
+        if e0 == e1:
+            continue
+        rows = lg.edge_src[e0:e1] - b0
+        nbr = lg.nbr_slots[e0:e1]
+        flat = rows * p + parts[nbr]
+        raw = np.bincount(flat, minlength=B * p).reshape(B, p)
+        cur = parts[b0:b1]
+        cand = np.nonzero(owned_deg[b0:b1] > raw[np.arange(B), cur])[0]
+        if not len(cand):
+            continue
+        wmat = np.bincount(flat, weights=deg_f[nbr], minlength=B * p).reshape(B, p)
+        w_rows = wmat[cand].tolist()
+        cur_rows = cur[cand].tolist()
+        if edge_stage:
+            raw_rows = raw[cand].tolist()
+            deg_rows = owned_deg[b0 + cand].tolist()
+        for j, r in enumerate(cand.tolist()):
+            x = cur_rows[j]
+            prods = list(map(mul, w_rows[j], sw))
+            # staying scores zero when the guard closes the current part;
+            # closed parts score at most zero, so they never beat it
+            base = prods[x]
+            if base < 0.0:
+                base = prods[x] = 0.0
+            top = max(prods)
+            if not top > base:
+                continue
+            w = prods.index(top)
+            parts[b0 + r] = w
+            moved.append(b0 + r)
+            c_v[x] -= 1
+            c_v[w] += 1
+            guard_v[x] -= nprocs
+            guard_v[w] += nprocs
+            # rescore the two touched parts: _weight inlined, same operations
+            if edge_stage:
+                raw_row = raw_rows[j]
+                kx = raw_row[x]
+                kw = raw_row[w]
+                ko = deg_rows[j] - kx - kw
+                dcx = kx - kw - ko
+                dcw = kx - kw + ko
+                est_e[x] -= nprocs * kx
+                est_e[w] += (mult if kw > 0 else nprocs) * kw
+                est_c[x] += (mult if dcx > 0 else nprocs) * dcx
+                est_c[w] += (mult if dcw > 0 else nprocs) * dcw
+                for i in (x, w):
+                    e, c = est_e[i], est_c[i]
+                    we = edge_target / (1.0 if 1.0 > e else e) - 1.0
+                    wc = max_c / (1.0 if 1.0 > c else c) - 1.0
+                    s = r_e * (0.0 if 0.0 > we else we) + r_c * (0.0 if 0.0 > wc else wc)
+                    sw[i] = -1.0 if guard_v[i] + 1.0 > max_v else s
+            else:
+                est_v[x] -= nprocs
+                est_v[w] += mult
+                for i in (x, w):
+                    e = est_v[i]
+                    s = vert_target / (1.0 if 1.0 > e else e) - 1.0
+                    sw[i] = -1.0 if guard_v[i] + 1.0 > max_v else (0.0 if 0.0 > s else s)
+    return np.asarray(moved, dtype=np.int64)

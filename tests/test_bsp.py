@@ -236,7 +236,7 @@ def test_trace_records_message_counts(rng, monkeypatch):
 
     def recording_exchange(*args):
         received, buffers = real_exchange(*args)
-        exchanged.append(([len(b.send_buffer) // 2 for b in buffers], sum(len(b.recv_buffer) for b in buffers) // 2))
+        exchanged.append(([len(b.send_buffer) // 2 for b in buffers], sum(len(gids) for gids, _, _ in received)))
         return received, buffers
 
     monkeypatch.setattr(partition, "exchange_updates", recording_exchange)

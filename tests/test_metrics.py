@@ -97,6 +97,22 @@ def test_label_past_the_part_count_is_named(name):
         TALLIES[name](g, [0, 1, 0, 2])
 
 
+@pytest.mark.parametrize("label", [-1, 2])
+@pytest.mark.parametrize("where", ["owned", "ghost"])
+def test_per_task_counts_rejects_a_label_outside_the_parts(label, where):
+    """Task 0 owns vertices 0 and 1 and counts the edge (1, 2) into its ghost
+    of vertex 2; a label there would alias into another pair of parts."""
+    g = build_csr([(0, 1), (1, 2), (2, 3)], 4)
+    lg = distribute(g, make_distribution(BLOCK, 4, 2))[0]
+    assert lg.owned.tolist() == [0, 1] and lg.local_to_global[lg.num_owned :].tolist() == [2]
+    assert lg.num_owned in lg.scan_dst.tolist()
+    parts = np.zeros(lg.num_slots, dtype=np.int64)
+    slot = 1 if where == "owned" else lg.num_owned
+    parts[slot] = label
+    with pytest.raises(InputError, match=rf"must lie in \[0, 2\), got {label} at slot {slot} \(vertex {slot}\)"):
+        per_task_counts(lg, parts, 2)
+
+
 def test_distributed_metrics_match_sequential(rng):
     n = 150
     pairs = random_pairs(rng, n, 500)

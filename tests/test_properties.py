@@ -10,6 +10,7 @@ from lppart.bsp import apply_updates, exchange_updates
 from lppart.graph import BLOCK, RANDOM_HASH, build_csr, distribute, make_distribution
 from lppart.io import relabel_pairs
 from lppart.metrics import QualityReport, _bfs_levels, build_report, connected_components, part_counts, per_task_counts
+from lppart.partition import Config, _sweep_balance, make_ledger, make_state
 
 PROPERTY_SETTINGS = settings(deadline=None, max_examples=60)
 
@@ -154,6 +155,50 @@ def test_components_and_bfs_match_oracles(case):
     for start in range(n):
         dist = oracles.bfs_distances(adj, start)
         assert _bfs_levels(g, start).tolist() == [dist.get(v, -1) for v in range(n)]
+
+
+@st.composite
+def balance_sweeps(draw):
+    """A partitioned multigraph distributed over 1-3 tasks, with the inputs of
+    one balance sweep: scores on a few values (zero included), so equal
+    integer degree sums tie, and a cap that may close any part."""
+    touched = draw(st.integers(1, 24))
+    n = touched + draw(st.integers(0, 3))
+    vertex = st.integers(0, touched - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=80))
+    p = draw(st.integers(1, 5))
+    parts = np.asarray(draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)), dtype=np.int64)
+    T = min(draw(st.integers(1, 3)), n)
+    dist = make_distribution(draw(st.sampled_from([BLOCK, RANDOM_HASH])), n, T, seed=draw(st.integers(0, 9)))
+    local_graphs = distribute(build_csr(pairs, n), dist)
+    state = make_state(local_graphs, p)
+    for lg, tp in zip(local_graphs, state.parts):
+        tp[:] = parts[lg.local_to_global]
+    ledger = make_ledger(local_graphs, state, Config(num_parts=p, num_tasks=T))
+    score_w = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]), min_size=p, max_size=p))
+    max_v = float(draw(st.integers(0, int(ledger.verts.max()) + 2)))
+    mult = T * draw(st.sampled_from([0.25, 0.5, 1.0, 3.0]))
+    edge_weights = draw(st.none() | st.tuples(st.just(ledger.max_cut()), st.sampled_from([0.25, 1.0]), st.sampled_from([0.25, 1.0])))
+    return n, local_graphs, state, ledger, mult, max_v, score_w, edge_weights
+
+
+@settings(deadline=None, max_examples=150)
+@given(balance_sweeps())
+def test_balance_sweep_matches_dense_oracle(case):
+    """Support-only scoring moves the same rows, in the same order, to the
+    same parts, and leaves the same vertex deltas and guards, bit for bit, as
+    scoring every part, in both stages and at every chunk size."""
+    n, local_graphs, state, ledger, mult, max_v, score_w, edge_weights = case
+    p = ledger.num_parts
+    for lg, task_parts in zip(local_graphs, state.parts):
+        for chunk in (1, 3, 64, n + 1):
+            results = []
+            for sweep in (_sweep_balance, oracles.sweep_balance_dense):
+                parts, c_v, guard_v = task_parts.copy(), [0] * p, ledger.verts.astype(np.float64).tolist()
+                moved = sweep(lg, parts, chunk, ledger, mult, c_v, guard_v, max_v, list(score_w), edge_weights)
+                assert moved.dtype == np.int64
+                results.append((moved.tolist(), parts.tolist(), c_v, np.asarray(guard_v).tobytes()))
+            assert results[0] == results[1], chunk
 
 
 vertex_ids = st.one_of(st.integers(-3, 3), st.integers(-(2**63), 2**63 - 1))
