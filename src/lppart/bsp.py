@@ -158,14 +158,17 @@ def exchange_updates(
     return received, buffers
 
 
-def apply_updates(lg: LocalGraph, parts: np.ndarray, received: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
-    """Write received part labels into the ghost slots that came with them."""
+def apply_updates(lg: LocalGraph, parts: np.ndarray, received: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """Write received part labels into the ghost slots that came with them;
+    returns the labels they overwrote, one per received pair."""
     gids, labels, slots = received
     if len(gids) == 0:
-        return
+        return np.empty(0, dtype=parts.dtype)
     in_range = slots.min() >= 0 and slots.max() < lg.num_slots
     if in_range and slots.min() < lg.num_owned:
         raise ProtocolError(f"task {lg.task} received an update for a vertex it owns")
     if not in_range or not np.array_equal(lg.local_to_global[slots], gids):
         raise ProtocolError(f"task {lg.task} received an update for a vertex it does not ghost")
+    overwritten = parts[slots]
     parts[slots] = labels
+    return overwritten

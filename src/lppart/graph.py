@@ -227,6 +227,21 @@ class LocalGraph:
     def neighbors(self, local_row: int) -> np.ndarray:
         return self.nbr_slots[self.offsets[local_row] : self.offsets[local_row + 1]]
 
+    @cached_property
+    def slot_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The owned rows next to each slot, as a CSR over slots ``(offsets, rows)``.
+
+        Slot s's rows ``rows[offsets[s]:offsets[s + 1]]`` are ascending, one
+        per adjacency entry that points at s, so a label change at s alters
+        exactly those rows' neighbor counts.  Built on first use by one
+        ``stable_order`` of ``nbr_slots`` and kept for the graph's lifetime,
+        in int32 while the entries fit.
+        """
+        index = np.int32 if len(self.nbr_slots) < 2**31 else np.int64
+        offsets = np.zeros(self.num_slots + 1, dtype=index)
+        np.cumsum(np.bincount(self.nbr_slots, minlength=self.num_slots), out=offsets[1:])
+        return offsets, self.edge_src[stable_order(self.nbr_slots)].astype(index)
+
 
 def _build_local(
     g: GlobalGraph, dist: Distribution, owners: np.ndarray, degrees: np.ndarray, task: int, owned: np.ndarray, slot_of: np.ndarray

@@ -10,10 +10,11 @@ defensible.
 
 The distributed variants compute the same quantities from per-task local
 views: every edge is counted exactly once by the task owning its lower-id
-endpoint.  The per-task counts the ledger recounts every superstep and the
-global counts behind the report share one tally, fed the parts at both ends
-of each edge once.  The whole-graph tallies and the components read each
-edge once from ``GlobalGraph.edge_list``, which the first of them builds.
+endpoint.  The per-task counts that check the partitioner's ledger (once
+when it is made and once at every phase exit) and the global counts behind
+the report share one tally, fed the parts at both ends of each edge once.
+The whole-graph tallies and the components read each edge once from
+``GlobalGraph.edge_list``, which the first of them builds.
 
 The diameter estimate runs its sweeps on the largest connected component.
 Components come from hook-and-shortcut union-find in O(log n) array rounds,

@@ -15,6 +15,22 @@ Every iteration is one superstep: each task sweeps its owned vertices and
 queues part changes, changed labels are exchanged so ghost copies stay
 coherent, and integer per-part deltas are all-reduced into the global ledger.
 
+Neighbor counts are kept through a phase.  At phase entry each task counts,
+for every owned row, its neighbors in each part (``NeighborCounts``; balance
+phases also sum those neighbors' degrees).  Every label change after that,
+a task's own move or a ghost label it receives, is noted and folded in
+before the next read: the rows next to the changed slots are shifted from
+the old part's bin to the new one, or, when the changes touch more than
+``RECOUNT_FRACTION`` of the task's adjacency entries, the counts are
+recounted; both give the same arrays.  The sweeps read their chunk's rows
+from these counts instead of gathering labels.  The ledger's edge counts
+come from them in O(owned) per task: summed over tasks, each row's count in
+its own part gives twice the intra-part edges, and its degree minus that
+count its cut incidence.  The vertex sizes folded from the per-task deltas
+are checked against the owned labels every superstep, and the full
+``metrics.per_task_counts`` recount checks the whole ledger once per phase,
+before its last superstep is announced; either raises ``ProtocolError``.
+
 Movement damping: the attraction weights see part sizes as the *ramped*
 estimate ``size + mult * delta``, where ``delta`` counts this task's moves so
 far this iteration and ``mult = nprocs * ((x - y) * iter_tot / total_iters +
@@ -32,9 +48,10 @@ step keeps its net vertex change per part (``c_v``, folded into the ledger)
 and the vertex guard list; each sweep builds the other estimates it reads.
 
 Within a task the sweep walks fixed-size chunks: neighbor-label counts are
-gathered per chunk (so labels written earlier in the same chunk are not yet
-visible, as with concurrent workers), while delta and weight updates are
-applied move-by-move so the per-part guards always see the latest estimates.
+read per chunk, with the moves of the earlier chunks folded in (so labels
+written earlier in the same chunk are not yet visible, as with concurrent
+workers), while delta and weight updates are applied move-by-move so the
+per-part guards always see the latest estimates.
 Chunk boundaries are deterministic, making runs bit-reproducible for a fixed
 seed and task count.
 
@@ -48,9 +65,11 @@ neighbors are in, which each chunk gathers with array code into flat lists
 of parts and neighbor weights.  A move must beat the score of staying, which
 is never below zero, and a part no neighbor is in weighs zero, so no part
 outside the support can win.  Guard-closed parts score -1.0, and a move
-rescores only the two parts it touches.  Balancing writes a chunk's moved
-labels once, after its last candidate: nothing in the chunk reads them.  The
-isolated-vertex water-fill keeps its destination until a move changes it.
+rescores only the two parts it touches.  Both sweeps write a chunk's moved
+labels once, after its last candidate, and note them in the counts: nothing
+in the chunk reads them.  The isolated-vertex water-fill keeps its
+destination until a move changes it and writes its labels once per call; a
+degree-zero row is in no adjacency, so its moves change no count.
 Every task step, in every stage, returns the local rows it changed, in the
 order it changed them, as one int64 array; the exchange reads their global
 ids and new labels, so only the wire carries global ids.
@@ -257,9 +276,9 @@ def _sweep_init(lg: LocalGraph, parts: np.ndarray, rng: np.random.Generator, num
         if not open_rows.any():
             continue
         e0, e1 = lg.offsets[b0], lg.offsets[b1]
-        rows = lg.edge_src[e0:e1] - b0
-        nbr_parts = parts[lg.nbr_slots[e0:e1]]
-        counts = np.bincount(rows * p1 + (nbr_parts + 1), minlength=(b1 - b0) * p1).reshape(b1 - b0, p1)
+        flat = parts[lg.nbr_slots[e0:e1]]  # summed in place: one chunk-sized temporary fewer
+        flat += (lg.edge_src[e0:e1] - b0) * p1 + 1
+        counts = np.bincount(flat, minlength=(b1 - b0) * p1).reshape(b1 - b0, p1)
         labeled = owned_deg[b0:b1] - counts[:, 0]
         cand = np.nonzero(open_rows & (labeled > 0))[0]
         if not len(cand):
@@ -272,12 +291,24 @@ def _sweep_init(lg: LocalGraph, parts: np.ndarray, rng: np.random.Generator, num
     return np.concatenate(moved)
 
 
-def _exchange_round(local_graphs, state, moved) -> list[int]:
-    """Exchange the moved labels into the ghost copies; returns the pairs each task sent."""
+def _exchange_round(local_graphs, state, moved, counts=None) -> list[int]:
+    """Exchange the moved labels into the ghost copies; returns the pairs each task sent.
+
+    With ``counts``, each task's kept neighbor counts note the ghost labels
+    it received and fold them in, after the exchange buffers are released.
+    """
     received, buffers = exchange_updates(local_graphs, state.parts, moved)
-    for lg, parts, recv in zip(local_graphs, state.parts, received):
-        apply_updates(lg, parts, recv)
-    return [b.pairs_sent for b in buffers]
+    pairs_sent = [b.pairs_sent for b in buffers]
+    del buffers
+    for t, (lg, parts, recv) in enumerate(zip(local_graphs, state.parts, received)):
+        overwritten = apply_updates(lg, parts, recv)
+        if counts is not None:
+            counts[t].note(recv[2], overwritten, recv[1])
+    del received
+    if counts is not None:
+        for c in counts:
+            c.flush()
+    return pairs_sent
 
 
 def init_parts(
@@ -380,6 +411,115 @@ def _init_direct(runtime, local_graphs, state, cfg, notify):
 
 
 # ---------------------------------------------------------------------------
+# neighbor counts kept through a phase
+
+# A flush shifts the kept counts entry by entry while the adjacency entries
+# its label changes touch are at most this fraction of the task's entries,
+# and recounts every entry above it; both give the same arrays.  A shifted
+# entry costs a few times a recounted one.  On er 2^14 at 16 tasks (about 16k
+# entries each) the upkeep of one job took 0.31 s at 1/4, 0.32 s at 1/8,
+# 0.35-0.36 s at 3/8 and 1/2, 0.39 s recounting always and 0.47 s never.
+RECOUNT_FRACTION = 0.25
+
+
+class NeighborCounts:
+    """One task's owned-row x part neighbor counts, exact for its current labels.
+
+    ``counts[r * p + q]`` is the number of adjacency entries of owned row r
+    whose slot is labelled q; with ``degree_sums`` (the balance phases)
+    ``sums[r * p + q]`` adds up those slots' global degrees.  Built from the
+    labels when a phase starts, then kept: every label change is noted with
+    its old and new label and folded in before the next read, either by
+    shifting the entries of the rows next to the changed slots
+    (``LocalGraph.slot_rows``) or, past ``RECOUNT_FRACTION`` of the task's
+    entries, by recounting.  The counts are int32 where no count can reach
+    2^31.  The sums are whole numbers held in float64, as the balance sweep
+    multiplies them by float scores, so both ways give the same bytes.
+    """
+
+    def __init__(self, lg: LocalGraph, parts: np.ndarray, num_parts: int, degree_sums: bool):
+        self.lg = lg
+        self.parts = parts
+        self.num_parts = num_parts
+        self.offsets, self.slot_rows = lg.slot_rows
+        entries = len(lg.nbr_slots)
+        self.limit = RECOUNT_FRACTION * entries
+        self.dtype = np.int32 if entries < 2**31 else np.int64  # no count exceeds the entries
+        self.degree_sums = degree_sums
+        self.pending: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.sums = None
+        self.recount()
+
+    def recount(self) -> None:
+        lg, p = self.lg, self.num_parts
+        size = lg.num_owned * p
+        keys = self.parts[lg.nbr_slots]
+        keys += lg.edge_src * p
+        self.counts = np.bincount(keys, minlength=size).astype(self.dtype)
+        if self.degree_sums:
+            # (bincount gives int64 zeros when there are no entries)
+            self.sums = np.bincount(keys, weights=lg.degrees[lg.nbr_slots], minlength=size).astype(np.float64, copy=False)
+
+    def note(self, slots: np.ndarray, old: np.ndarray, new: np.ndarray) -> None:
+        """Record that ``slots`` changed from labels ``old`` to ``new``."""
+        if len(slots):
+            self.pending.append((slots, old, new))
+
+    def flush(self) -> None:
+        """Fold every noted change into the counts."""
+        if not self.pending:
+            return
+        pending, self.pending = self.pending, []
+        slots, old, new = pending[0] if len(pending) == 1 else (np.concatenate(c) for c in zip(*pending))
+        starts = self.offsets[slots]
+        sizes = self.offsets[slots + 1] - starts  # the entries pointing at each changed slot
+        total = int(sizes.sum())
+        if total > self.limit:
+            self.recount()
+        elif total:
+            self._shift(slots, old, new, starts, sizes, total)
+
+    def _shift(self, slots, old, new, starts, sizes, total) -> None:
+        # every entry pointing at a changed slot moves from its old label's bin to its new one
+        entries = np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(total)
+        base = self.slot_rows[entries].astype(np.int64)
+        base *= self.num_parts
+        out_keys = base + np.repeat(old, sizes)
+        base += np.repeat(new, sizes)
+        one = self.counts.dtype.type(1)
+        np.subtract.at(self.counts, out_keys, one)
+        np.add.at(self.counts, base, one)
+        if self.sums is not None:
+            degree = np.repeat(self.lg.degrees[slots].astype(np.float64), sizes)
+            np.subtract.at(self.sums, out_keys, degree)
+            np.add.at(self.sums, base, degree)
+
+    def rows(self, b0: int, b1: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """The counts and degree sums of rows ``b0:b1`` as (rows x parts) views."""
+        self.flush()
+        p = self.num_parts
+        raw = self.counts[b0 * p : b1 * p].reshape(b1 - b0, p)
+        sums = None if self.sums is None else self.sums[b0 * p : b1 * p].reshape(b1 - b0, p)
+        return raw, sums
+
+    def tally(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(vertices, own-part neighbor counts, degrees) per part over the owned rows.
+
+        Summed over tasks, the own-part counts are twice the intra-part
+        edges, and degrees minus own-part counts the cut incidence.
+        """
+        self.flush()
+        lg, p = self.lg, self.num_parts
+        labels = self.parts[: lg.num_owned]
+        own = self.counts[np.arange(0, lg.num_owned * p, p) + labels]
+        return (
+            np.bincount(labels, minlength=p),
+            np.bincount(labels, weights=own, minlength=p).astype(np.int64),
+            np.bincount(labels, weights=lg.degrees[: lg.num_owned], minlength=p).astype(np.int64),
+        )
+
+
+# ---------------------------------------------------------------------------
 # weighted sweeps
 
 
@@ -394,9 +534,10 @@ def _sweep_balance(
     max_v: float,
     score_w: list[float],  # per-part attraction multipliers at iteration start
     edge_weights: tuple[float, float, float] | None,
+    counts: NeighborCounts,  # this task's counts, with degree sums
 ) -> np.ndarray:
     """Degree-weighted sweep: counts scaled by the part scores, vertex guard on
-    destinations; returns the moved rows.
+    destinations; returns the moved rows and notes them in ``counts``.
 
     A part's score is its vertex weight against the vertex target, or in the
     edge stage, with ``edge_weights = (max_c, r_e, r_c)``, ``r_e`` times its
@@ -409,7 +550,6 @@ def _sweep_balance(
     p = ledger.num_parts
     moved = [np.empty(0, dtype=np.int64)]
     owned_deg = lg.degrees[: lg.num_owned]
-    deg_f = lg.degrees.astype(np.float64)
     nprocs = float(lg.num_tasks)
     edge_stage = edge_weights is not None
     if edge_stage:
@@ -428,16 +568,12 @@ def _sweep_balance(
         e0, e1 = lg.offsets[b0], lg.offsets[b1]
         if e0 == e1:
             continue
-        nbr = lg.nbr_slots[e0:e1]
-        flat = parts[nbr]  # summed in place: one chunk-sized temporary fewer
-        flat += (lg.edge_src[e0:e1] - b0) * p
-        raw = np.bincount(flat, minlength=B * p).reshape(B, p)
+        raw, wmat = counts.rows(b0, b1)
         cur = parts[b0:b1]
         k_cur = raw[np.arange(B), cur]
         cand = np.nonzero(owned_deg[b0:b1] > k_cur)[0]
         if not len(cand):
             continue
-        wmat = np.bincount(flat, weights=deg_f[nbr], minlength=B * p).reshape(B, p)
         # the candidates' supports, one after another in one flat list of
         # parts, with their neighbor weights and counts; wmat > 0 exactly
         # where raw > 0, since every neighbor slot carries its global degree
@@ -456,6 +592,7 @@ def _sweep_balance(
             kx_c = k_cur[cand].tolist()
             deg_c = owned_deg[b0 + cand].tolist()
         movers: list[int] = []
+        leaving: list[int] = []
         dests: list[int] = []
         s0 = 0
         for j, (r, x, ow, s1) in enumerate(zip((b0 + cand).tolist(), x_c.tolist(), own_w, ends)):
@@ -475,6 +612,7 @@ def _sweep_balance(
                 continue
             w = sup[win]
             movers.append(r)
+            leaving.append(x)
             dests.append(w)
             c_v[x] -= 1
             c_v[w] += 1
@@ -506,7 +644,9 @@ def _sweep_balance(
                     sw[i] = -1.0 if guard_v[i] + 1.0 > max_v else (0.0 if 0.0 > s else s)
         if movers:
             rows = np.asarray(movers, dtype=np.int64)
-            parts[rows] = dests
+            new = np.asarray(dests, dtype=np.int64)
+            parts[rows] = new
+            counts.note(rows, np.asarray(leaving, dtype=np.int64), new)
             moved.append(rows)
     return np.concatenate(moved)
 
@@ -522,13 +662,14 @@ def _sweep_refine(
     max_v: float,
     edge_caps: tuple[float, float] | None,
     exact_caps: bool,
+    counts: NeighborCounts,  # this task's counts
 ) -> np.ndarray:
     """Plurality sweep: move to the raw-count argmax, vetoed (vertex stays)
     when the destination's estimated size would exceed the vertex cap or, in
     the edge stage, with ``edge_caps = (max_e, max_c)``, the max intra-edge or
-    max cut sizes at phase entry; returns the moved rows."""
-    p = ledger.num_parts
-    moved: list[int] = []
+    max cut sizes at phase entry; returns the moved rows and notes them in
+    ``counts``."""
+    moved = [np.empty(0, dtype=np.int64)]
     owned_deg = lg.degrees[: lg.num_owned]
     nprocs = float(lg.num_tasks)
     edge_stage = edge_caps is not None
@@ -549,9 +690,7 @@ def _sweep_refine(
         e0, e1 = lg.offsets[b0], lg.offsets[b1]
         if e0 == e1:
             continue
-        rows = lg.edge_src[e0:e1] - b0
-        flat = rows * p + parts[lg.nbr_slots[e0:e1]]
-        raw = np.bincount(flat, minlength=B * p).reshape(B, p)
+        raw, _ = counts.rows(b0, b1)
         cur = parts[b0:b1]
         k_cur = raw[np.arange(B), cur]
         # a tie with the current part keeps it, so only rows whose current
@@ -560,8 +699,11 @@ def _sweep_refine(
         if not len(movers):
             continue
         dest = raw[movers].argmax(axis=1)
+        rows: list[int] = []
+        leaving: list[int] = []
+        dests: list[int] = []
         for r, x, w, kx, kw, dv in zip(
-            movers.tolist(),
+            (b0 + movers).tolist(),
             cur[movers].tolist(),
             dest.tolist(),
             k_cur[movers].tolist(),
@@ -572,8 +714,9 @@ def _sweep_refine(
                 continue
             if edge_stage and (guard_e[w] + dv > max_e or guard_c[w] + dv > max_c):
                 continue
-            parts[b0 + r] = w
-            moved.append(b0 + r)
+            rows.append(r)
+            leaving.append(x)
+            dests.append(w)
             c_v[x] -= 1
             c_v[w] += 1
             cap_v[x] -= nprocs
@@ -584,7 +727,14 @@ def _sweep_refine(
                 guard_e[w] += nprocs * kw
                 guard_c[x] += nprocs * (kx - kw - ko)
                 guard_c[w] += nprocs * (kx - kw + ko)
-    return np.asarray(moved, dtype=np.int64)
+        # nothing in the chunk reads its labels after the counts are taken
+        if rows:
+            done = np.asarray(rows, dtype=np.int64)
+            new = np.asarray(dests, dtype=np.int64)
+            parts[done] = new
+            counts.note(done, np.asarray(leaving, dtype=np.int64), new)
+            moved.append(done)
+    return np.concatenate(moved)
 
 
 def _place_isolated(
@@ -617,21 +767,28 @@ def _place_isolated(
     top = max(fill)
     k = fill.index(top)
     moved: list[int] = []
+    dests: list[int] = []
     for v, x in zip(rows.tolist(), parts[rows].tolist()):
         if x == k or not top > (0.0 if 0.0 > fill[x] else fill[x]):
             continue
-        parts[v] = k
         moved.append(v)
+        dests.append(k)
         c_v[x] -= 1
         c_v[k] += 1
         guard_v[x] -= nprocs
         guard_v[k] += nprocs
+        # rescore the two touched parts: _weight inlined, same operations
         for i in (x, k):
             g = guard_v[i]
-            fill[i] = -1.0 if g + 1.0 > max_v else _weight(mean_size, g)
+            f = mean_size / (1.0 if 1.0 > g else g) - 1.0
+            fill[i] = -1.0 if g + 1.0 > max_v else (0.0 if 0.0 > f else f)
         top = max(fill)
         k = fill.index(top)
-    return np.asarray(moved, dtype=np.int64)
+    # the loop never reads a label, so they are written once; a degree-zero
+    # row is in no adjacency, so no neighbor count changes
+    rows = np.asarray(moved, dtype=np.int64)
+    parts[rows] = dests
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -644,6 +801,7 @@ def _run_phase(runtime, local_graphs, state, ledger, cfg, iters, phase, observer
     balance = phase in (PHASE_VERT_BALANCE, PHASE_EDGE_BALANCE)
     edge_stage = phase in (PHASE_EDGE_BALANCE, PHASE_EDGE_REFINE)
     exact_caps = edge_stage or closing_round
+    counts = [NeighborCounts(lg, parts, p, balance) for lg, parts in zip(local_graphs, state.parts)]
 
     for it in range(iters):
         # caps: balance phases track the current max each iteration; refine
@@ -679,27 +837,33 @@ def _run_phase(runtime, local_graphs, state, ledger, cfg, iters, phase, observer
             c_v = [0] * p
             guard_v = ledger.verts.astype(np.float64).tolist()
             if balance:
-                moved = _sweep_balance(lg, parts, cfg.chunk, ledger, mult, c_v, guard_v, max_v, score_w, edge_weights)
+                moved = _sweep_balance(lg, parts, cfg.chunk, ledger, mult, c_v, guard_v, max_v, score_w, edge_weights, counts[t])
                 if phase == PHASE_VERT_BALANCE:
                     isolated = _place_isolated(lg, parts, c_v, guard_v, max_v, float(ledger.verts.sum()) / p)
                     moved = np.concatenate([moved, isolated])
             else:
-                moved = _sweep_refine(lg, parts, cfg.chunk, ledger, mult, c_v, guard_v, max_v, edge_caps, exact_caps)
+                moved = _sweep_refine(lg, parts, cfg.chunk, ledger, mult, c_v, guard_v, max_v, edge_caps, exact_caps, counts[t])
             task_cv[t] = np.array(c_v, dtype=np.int64)
             return moved
 
         results = runtime.run_superstep(step)
-        pairs_sent = _exchange_round(local_graphs, state, results)
+        pairs_sent = _exchange_round(local_graphs, state, results, counts)
 
         old_cut = ledger.cut_edges
         ledger.verts = ledger.verts + allreduce_sum(task_cv)
-        verts_check, intra, cut = _global_counts(local_graphs, state.parts, p)
+        verts_check, own, ends = (allreduce_sum(terms) for terms in zip(*(c.tally() for c in counts)))
         if not np.array_equal(verts_check, ledger.verts):
-            raise ProtocolError(f"{phase} iteration {it}: folded vertex sizes disagree with recount")
-        ledger.intra_edges = intra.astype(np.int64)
-        ledger.cut_edges = cut.astype(np.int64)
+            raise ProtocolError(f"{phase} iteration {it}: folded vertex sizes disagree with the owned labels")
+        ledger.intra_edges = own // 2
+        ledger.cut_edges = ends - own
         ledger.cut_deltas = ledger.cut_edges - old_cut
         ledger.iter_tot += 1
+        if it == iters - 1:
+            # the edge counts came from the kept counts; the full recount checks
+            # them once per phase, before its last superstep is announced
+            verts, intra, cut = _global_counts(local_graphs, state.parts, p)
+            if not all(map(np.array_equal, (verts, intra, cut), (ledger.verts, ledger.intra_edges, ledger.cut_edges))):
+                raise ProtocolError(f"{phase}: the ledger disagrees with the recount at phase exit")
         if observer is not None:
             observer(SuperstepEvent(phase, it, runtime.superstep, local_graphs, state, ledger, pairs_sent))
 

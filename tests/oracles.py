@@ -254,14 +254,30 @@ def edge_block_partition(degrees, num_edges, p):
 
 
 # ---------------------------------------------------------------------------
-# the balance sweep as it was before support-only scoring (it counts each
-# chunk with the library's bincounts; only the per-candidate scoring differs)
+# the balance sweep as it was before support-only scoring and kept counts (it
+# counts each chunk from the labels with bincounts; the scoring is dense)
 
 
-def sweep_balance_dense(lg, parts, chunk, ledger, mult, c_v, guard_v, max_v, score_w, edge_weights):
+def neighbor_counts(lg, parts, p):
+    """Each owned row's neighbor count and neighbor degree sum per part, as
+    flat ``row * p + part`` int64 arrays, one adjacency entry at a time."""
+    counts = np.zeros(lg.num_owned * p, dtype=np.int64)
+    sums = np.zeros(lg.num_owned * p, dtype=np.int64)
+    for row in range(lg.num_owned):
+        for slot in lg.neighbors(row).tolist():
+            counts[row * p + parts[slot]] += 1
+            sums[row * p + parts[slot]] += lg.degrees[slot]
+    return counts, sums
+
+
+def sweep_balance_dense(lg, parts, chunk, ledger, mult, c_v, guard_v, max_v, score_w, edge_weights, counts):
     """``partition._sweep_balance`` scoring every part of every candidate: a
     dense product list per candidate whose first maximum is the destination,
-    labels written move by move.  Same arguments, results and side effects."""
+    labels written move by move.  Same arguments, results and side effects.
+
+    It counts each chunk from the labels itself, asserts that the kept
+    ``counts`` hold the same at that moment, and notes its chunk's moves
+    there, as the library's sweep does."""
     p = ledger.num_parts
     moved = []
     owned_deg = lg.degrees[: lg.num_owned]
@@ -288,11 +304,14 @@ def sweep_balance_dense(lg, parts, chunk, ledger, mult, c_v, guard_v, max_v, sco
         nbr = lg.nbr_slots[e0:e1]
         flat = rows * p + parts[nbr]
         raw = np.bincount(flat, minlength=B * p).reshape(B, p)
+        wmat = np.bincount(flat, weights=deg_f[nbr], minlength=B * p).reshape(B, p)
+        kept_raw, kept_w = counts.rows(b0, b1)
+        assert np.array_equal(kept_raw, raw) and kept_w.tobytes() == wmat.tobytes(), (b0, b1)
         cur = parts[b0:b1]
         cand = np.nonzero(owned_deg[b0:b1] > raw[np.arange(B), cur])[0]
         if not len(cand):
             continue
-        wmat = np.bincount(flat, weights=deg_f[nbr], minlength=B * p).reshape(B, p)
+        old_rows = cur.copy()
         w_rows = wmat[cand].tolist()
         cur_rows = cur[cand].tolist()
         if edge_stage:
@@ -341,4 +360,6 @@ def sweep_balance_dense(lg, parts, chunk, ledger, mult, c_v, guard_v, max_v, sco
                     e = est_v[i]
                     s = vert_target / (1.0 if 1.0 > e else e) - 1.0
                     sw[i] = -1.0 if guard_v[i] + 1.0 > max_v else (0.0 if 0.0 > s else s)
+        changed = np.nonzero(parts[b0:b1] != old_rows)[0]
+        counts.note(b0 + changed, old_rows[changed], parts[b0 + changed])
     return np.asarray(moved, dtype=np.int64)

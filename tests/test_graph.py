@@ -225,6 +225,13 @@ def test_local_graph_invariants(rng, kind, num_tasks):
         # every ghost is adjacent to an owned vertex
         touched = set(lg.local_to_global[lg.nbr_slots].tolist())
         assert set(lg.ghosts.tolist()) <= touched
+        # slot_rows lists, for every slot, the owned rows whose adjacency points at it
+        offsets, rows = lg.slot_rows
+        pointing = [[] for _ in range(lg.num_slots)]
+        for row in range(lg.num_owned):
+            for slot in lg.neighbors(row).tolist():
+                pointing[slot].append(row)
+        assert [rows[offsets[s] : offsets[s + 1]].tolist() for s in range(lg.num_slots)] == pointing
 
     # merging all owned adjacencies reproduces the global graph exactly
     for v in range(n):

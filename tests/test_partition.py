@@ -8,12 +8,14 @@ import oracles
 from conftest import cycle_pairs, grid_pairs, path_pairs, random_pairs, two_cliques_pairs
 from lppart.bsp import Runtime
 from lppart.cli import main
-from lppart.errors import ConfigError
+from lppart import partition
+from lppart.errors import ConfigError, ProtocolError
 from lppart.gen import GenSpec, gen_er, gen_rmat
 from lppart.graph import BLOCK, RANDOM_HASH, build_csr, distribute, make_distribution
 from lppart.metrics import edge_cut
 from lppart.partition import (
     Config,
+    _global_counts,
     compute_mult,
     edge_balance,
     edge_refine,
@@ -819,3 +821,66 @@ def preset_multi(locals_, num_parts, global_labels):
     for lg, parts in zip(locals_, state.parts):
         parts[:] = glob[lg.local_to_global]
     return state
+
+
+@pytest.mark.parametrize(
+    "phase,name",
+    [(vert_balance, "vertex-balance"), (vert_refine, "vertex-refine"), (edge_balance, "edge-balance"), (edge_refine, "edge-refine")],
+    ids=["vertex-balance", "vertex-refine", "edge-balance", "edge-refine"],
+)
+def test_phase_exit_recount_catches_a_corrupt_count(phase, name, monkeypatch):
+    """The ledger's edge counts come from the kept neighbor counts; one count
+    corrupted at the last superstep boundary of a phase is caught by the
+    full recount at its exit.  Uncorrupted, the same phase passes the check."""
+    n, p, T, iters = 300, 4, 3, 3
+    rng = np.random.default_rng(11)
+    locals_ = distribute(build_csr(random_pairs(rng, n, 1200), n), make_distribution(RANDOM_HASH, n, T, seed=1))
+    cfg = Config(num_parts=p, num_tasks=T, seed=0)
+    labels = rng.integers(0, p, size=n)
+
+    def run():
+        state = preset_multi(locals_, p, labels)
+        ledger = make_ledger(locals_, state, cfg)
+        phase(Runtime(T), locals_, state, ledger, cfg, iters=iters)
+        return state, ledger
+
+    state, ledger = run()
+    assert [c.tolist() for c in _global_counts(locals_, state.parts, p)] == [
+        ledger.verts.tolist(), ledger.intra_edges.tolist(), ledger.cut_edges.tolist()
+    ]
+
+    real_tally = partition.NeighborCounts.tally
+    tallies = []
+
+    def corrupted_tally(self):
+        if len(tallies) == (iters - 1) * T:  # task 0 at the last boundary: no flush follows
+            self.flush()
+            self.counts[self.parts[0]] += 1  # row 0's own-part count
+        tallies.append(self.lg.task)
+        return real_tally(self)
+
+    monkeypatch.setattr(partition.NeighborCounts, "tally", corrupted_tally)
+    with pytest.raises(ProtocolError, match=f"^{name}: the ledger disagrees with the recount at phase exit"):
+        run()
+    assert tallies[(iters - 1) * T] == 0
+
+
+def test_superstep_check_catches_an_unfolded_label_change(monkeypatch):
+    """A label written behind the sweeps' backs, so that no task's vertex
+    delta carries it, fails the every-superstep check of the folded sizes."""
+    n, p, T = 120, 3, 2
+    rng = np.random.default_rng(5)
+    locals_ = distribute(build_csr(random_pairs(rng, n, 400), n), make_distribution(BLOCK, n, T))
+    cfg = Config(num_parts=p, num_tasks=T, seed=0)
+    state = preset_multi(locals_, p, rng.integers(0, p, size=n))
+    ledger = make_ledger(locals_, state, cfg)
+    real_tally = partition.NeighborCounts.tally
+
+    def tally_after_a_stray_write(self):
+        if self.lg.task == 1:
+            self.parts[0] = (self.parts[0] + 1) % p
+        return real_tally(self)
+
+    monkeypatch.setattr(partition.NeighborCounts, "tally", tally_after_a_stray_write)
+    with pytest.raises(ProtocolError, match="^vertex-refine iteration 0: folded vertex sizes disagree"):
+        vert_refine(Runtime(T), locals_, state, ledger, cfg, iters=2)

@@ -2,15 +2,17 @@
 isolated vertices included) against the brute-force oracles."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from lppart import partition
 from lppart.bsp import apply_updates, exchange_updates
 from lppart.graph import BLOCK, RANDOM_HASH, build_csr, distribute, make_distribution
 from lppart.io import relabel_pairs
 from lppart.metrics import QualityReport, _bfs_levels, build_report, connected_components, part_counts, per_task_counts
-from lppart.partition import Config, _sweep_balance, make_ledger, make_state
+from lppart.partition import Config, NeighborCounts, _global_counts, _sweep_balance, make_ledger, make_state
 
 PROPERTY_SETTINGS = settings(deadline=None, max_examples=60)
 
@@ -187,7 +189,9 @@ def balance_sweeps(draw):
 def test_balance_sweep_matches_dense_oracle(case):
     """Support-only scoring moves the same rows, in the same order, to the
     same parts, and leaves the same vertex deltas and guards, bit for bit, as
-    scoring every part, in both stages and at every chunk size."""
+    scoring every part, in both stages and at every chunk size.  Each sweep
+    reads its own kept counts; the oracle checks them against the labels at
+    every chunk."""
     n, local_graphs, state, ledger, mult, max_v, score_w, edge_weights = case
     p = ledger.num_parts
     for lg, task_parts in zip(local_graphs, state.parts):
@@ -195,10 +199,126 @@ def test_balance_sweep_matches_dense_oracle(case):
             results = []
             for sweep in (_sweep_balance, oracles.sweep_balance_dense):
                 parts, c_v, guard_v = task_parts.copy(), [0] * p, ledger.verts.astype(np.float64).tolist()
-                moved = sweep(lg, parts, chunk, ledger, mult, c_v, guard_v, max_v, list(score_w), edge_weights)
+                counts = NeighborCounts(lg, parts, p, True)
+                moved = sweep(lg, parts, chunk, ledger, mult, c_v, guard_v, max_v, list(score_w), edge_weights, counts)
                 assert moved.dtype == np.int64
                 results.append((moved.tolist(), parts.tolist(), c_v, np.asarray(guard_v).tobytes()))
             assert results[0] == results[1], chunk
+
+
+class RecordingCounts(NeighborCounts):
+    """Kept counts that log which way each flush folded its changes in."""
+
+    def __init__(self, *args):
+        self.branches = []
+        super().__init__(*args)
+        self.branches.clear()  # the build at phase entry is not a flush
+
+    def recount(self):
+        self.branches.append("recount")
+        super().recount()
+
+    def _shift(self, *args):
+        self.branches.append("shift")
+        super()._shift(*args)
+
+
+def _assert_counts_are_fresh(local_graphs, state, counts, p):
+    """Every task's kept counts and degree sums equal a count of its labels,
+    byte for byte, and the ledger derived from them equals the recount."""
+    for lg, parts, c in zip(local_graphs, state.parts, counts):
+        c.flush()
+        fresh, sums = oracles.neighbor_counts(lg, parts, p)
+        assert c.counts.dtype == np.int32 and c.counts.tobytes() == fresh.astype(np.int32).tobytes()
+        if c.sums is not None:
+            assert c.sums.dtype == np.float64 and c.sums.tobytes() == sums.astype(np.float64).tobytes()
+    verts, own, ends = (sum(terms) for terms in zip(*(c.tally() for c in counts)))
+    expected = _global_counts(local_graphs, state.parts, p)
+    assert [verts.tolist(), (own // 2).tolist(), (ends - own).tolist()] == [e.tolist() for e in expected]
+
+
+def _upkeep_round(local_graphs, state, counts, chunk, draw_moves):
+    """One superstep's label changes: each task walks its chunks, reading the
+    kept counts before a chunk and noting the moves ``draw_moves(rows, p)``
+    returns for it, as the sweeps do; then a real exchange."""
+    queues = []
+    for lg, parts, c in zip(local_graphs, state.parts, counts):
+        moved = [np.empty(0, dtype=np.int64)]
+        for b0 in range(0, lg.num_owned, chunk):
+            b1 = min(b0 + chunk, lg.num_owned)
+            c.rows(b0, b1)
+            rows, labels = draw_moves(np.arange(b0, b1, dtype=np.int64), c.num_parts)
+            old = parts[rows]
+            parts[rows] = labels
+            c.note(rows, old, labels)
+            moved.append(rows)
+        queues.append(np.concatenate(moved))
+    partition._exchange_round(local_graphs, state, queues, counts)
+
+
+@st.composite
+def labelled_task_graphs(draw):
+    """A multigraph distributed over 1-4 block or hash tasks, with coherent labels."""
+    touched = draw(st.integers(1, 24))
+    n = touched + draw(st.integers(0, 3))
+    vertex = st.integers(0, touched - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=80))
+    p = draw(st.integers(1, 5))
+    labels = np.asarray(draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)), dtype=np.int64)
+    T = min(draw(st.integers(1, 4)), n)
+    dist = make_distribution(draw(st.sampled_from([BLOCK, RANDOM_HASH])), n, T, seed=draw(st.integers(0, 9)))
+    local_graphs = distribute(build_csr(pairs, n), dist)
+    state = make_state(local_graphs, p)
+    for lg, parts in zip(local_graphs, state.parts):
+        parts[:] = labels[lg.local_to_global]
+    return n, local_graphs, state
+
+
+@PROPERTY_SETTINGS
+@given(labelled_task_graphs(), st.booleans(), st.data())
+def test_kept_counts_match_a_fresh_count(case, degree_sums, data):
+    """Drawn owned moves at chunk 1, 3, 64 and n+1, each superstep followed
+    by a real exchange: small change sets take the shift and large ones the
+    recount, and either way the counts stay equal to a fresh count and the
+    ledger they give to the recount's."""
+    n, local_graphs, state = case
+    p = state.num_parts
+    counts = [NeighborCounts(lg, parts, p, degree_sums) for lg, parts in zip(local_graphs, state.parts)]
+    _assert_counts_are_fresh(local_graphs, state, counts, p)
+
+    def draw_moves(rows, p):
+        if data.draw(st.booleans(), label="every row moves"):
+            picked = rows
+        else:
+            picked = np.asarray(data.draw(st.lists(st.sampled_from(rows.tolist()), unique=True, max_size=2)), dtype=np.int64)
+        labels = data.draw(st.lists(st.integers(0, p - 1), min_size=len(picked), max_size=len(picked)))
+        return picked, np.asarray(labels, dtype=np.int64)
+
+    for _ in range(3):
+        _upkeep_round(local_graphs, state, counts, data.draw(st.sampled_from([1, 3, 64, n + 1])), draw_moves)
+        _assert_counts_are_fresh(local_graphs, state, counts, p)
+
+
+@pytest.mark.parametrize("kind", [BLOCK, RANDOM_HASH])
+def test_kept_counts_take_both_branches(kind):
+    """On one graph, a superstep moving one row per chunk shifts the counts,
+    and one moving every row recounts them; both leave them fresh."""
+    n, p = 256, 5
+    rng = np.random.default_rng(7)
+    local_graphs = distribute(build_csr(rng.integers(0, n, size=(1024, 2)), n), make_distribution(kind, n, 3, seed=2))
+    state = make_state(local_graphs, p)
+    labels = rng.integers(0, p, size=n)
+    for lg, parts in zip(local_graphs, state.parts):
+        parts[:] = labels[lg.local_to_global]
+    counts = [RecordingCounts(lg, parts, p, True) for lg, parts in zip(local_graphs, state.parts)]
+    _upkeep_round(local_graphs, state, counts, 64, lambda rows, p: (rows[:1], rng.integers(0, p, size=1)))
+    assert all(c.branches and set(c.branches) == {"shift"} for c in counts)
+    _assert_counts_are_fresh(local_graphs, state, counts, p)
+    for c in counts:
+        c.branches.clear()
+    _upkeep_round(local_graphs, state, counts, 64, lambda rows, p: (rows, rng.integers(0, p, size=len(rows))))
+    assert all("recount" in c.branches for c in counts)
+    _assert_counts_are_fresh(local_graphs, state, counts, p)
 
 
 vertex_ids = st.one_of(st.integers(-3, 3), st.integers(-(2**63), 2**63 - 1))
