@@ -159,7 +159,7 @@ def edge_cut_distributed(local_graphs: Sequence[LocalGraph], parts_arrays: Seque
 BOTTOM_UP_ALPHA = 4
 
 
-def _bfs_levels(g: GlobalGraph, start: int) -> np.ndarray:
+def _bfs_levels(g: GlobalGraph, start: int, component: tuple[np.ndarray, int] | None = None) -> np.ndarray:
     """Distance from ``start`` (-1 where unreachable), one level per array pass.
 
     Each level takes one of two directions (Beamer, Asanović & Patterson,
@@ -170,6 +170,11 @@ def _bfs_levels(g: GlobalGraph, start: int) -> np.ndarray:
     O(frontier edges).  The list of unvisited vertices is built at the first
     bottom-up level and shrunk only on bottom-up levels, so a sweep costs
     O(n + m) however many levels the graph has.
+
+    ``component`` is ``(vertices, entries)``: the vertices with an edge in
+    ``start``'s component, ascending, and the sum of their degrees.  Given
+    it, only that component's edges count as left to visit and only its
+    vertices are scanned bottom-up; by default every vertex with an edge is.
     """
     degrees = g.degrees
     dist = np.full(g.num_vertices, -1, dtype=np.int64)
@@ -178,8 +183,8 @@ def _bfs_levels(g: GlobalGraph, start: int) -> np.ndarray:
     frontier = np.array([start], dtype=np.int64)
     counts = degrees[frontier]
     frontier_edges = int(counts[0])
-    unvisited_edges = 2 * g.num_edges - frontier_edges
-    unvisited = None
+    unvisited, entries = (None, 2 * g.num_edges) if component is None else component
+    unvisited_edges = entries - frontier_edges
     level = 0
     # once no unvisited vertex has an edge, none can be reached
     while frontier_edges and unvisited_edges:
@@ -270,12 +275,15 @@ def approx_diameter(g: GlobalGraph, iterations: int = 10, seed: int = 0) -> int:
     labels = connected_components(g)
     largest = int(np.bincount(labels).argmax())
     members = np.nonzero(labels == largest)[0]
+    degrees = g.degrees[members]
+    with_edges = members[degrees > 0]
+    component = (with_edges, int(degrees.sum()))
     rng = rng_for(seed, "diameter")
     start = int(members[rng.integers(len(members))])
     best = 0
     for _ in range(iterations):
         # a search from a vertex of the largest component stays in it
-        dist = _bfs_levels(g, start)
+        dist = _bfs_levels(g, start, component)
         ecc = int(dist.max())
         best = max(best, ecc)
         farthest = np.nonzero(dist == ecc)[0]

@@ -15,14 +15,15 @@ Every iteration is one superstep: each task sweeps its owned vertices and
 queues part changes, changed labels are exchanged so ghost copies stay
 coherent, and integer per-part deltas are all-reduced into the global ledger.
 
-Neighbor counts are kept through a phase.  At phase entry each task counts,
-for every owned row, its neighbors in each part (``NeighborCounts``; balance
-phases also sum those neighbors' degrees).  Every label change after that,
-a task's own move or a ghost label it receives, is noted and folded in
-before the next read: the rows next to the changed slots are shifted from
-the old part's bin to the new one, or, when the changes touch more than
-``RECOUNT_FRACTION`` of the task's adjacency entries, the counts are
-recounted; both give the same arrays.  The sweeps read their chunk's rows
+Neighbor counts are kept for the whole job.  After initialization each task
+counts, for every owned row, its neighbors in each part (``NeighborCounts``);
+each balance phase adds the sums of those neighbors' degrees on entry and
+each refine phase drops them.  Every label change after that, a task's own
+move or a ghost label it receives, is noted and folded in before the next
+read: the rows next to the changed slots are shifted from the old part's bin
+to the new one, or, when the changes touch more than ``RECOUNT_FRACTION`` of
+the task's adjacency entries, the counts are recounted; both give the same
+arrays.  A stage function called on its own builds the counts it needs.  The sweeps read their chunk's rows
 from these counts instead of gathering labels.  The ledger's edge counts
 come from them in O(owned) per task: summed over tasks, each row's count in
 its own part gives twice the intra-part edges, and its degree minus that
@@ -50,8 +51,13 @@ and the vertex guard list; each sweep builds the other estimates it reads.
 Within a task the sweep walks fixed-size chunks: neighbor-label counts are
 read per chunk, with the moves of the earlier chunks folded in (so labels
 written earlier in the same chunk are not yet visible, as with concurrent
-workers), while delta and weight updates are applied move-by-move so the
-per-part guards always see the latest estimates.
+workers), while guard, estimate and score updates are applied move by move
+so the per-part guards always see the latest estimates.  Each sequential
+loop keeps only that state, which its next decision reads, and records one
+winner per candidate; the moved rows, their old and new labels, the label
+writes, the count notes and the ``c_v`` deltas (``bincount(new) -
+bincount(old)``) follow from the winners with array code, once per chunk or
+per call.
 Chunk boundaries are deterministic, making runs bit-reproducible for a fixed
 seed and task count.
 
@@ -112,7 +118,7 @@ class Config:
     refine_iters: int = 10
     seed: int = 0
     init_mode: str = "bfs-lp"
-    chunk: int = 4096  # worker batch size for the vertex sweeps
+    chunk: int = 4096  # owned rows per sweep chunk: the counts a chunk reads omit its own moves
 
     @property
     def total_iters(self) -> int:
@@ -426,18 +432,22 @@ class NeighborCounts:
     """One task's owned-row x part neighbor counts, exact for its current labels.
 
     ``counts[r * p + q]`` is the number of adjacency entries of owned row r
-    whose slot is labelled q; with ``degree_sums`` (the balance phases)
-    ``sums[r * p + q]`` adds up those slots' global degrees.  Built from the
-    labels when a phase starts, then kept: every label change is noted with
-    its old and new label and folded in before the next read, either by
-    shifting the entries of the rows next to the changed slots
-    (``LocalGraph.slot_rows``) or, past ``RECOUNT_FRACTION`` of the task's
-    entries, by recounting.  The counts are int32 where no count can reach
-    2^31.  The sums are whole numbers held in float64, as the balance sweep
-    multiplies them by float scores, so both ways give the same bytes.
+    whose slot is labelled q; while ``sums`` is kept (the balance phases)
+    ``sums[r * p + q]`` adds up those slots' global degrees.  ``xtrapulp``
+    builds one per task after initialization and keeps it for the whole job:
+    a balance phase adds the sums on entry (``track_degree_sums``) and a
+    refine phase drops them.  Every label change is noted with its old and
+    new label and folded in before the next read, either by shifting the
+    entries of the rows next to the changed slots (``LocalGraph.slot_rows``)
+    or, past ``RECOUNT_FRACTION`` of the task's entries, by recounting.  A
+    recount reads the entries' row keys (``edge_src * p``) and, for the sums,
+    their neighbor degrees, both built at first use and released with the
+    object.  The counts are int32 where no count can reach 2^31.  The sums
+    are whole numbers held in float64, as the balance sweep multiplies them
+    by float scores, so every way of keeping them gives the same bytes.
     """
 
-    def __init__(self, lg: LocalGraph, parts: np.ndarray, num_parts: int, degree_sums: bool):
+    def __init__(self, lg: LocalGraph, parts: np.ndarray, num_parts: int, degree_sums: bool = False):
         self.lg = lg
         self.parts = parts
         self.num_parts = num_parts
@@ -445,20 +455,43 @@ class NeighborCounts:
         entries = len(lg.nbr_slots)
         self.limit = RECOUNT_FRACTION * entries
         self.dtype = np.int32 if entries < 2**31 else np.int64  # no count exceeds the entries
-        self.degree_sums = degree_sums
         self.pending: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self.sums = None
+        self.row_keys = None  # edge_src * p per entry
+        self.nbr_degrees = None  # the global degree of each entry's slot, float64
         self.recount()
+        self.track_degree_sums(degree_sums)
+
+    def _keys(self) -> np.ndarray:
+        """``row * p + label`` for every adjacency entry."""
+        if self.row_keys is None:
+            lg = self.lg
+            dtype = np.int32 if lg.num_owned * self.num_parts < 2**31 else np.int64
+            self.row_keys = lg.edge_src.astype(dtype) * dtype(self.num_parts)
+        keys = self.parts[self.lg.nbr_slots]
+        keys += self.row_keys
+        return keys
+
+    def _degree_sums(self, keys: np.ndarray) -> np.ndarray:
+        if self.nbr_degrees is None:
+            self.nbr_degrees = self.lg.degrees[self.lg.nbr_slots].astype(np.float64)
+        # (bincount gives int64 zeros when there are no entries)
+        return np.bincount(keys, weights=self.nbr_degrees, minlength=self.lg.num_owned * self.num_parts).astype(np.float64, copy=False)
+
+    def track_degree_sums(self, on: bool) -> None:
+        """Keep the degree sums from now on (built by one weighted bincount
+        of the current labels if they are not kept yet), or drop them."""
+        if not on:
+            self.sums = None
+        elif self.sums is None:
+            self.flush()
+            self.sums = self._degree_sums(self._keys())
 
     def recount(self) -> None:
-        lg, p = self.lg, self.num_parts
-        size = lg.num_owned * p
-        keys = self.parts[lg.nbr_slots]
-        keys += lg.edge_src * p
-        self.counts = np.bincount(keys, minlength=size).astype(self.dtype)
-        if self.degree_sums:
-            # (bincount gives int64 zeros when there are no entries)
-            self.sums = np.bincount(keys, weights=lg.degrees[lg.nbr_slots], minlength=size).astype(np.float64, copy=False)
+        keys = self._keys()
+        self.counts = np.bincount(keys, minlength=self.lg.num_owned * self.num_parts).astype(self.dtype)
+        if self.sums is not None:
+            self.sums = self._degree_sums(keys)
 
     def note(self, slots: np.ndarray, old: np.ndarray, new: np.ndarray) -> None:
         """Record that ``slots`` changed from labels ``old`` to ``new``."""
@@ -522,6 +555,15 @@ class NeighborCounts:
 # ---------------------------------------------------------------------------
 # weighted sweeps
 
+_NO_ROWS = np.empty(0, dtype=np.int64)
+
+
+def _fold_moves(c_v: list[int], old: np.ndarray, new: np.ndarray) -> None:
+    """Add the net vertex change per part of moves from labels ``old`` to ``new``."""
+    p = len(c_v)
+    delta = np.bincount(new, minlength=p) - np.bincount(old, minlength=p)
+    c_v[:] = [c + d for c, d in zip(c_v, delta.tolist())]
+
 
 def _sweep_balance(
     lg: LocalGraph,
@@ -545,10 +587,12 @@ def _sweep_balance(
 
     A candidate is scored only over its support, in ascending part order
     with a strict ``>``, which keeps the first maximum (see the module notes
-    for why no other part can win).
+    for why no other part can win).  The loop keeps the guards, estimates
+    and scores and records each mover's winning support entry; the moved
+    rows, their labels and ``c_v`` follow from those with array code.
     """
     p = ledger.num_parts
-    moved = [np.empty(0, dtype=np.int64)]
+    moved, left = [_NO_ROWS], [_NO_ROWS]  # per chunk: the moved rows, their old labels
     owned_deg = lg.degrees[: lg.num_owned]
     nprocs = float(lg.num_tasks)
     edge_stage = edge_weights is not None
@@ -564,91 +608,107 @@ def _sweep_balance(
     sw = [-1.0 if g + 1.0 > max_v else s for s, g in zip(score_w, guard_v)]
     for b0 in range(0, lg.num_owned, chunk):
         b1 = min(b0 + chunk, lg.num_owned)
-        B = b1 - b0
-        e0, e1 = lg.offsets[b0], lg.offsets[b1]
-        if e0 == e1:
+        if lg.offsets[b0] == lg.offsets[b1]:
             continue
         raw, wmat = counts.rows(b0, b1)
         cur = parts[b0:b1]
-        k_cur = raw[np.arange(B), cur]
-        cand = np.nonzero(owned_deg[b0:b1] > k_cur)[0]
-        if not len(cand):
+        k_cur = raw[np.arange(b1 - b0), cur]
+        cand = np.flatnonzero(owned_deg[b0:b1] > k_cur)
+        C = len(cand)
+        if not C:
             continue
         # the candidates' supports, one after another in one flat list of
-        # parts, with their neighbor weights and counts; wmat > 0 exactly
-        # where raw > 0, since every neighbor slot carries its global degree
-        C = len(cand)
+        # parts, with their neighbor weights; wmat > 0 exactly where raw > 0,
+        # since every neighbor slot carries its global degree.  The flat
+        # indices ascend, so candidate j's entries end where j + 1's begin
         x_c = cur[cand]
-        border = raw[cand]
-        border[np.arange(C), x_c] = 0
+        raw_c = raw[cand]
+        border = raw_c > 0
+        border[np.arange(C), x_c] = False
         at = np.flatnonzero(border)
-        sup = (at % p).tolist()
+        j_at = at // p
+        sup_a = at - j_at * p
+        sup = sup_a.tolist()
         w_c = wmat[cand]
         sup_w = w_c.ravel()[at].tolist()
-        ends = np.count_nonzero(border, axis=1).cumsum().tolist()
+        ends = np.bincount(j_at, minlength=C).cumsum().tolist()
         own_w = w_c[np.arange(C), x_c].tolist()
-        if edge_stage:
-            sup_k = border.ravel()[at].tolist()
-            kx_c = k_cur[cand].tolist()
-            deg_c = owned_deg[b0 + cand].tolist()
-        movers: list[int] = []
-        leaving: list[int] = []
-        dests: list[int] = []
+        wins: list[int] = []  # the winning support entry of each mover
         s0 = 0
-        for j, (r, x, ow, s1) in enumerate(zip((b0 + cand).tolist(), x_c.tolist(), own_w, ends)):
-            # staying scores zero when the guard closes the current part;
-            # closed parts score at most zero, so they never beat it
-            top = ow * sw[x]
-            if top < 0.0:
-                top = 0.0
-            win = -1
-            for i in range(s0, s1):
-                v = sup_w[i] * sw[sup[i]]
-                if v > top:
-                    top = v
-                    win = i
-            s0 = s1
-            if win < 0:
-                continue
-            w = sup[win]
-            movers.append(r)
-            leaving.append(x)
-            dests.append(w)
-            c_v[x] -= 1
-            c_v[w] += 1
-            guard_v[x] -= nprocs
-            guard_v[w] += nprocs
-            # rescore the two touched parts: _weight inlined, same operations
-            if edge_stage:
-                kx = kx_c[j]
-                kw = sup_k[win]
-                ko = deg_c[j] - kx - kw
+        # (in both loops) staying scores zero when the guard closes the
+        # current part; closed parts score at most zero, so they never beat it
+        if edge_stage:
+            sup_k = raw_c.ravel()[at].tolist()
+            kx_c = k_cur[cand]
+            for x, ow, s1, kx, rest in zip(x_c.tolist(), own_w, ends, kx_c.tolist(), (owned_deg[b0 + cand] - kx_c).tolist()):
+                top = ow * sw[x]
+                if top < 0.0:
+                    top = 0.0
+                win = -1
+                for i in range(s0, s1):
+                    v = sup_w[i] * sw[sup[i]]
+                    if v > top:
+                        top = v
+                        win = i
+                s0 = s1
+                if win < 0:
+                    continue
+                wins.append(win)
+                w = sup[win]
+                kw = sup_k[win]  # > 0: w is in the support
+                ko = rest - kw
                 dcx = kx - kw - ko
                 dcw = kx - kw + ko
-                est_e[x] -= nprocs * kx
-                est_e[w] += (mult if kw > 0 else nprocs) * kw
-                est_c[x] += (mult if dcx > 0 else nprocs) * dcx
-                est_c[w] += (mult if dcw > 0 else nprocs) * dcw
-                for i in (x, w):
-                    e, c = est_e[i], est_c[i]
-                    we = edge_target / (1.0 if 1.0 > e else e) - 1.0
-                    wc = max_c / (1.0 if 1.0 > c else c) - 1.0
-                    s = r_e * (0.0 if 0.0 > we else we) + r_c * (0.0 if 0.0 > wc else wc)
-                    sw[i] = -1.0 if guard_v[i] + 1.0 > max_v else s
-            else:
-                est_v[x] -= nprocs
-                est_v[w] += mult
-                for i in (x, w):
-                    e = est_v[i]
-                    s = vert_target / (1.0 if 1.0 > e else e) - 1.0
-                    sw[i] = -1.0 if guard_v[i] + 1.0 > max_v else (0.0 if 0.0 > s else s)
-        if movers:
-            rows = np.asarray(movers, dtype=np.int64)
-            new = np.asarray(dests, dtype=np.int64)
+                # rescore the two touched parts: _weight inlined, same operations
+                g = guard_v[x] = guard_v[x] - nprocs
+                e = est_e[x] = est_e[x] - nprocs * kx
+                c = est_c[x] = est_c[x] + (mult if dcx > 0 else nprocs) * dcx
+                we = edge_target / (1.0 if 1.0 > e else e) - 1.0
+                wc = max_c / (1.0 if 1.0 > c else c) - 1.0
+                sw[x] = -1.0 if g + 1.0 > max_v else r_e * (0.0 if 0.0 > we else we) + r_c * (0.0 if 0.0 > wc else wc)
+                g = guard_v[w] = guard_v[w] + nprocs
+                e = est_e[w] = est_e[w] + mult * kw
+                c = est_c[w] = est_c[w] + (mult if dcw > 0 else nprocs) * dcw
+                we = edge_target / (1.0 if 1.0 > e else e) - 1.0
+                wc = max_c / (1.0 if 1.0 > c else c) - 1.0
+                sw[w] = -1.0 if g + 1.0 > max_v else r_e * (0.0 if 0.0 > we else we) + r_c * (0.0 if 0.0 > wc else wc)
+        else:
+            for x, ow, s1 in zip(x_c.tolist(), own_w, ends):
+                top = ow * sw[x]
+                if top < 0.0:
+                    top = 0.0
+                win = -1
+                for i in range(s0, s1):
+                    v = sup_w[i] * sw[sup[i]]
+                    if v > top:
+                        top = v
+                        win = i
+                s0 = s1
+                if win < 0:
+                    continue
+                wins.append(win)
+                w = sup[win]
+                g = guard_v[x] = guard_v[x] - nprocs
+                e = est_v[x] = est_v[x] - nprocs
+                s = vert_target / (1.0 if 1.0 > e else e) - 1.0
+                sw[x] = -1.0 if g + 1.0 > max_v else (0.0 if 0.0 > s else s)
+                g = guard_v[w] = guard_v[w] + nprocs
+                e = est_v[w] = est_v[w] + mult
+                s = vert_target / (1.0 if 1.0 > e else e) - 1.0
+                sw[w] = -1.0 if g + 1.0 > max_v else (0.0 if 0.0 > s else s)
+        if wins:
+            won = np.array(wins, dtype=np.int64)
+            j = j_at[won]
+            rows = b0 + cand[j]
+            new = sup_a[won]
+            old = x_c[j]
             parts[rows] = new
-            counts.note(rows, np.asarray(leaving, dtype=np.int64), new)
+            counts.note(rows, old, new)
             moved.append(rows)
-    return np.concatenate(moved)
+            left.append(old)
+    rows = np.concatenate(moved)
+    _fold_moves(c_v, np.concatenate(left), parts[rows])
+    return rows
 
 
 def _sweep_refine(
@@ -668,8 +728,8 @@ def _sweep_refine(
     when the destination's estimated size would exceed the vertex cap or, in
     the edge stage, with ``edge_caps = (max_e, max_c)``, the max intra-edge or
     max cut sizes at phase entry; returns the moved rows and notes them in
-    ``counts``."""
-    moved = [np.empty(0, dtype=np.int64)]
+    ``counts``.  The loop keeps the caps and records which movers pass them."""
+    moved, left = [_NO_ROWS], [_NO_ROWS]  # per chunk: the moved rows, their old labels
     owned_deg = lg.degrees[: lg.num_owned]
     nprocs = float(lg.num_tasks)
     edge_stage = edge_caps is not None
@@ -686,55 +746,54 @@ def _sweep_refine(
     add_v = nprocs if exact_caps else mult
     for b0 in range(0, lg.num_owned, chunk):
         b1 = min(b0 + chunk, lg.num_owned)
-        B = b1 - b0
-        e0, e1 = lg.offsets[b0], lg.offsets[b1]
-        if e0 == e1:
+        if lg.offsets[b0] == lg.offsets[b1]:
             continue
         raw, _ = counts.rows(b0, b1)
         cur = parts[b0:b1]
-        k_cur = raw[np.arange(B), cur]
+        k_cur = raw[np.arange(b1 - b0), cur]
         # a tie with the current part keeps it, so only rows whose current
         # count is below the maximum move, to their first maximum
-        movers = np.nonzero(k_cur < raw.max(axis=1))[0]
+        movers = np.flatnonzero(k_cur < raw.max(axis=1))
         if not len(movers):
             continue
         dest = raw[movers].argmax(axis=1)
-        rows: list[int] = []
-        leaving: list[int] = []
-        dests: list[int] = []
-        for r, x, w, kx, kw, dv in zip(
-            (b0 + movers).tolist(),
-            cur[movers].tolist(),
-            dest.tolist(),
-            k_cur[movers].tolist(),
-            raw[movers, dest].tolist(),
-            owned_deg[b0 + movers].tolist(),
-        ):
-            if cap_v[w] + 1.0 > max_v:
-                continue
-            if edge_stage and (guard_e[w] + dv > max_e or guard_c[w] + dv > max_c):
-                continue
-            rows.append(r)
-            leaving.append(x)
-            dests.append(w)
-            c_v[x] -= 1
-            c_v[w] += 1
-            cap_v[x] -= nprocs
-            cap_v[w] += add_v
-            if edge_stage:
+        x_m = cur[movers]
+        kept: list[int] = []  # the movers that pass the caps
+        if edge_stage:
+            k_m = k_cur[movers]
+            for j, (x, w, kx, kw, dv) in enumerate(
+                zip(x_m.tolist(), dest.tolist(), k_m.tolist(), raw[movers, dest].tolist(), owned_deg[b0 + movers].tolist())
+            ):
+                if cap_v[w] + 1.0 > max_v or guard_e[w] + dv > max_e or guard_c[w] + dv > max_c:
+                    continue
+                kept.append(j)
+                cap_v[x] -= nprocs
+                cap_v[w] += add_v
                 ko = dv - kx - kw
                 guard_e[x] -= nprocs * kx
                 guard_e[w] += nprocs * kw
                 guard_c[x] += nprocs * (kx - kw - ko)
                 guard_c[w] += nprocs * (kx - kw + ko)
+        else:
+            for j, (x, w) in enumerate(zip(x_m.tolist(), dest.tolist())):
+                if cap_v[w] + 1.0 > max_v:
+                    continue
+                kept.append(j)
+                cap_v[x] -= nprocs
+                cap_v[w] += add_v
         # nothing in the chunk reads its labels after the counts are taken
-        if rows:
-            done = np.asarray(rows, dtype=np.int64)
-            new = np.asarray(dests, dtype=np.int64)
-            parts[done] = new
-            counts.note(done, np.asarray(leaving, dtype=np.int64), new)
-            moved.append(done)
-    return np.concatenate(moved)
+        if kept:
+            j = np.array(kept, dtype=np.int64)
+            rows = b0 + movers[j]
+            new = dest[j]
+            old = x_m[j]
+            parts[rows] = new
+            counts.note(rows, old, new)
+            moved.append(rows)
+            left.append(old)
+    rows = np.concatenate(moved)
+    _fold_moves(c_v, np.concatenate(left), parts[rows])
+    return rows
 
 
 def _place_isolated(
@@ -758,36 +817,40 @@ def _place_isolated(
     Every isolated vertex sees the same fills, so the destination ``k`` (the
     first open part with the largest fill) changes only after a move: a
     vertex in ``k`` stays, any other moves to ``k`` iff ``k``'s fill beats
-    its own part's (zero when the guard closes it).
+    its own part's (zero when the guard closes it).  The loop keeps the
+    guards, the fills, ``top`` and ``k``, and records each vertex's part.
     """
-    rows = np.nonzero(lg.degrees[: lg.num_owned] == 0)[0]
+    rows = np.flatnonzero(lg.degrees[: lg.num_owned] == 0)
     nprocs = float(lg.num_tasks)
     # the fill of every part the vertex guard admits, -1.0 for the others
     fill = [-1.0 if g + 1.0 > max_v else _weight(mean_size, g) for g in guard_v]
     top = max(fill)
     k = fill.index(top)
-    moved: list[int] = []
-    dests: list[int] = []
-    for v, x in zip(rows.tolist(), parts[rows].tolist()):
-        if x == k or not top > (0.0 if 0.0 > fill[x] else fill[x]):
+    old = parts[rows]
+    dests: list[int] = []  # each vertex's part after its turn
+    for x in old.tolist():
+        # a vertex in k stays: its own fill is top
+        f = fill[x]
+        if not top > (0.0 if 0.0 > f else f):
+            dests.append(x)
             continue
-        moved.append(v)
         dests.append(k)
-        c_v[x] -= 1
-        c_v[k] += 1
-        guard_v[x] -= nprocs
-        guard_v[k] += nprocs
         # rescore the two touched parts: _weight inlined, same operations
-        for i in (x, k):
-            g = guard_v[i]
-            f = mean_size / (1.0 if 1.0 > g else g) - 1.0
-            fill[i] = -1.0 if g + 1.0 > max_v else (0.0 if 0.0 > f else f)
+        g = guard_v[x] = guard_v[x] - nprocs
+        f = mean_size / (1.0 if 1.0 > g else g) - 1.0
+        fill[x] = -1.0 if g + 1.0 > max_v else (0.0 if 0.0 > f else f)
+        g = guard_v[k] = guard_v[k] + nprocs
+        f = mean_size / (1.0 if 1.0 > g else g) - 1.0
+        fill[k] = -1.0 if g + 1.0 > max_v else (0.0 if 0.0 > f else f)
         top = max(fill)
         k = fill.index(top)
     # the loop never reads a label, so they are written once; a degree-zero
     # row is in no adjacency, so no neighbor count changes
-    rows = np.asarray(moved, dtype=np.int64)
-    parts[rows] = dests
+    new = np.array(dests, dtype=np.int64)
+    changed = new != old
+    rows, old, new = rows[changed], old[changed], new[changed]
+    parts[rows] = new
+    _fold_moves(c_v, old, new)
     return rows
 
 
@@ -795,13 +858,20 @@ def _place_isolated(
 # phase driver
 
 
-def _run_phase(runtime, local_graphs, state, ledger, cfg, iters, phase, observer, closing_round=True):
+def _run_phase(runtime, local_graphs, state, ledger, cfg, iters, phase, observer, closing_round=True, counts=None):
+    """Run ``iters`` supersteps of ``phase``.  ``counts`` are the tasks' kept
+    neighbor counts, exact for the current labels; without them, the phase
+    builds its own."""
     p = state.num_parts
     T = runtime.num_tasks
     balance = phase in (PHASE_VERT_BALANCE, PHASE_EDGE_BALANCE)
     edge_stage = phase in (PHASE_EDGE_BALANCE, PHASE_EDGE_REFINE)
     exact_caps = edge_stage or closing_round
-    counts = [NeighborCounts(lg, parts, p, balance) for lg, parts in zip(local_graphs, state.parts)]
+    if counts is None:
+        counts = [NeighborCounts(lg, parts, p, balance) for lg, parts in zip(local_graphs, state.parts)]
+    else:
+        for c in counts:
+            c.track_degree_sums(balance)
 
     for it in range(iters):
         # caps: balance phases track the current max each iteration; refine
@@ -868,20 +938,20 @@ def _run_phase(runtime, local_graphs, state, ledger, cfg, iters, phase, observer
             observer(SuperstepEvent(phase, it, runtime.superstep, local_graphs, state, ledger, pairs_sent))
 
 
-def vert_balance(runtime, local_graphs, state, ledger, cfg, iters=None, observer=None):
-    _run_phase(runtime, local_graphs, state, ledger, cfg, iters or cfg.balance_iters, PHASE_VERT_BALANCE, observer)
+def vert_balance(runtime, local_graphs, state, ledger, cfg, iters=None, observer=None, counts=None):
+    _run_phase(runtime, local_graphs, state, ledger, cfg, iters or cfg.balance_iters, PHASE_VERT_BALANCE, observer, counts=counts)
 
 
-def vert_refine(runtime, local_graphs, state, ledger, cfg, iters=None, observer=None, closing_round=True):
-    _run_phase(runtime, local_graphs, state, ledger, cfg, iters or cfg.refine_iters, PHASE_VERT_REFINE, observer, closing_round)
+def vert_refine(runtime, local_graphs, state, ledger, cfg, iters=None, observer=None, closing_round=True, counts=None):
+    _run_phase(runtime, local_graphs, state, ledger, cfg, iters or cfg.refine_iters, PHASE_VERT_REFINE, observer, closing_round, counts)
 
 
-def edge_balance(runtime, local_graphs, state, ledger, cfg, iters=None, observer=None):
-    _run_phase(runtime, local_graphs, state, ledger, cfg, iters or cfg.balance_iters, PHASE_EDGE_BALANCE, observer)
+def edge_balance(runtime, local_graphs, state, ledger, cfg, iters=None, observer=None, counts=None):
+    _run_phase(runtime, local_graphs, state, ledger, cfg, iters or cfg.balance_iters, PHASE_EDGE_BALANCE, observer, counts=counts)
 
 
-def edge_refine(runtime, local_graphs, state, ledger, cfg, iters=None, observer=None):
-    _run_phase(runtime, local_graphs, state, ledger, cfg, iters or cfg.refine_iters, PHASE_EDGE_REFINE, observer)
+def edge_refine(runtime, local_graphs, state, ledger, cfg, iters=None, observer=None, counts=None):
+    _run_phase(runtime, local_graphs, state, ledger, cfg, iters or cfg.refine_iters, PHASE_EDGE_REFINE, observer, counts=counts)
 
 
 def xtrapulp(
@@ -901,12 +971,14 @@ def xtrapulp(
     state = make_state(local_graphs, cfg.num_parts)
     init_parts(runtime, local_graphs, state, cfg, observer)
     ledger = make_ledger(local_graphs, state, cfg)
+    # every phase keeps these counts exact, so they are built once for the job
+    counts = [NeighborCounts(lg, parts, cfg.num_parts) for lg, parts in zip(local_graphs, state.parts)]
     for outer in range(cfg.outer_iters):
-        vert_balance(runtime, local_graphs, state, ledger, cfg, observer=observer)
+        vert_balance(runtime, local_graphs, state, ledger, cfg, observer=observer, counts=counts)
         vert_refine(runtime, local_graphs, state, ledger, cfg, observer=observer,
-                    closing_round=outer == cfg.outer_iters - 1)
+                    closing_round=outer == cfg.outer_iters - 1, counts=counts)
     ledger.iter_tot = 0
     for _ in range(cfg.outer_iters):
-        edge_balance(runtime, local_graphs, state, ledger, cfg, observer=observer)
-        edge_refine(runtime, local_graphs, state, ledger, cfg, observer=observer)
+        edge_balance(runtime, local_graphs, state, ledger, cfg, observer=observer, counts=counts)
+        edge_refine(runtime, local_graphs, state, ledger, cfg, observer=observer, counts=counts)
     return state

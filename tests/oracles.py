@@ -363,3 +363,35 @@ def sweep_balance_dense(lg, parts, chunk, ledger, mult, c_v, guard_v, max_v, sco
         changed = np.nonzero(parts[b0:b1] != old_rows)[0]
         counts.note(b0 + changed, old_rows[changed], parts[b0 + changed])
     return np.asarray(moved, dtype=np.int64)
+
+
+def place_isolated(lg, parts, c_v, guard_v, max_v, mean_size):
+    """``partition._place_isolated`` as it was before its bookkeeping left the
+    loop: the moved rows, labels, ``c_v`` and guards updated move by move.
+    Same arguments, results and side effects."""
+    rows = np.nonzero(lg.degrees[: lg.num_owned] == 0)[0]
+    nprocs = float(lg.num_tasks)
+    # the fill of every part the vertex guard admits, -1.0 for the others
+    fill = [-1.0 if g + 1.0 > max_v else max(mean_size / max(g, 1.0) - 1.0, 0.0) for g in guard_v]
+    top = max(fill)
+    k = fill.index(top)
+    moved = []
+    dests = []
+    for v, x in zip(rows.tolist(), parts[rows].tolist()):
+        if x == k or not top > (0.0 if 0.0 > fill[x] else fill[x]):
+            continue
+        moved.append(v)
+        dests.append(k)
+        c_v[x] -= 1
+        c_v[k] += 1
+        guard_v[x] -= nprocs
+        guard_v[k] += nprocs
+        for i in (x, k):
+            g = guard_v[i]
+            f = mean_size / (1.0 if 1.0 > g else g) - 1.0
+            fill[i] = -1.0 if g + 1.0 > max_v else (0.0 if 0.0 > f else f)
+        top = max(fill)
+        k = fill.index(top)
+    rows = np.asarray(moved, dtype=np.int64)
+    parts[rows] = dests
+    return rows

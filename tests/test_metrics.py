@@ -199,12 +199,24 @@ def bfs_steps(monkeypatch):
     return steps
 
 
-def _assert_bfs_matches_oracle(pairs, n, starts):
+def _start_component(g, pairs, n, start):
+    """``_bfs_levels``' ``component`` argument for ``start``: the vertices with
+    an edge in its component (from the oracle's labels) and their degree sum."""
+    labels = np.asarray(oracles.connected_components(pairs, n))
+    members = np.flatnonzero(labels == labels[start])
+    degrees = g.degrees[members]
+    return members[degrees > 0], int(degrees.sum())
+
+
+def _assert_bfs_matches_oracle(pairs, n, starts, restrict=False):
+    """Distances from each start equal the oracle's; with ``restrict``, the
+    search is given the start's component."""
     g = build_csr(pairs, n)
     adj = oracles.adjacency(pairs, n)
     for start in starts:
         want = oracles.bfs_distances(adj, start)
-        assert _bfs_levels(g, start).tolist() == [want.get(v, -1) for v in range(n)], start
+        component = _start_component(g, pairs, n, start) if restrict else None
+        assert _bfs_levels(g, start, component).tolist() == [want.get(v, -1) for v in range(n)], start
 
 
 def test_bfs_levels_match_the_oracle_in_both_directions(bfs_steps):
@@ -241,13 +253,50 @@ def test_bfs_levels_from_an_isolated_vertex_expand_nothing(bfs_steps):
 
 
 def test_bfs_levels_from_the_smaller_component_leave_the_other_unreached(bfs_steps):
-    """A 7-vertex star and an 8-vertex path: from a leaf, the levels of the
-    centre and of the other leaves go bottom-up and scan the path's vertices
-    too, since the path's edges count among those left to visit."""
+    """A 7-vertex star and an 8-vertex path, searched from a leaf.  Given the
+    star's component, the centre's level goes bottom-up over the star's
+    leaves alone, and the search stops once they are reached.  Without it,
+    the path's edges count among those left to visit, so the leaves' level
+    goes bottom-up too and scans the path's vertices for nothing."""
     pairs = [(0, leaf) for leaf in range(1, 7)] + [(v, v + 1) for v in range(7, 14)]
+    _assert_bfs_matches_oracle(pairs, 15, [3], restrict=True)
+    assert bfs_steps == [("top-down", 0), ("bottom-up", 1)]
+    bfs_steps.clear()
     _assert_bfs_matches_oracle(pairs, 15, [3])
     assert bfs_steps == [("top-down", 0), ("bottom-up", 1), ("bottom-up", 2)]
+    _assert_bfs_matches_oracle(pairs, 15, range(15), restrict=True)
     _assert_bfs_matches_oracle(pairs, 15, range(15))
+
+
+def test_bfs_levels_beside_a_component_with_most_edges(bfs_steps):
+    """A 7-vertex star beside a 6-clique that holds most of the edges.  From
+    a leaf, given the star's component, the centre's level goes bottom-up;
+    counting the clique's edges too, every level stays top-down and a last
+    one scans the leaves' rows for nothing."""
+    clique = [(7 + a, 7 + b) for a in range(6) for b in range(a + 1, 6)]
+    pairs = [(0, leaf) for leaf in range(1, 7)] + clique
+    _assert_bfs_matches_oracle(pairs, 13, [3], restrict=True)
+    assert bfs_steps == [("top-down", 0), ("bottom-up", 1)]
+    bfs_steps.clear()
+    _assert_bfs_matches_oracle(pairs, 13, [3])
+    assert bfs_steps == [("top-down", 0), ("top-down", 1), ("top-down", 2)]
+    _assert_bfs_matches_oracle(pairs, 13, range(13), restrict=True)
+
+
+def test_diameter_sweeps_ignore_the_other_components_edges(bfs_steps):
+    """``approx_diameter`` searches the largest component only, so a clique
+    beside it with more edges changes no level's direction: the sweeps of a
+    9-vertex path take the same steps with and without a 7-clique after it."""
+    path, n = path_pairs(9)
+    clique = [(n + a, n + b) for a in range(7) for b in range(a + 1, 7)]
+    assert len(clique) > len(path)
+    for seed in range(3):
+        assert approx_diameter(build_csr(path, n), seed=seed) == 8
+        alone = bfs_steps[:]
+        bfs_steps.clear()
+        assert approx_diameter(build_csr(path + clique, n + 7), seed=seed) == 8
+        assert bfs_steps == alone
+        bfs_steps.clear()
 
 
 def test_shuffled_long_path_is_one_component():

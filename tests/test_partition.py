@@ -884,3 +884,47 @@ def test_superstep_check_catches_an_unfolded_label_change(monkeypatch):
     monkeypatch.setattr(partition.NeighborCounts, "tally", tally_after_a_stray_write)
     with pytest.raises(ProtocolError, match="^vertex-refine iteration 0: folded vertex sizes disagree"):
         vert_refine(Runtime(T), locals_, state, ledger, cfg, iters=2)
+
+
+STAGE_ORDER = [("vertex-balance", vert_balance), ("vertex-refine", vert_refine), ("edge-balance", edge_balance), ("edge-refine", edge_refine)]
+
+
+@pytest.mark.parametrize("k", [0, 2], ids=["vertex-balance-then-vertex-refine", "edge-balance-then-edge-refine"])
+def test_a_count_corrupted_between_phases_is_caught_at_the_next_phase_exit(k):
+    """Counts carried across phases give the labels and ledger of counts
+    built per phase.  One own-part count corrupted after phase k, once its
+    exit check has passed, is carried into phase k + 1 and caught by the
+    recount at that phase's exit, which names it.  The phases start from a
+    partitioned graph, so the refine phases shift the counts and never
+    recount them, and the corrupted row is one that phase k + 1 leaves in
+    its part, so the count stays its own."""
+    n, p, T, iters = 300, 4, 3, 3
+    rng = np.random.default_rng(11)
+    locals_ = distribute(build_csr(random_pairs(rng, n, 1200), n), make_distribution(RANDOM_HASH, n, T, seed=1))
+    cfg = Config(num_parts=p, num_tasks=T, seed=0)
+    labels = xtrapulp(locals_, cfg).to_global(locals_, n)
+
+    def run(stages, carried, corrupt_row=None):
+        state = preset_multi(locals_, p, labels)
+        ledger = make_ledger(locals_, state, cfg)
+        counts = [partition.NeighborCounts(lg, parts, p) for lg, parts in zip(locals_, state.parts)] if carried else None
+        history = []
+        for i, (_, stage) in enumerate(stages):
+            stage(Runtime(T), locals_, state, ledger, cfg, iters=iters, counts=counts)
+            history.append(state.parts[0].copy())
+            if corrupt_row is not None and i == k:
+                counts[0].counts[corrupt_row * p + state.parts[0][corrupt_row]] += 1
+        return state, ledger, history
+
+    carried, carried_ledger, history = run(STAGE_ORDER, True)
+    built, built_ledger, _ = run(STAGE_ORDER, False)
+    assert [parts.tobytes() for parts in carried.parts] == [parts.tobytes() for parts in built.parts]
+    assert [c.tolist() for c in _global_counts(locals_, carried.parts, p)] == [
+        built_ledger.verts.tolist(), built_ledger.intra_edges.tolist(), built_ledger.cut_edges.tolist()
+    ] == [carried_ledger.verts.tolist(), carried_ledger.intra_edges.tolist(), carried_ledger.cut_edges.tolist()]
+
+    lg = locals_[0]
+    row = int(np.flatnonzero((history[k][: lg.num_owned] == history[k + 1][: lg.num_owned]) & (lg.degrees[: lg.num_owned] > 0))[0])
+    name = STAGE_ORDER[k + 1][0]
+    with pytest.raises(ProtocolError, match=f"^{name}: the ledger disagrees with the recount at phase exit"):
+        run(STAGE_ORDER[: k + 2], True, corrupt_row=row)

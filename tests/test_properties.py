@@ -8,11 +8,23 @@ from hypothesis import strategies as st
 
 import oracles
 from lppart import partition
-from lppart.bsp import apply_updates, exchange_updates
+from lppart.bsp import Runtime, apply_updates, exchange_updates
 from lppart.graph import BLOCK, RANDOM_HASH, build_csr, distribute, make_distribution
 from lppart.io import relabel_pairs
 from lppart.metrics import QualityReport, _bfs_levels, build_report, connected_components, part_counts, per_task_counts
-from lppart.partition import Config, NeighborCounts, _global_counts, _sweep_balance, make_ledger, make_state
+from lppart.partition import (
+    Config,
+    NeighborCounts,
+    _global_counts,
+    _place_isolated,
+    _sweep_balance,
+    edge_balance,
+    edge_refine,
+    make_ledger,
+    make_state,
+    vert_balance,
+    vert_refine,
+)
 
 PROPERTY_SETTINGS = settings(deadline=None, max_examples=60)
 
@@ -206,6 +218,45 @@ def test_balance_sweep_matches_dense_oracle(case):
             assert results[0] == results[1], chunk
 
 
+@st.composite
+def water_fills(draw, num_tasks):
+    """One task of a sparse graph over ``num_tasks`` tasks, most of its rows
+    isolated, with the inputs of one water-fill: labels, start deltas,
+    guards on a few whole values (so fills tie, at zero too, where a guard
+    reaches the mean), and a cap that may close any part."""
+    n = draw(st.integers(num_tasks, 3 * num_tasks + 8))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=n // 2))
+    kind = draw(st.sampled_from([BLOCK, RANDOM_HASH]))
+    local_graphs = distribute(build_csr(pairs, n), make_distribution(kind, n, num_tasks, seed=draw(st.integers(0, 9))))
+    lg = local_graphs[draw(st.integers(0, num_tasks - 1))]
+    p = draw(st.integers(1, 6))
+    parts = np.asarray(draw(st.lists(st.integers(0, p - 1), min_size=lg.num_slots, max_size=lg.num_slots)), dtype=np.int64)
+    c_v = draw(st.lists(st.integers(-3, 3), min_size=p, max_size=p))
+    guard_v = [float(g) for g in draw(st.lists(st.integers(-2 * num_tasks, 12), min_size=p, max_size=p))]
+    mean_size = draw(st.sampled_from([1.0, 2.5, 4.0, 6.0, 8.0]))
+    max_v = draw(st.sampled_from([0.0, 3.0, 6.5, 9.0, 13.0, 1e9]))
+    return lg, parts, c_v, guard_v, max_v, mean_size
+
+
+@pytest.mark.parametrize("num_tasks", [2, 4, 16])
+@settings(deadline=None, max_examples=80)
+@given(data=st.data())
+def test_water_fill_matches_the_move_by_move_loop(num_tasks, data):
+    """The water-fill moves the same rows, in the same order, to the same
+    parts, and leaves the same vertex deltas and guards, bit for bit, as the
+    loop that updated them move by move, at T >= 2 (guards charged
+    ``nprocs`` per move), with closed parts and fills tied at zero drawn."""
+    lg, parts, c_v, guard_v, max_v, mean_size = data.draw(water_fills(num_tasks))
+    results = []
+    for fill in (_place_isolated, oracles.place_isolated):
+        labels, deltas, guards = parts.copy(), list(c_v), list(guard_v)
+        moved = fill(lg, labels, deltas, guards, max_v, mean_size)
+        assert moved.dtype == np.int64
+        results.append((moved.tolist(), labels.tobytes(), deltas, np.asarray(guards).tobytes()))
+    assert results[0] == results[1]
+
+
 class RecordingCounts(NeighborCounts):
     """Kept counts that log which way each flush folded its changes in."""
 
@@ -297,6 +348,53 @@ def test_kept_counts_match_a_fresh_count(case, degree_sums, data):
     for _ in range(3):
         _upkeep_round(local_graphs, state, counts, data.draw(st.sampled_from([1, 3, 64, n + 1])), draw_moves)
         _assert_counts_are_fresh(local_graphs, state, counts, p)
+
+
+class EntryCheckedCounts(NeighborCounts):
+    """Kept counts that check themselves against a fresh count whenever a
+    phase sets their degree sums, which it does on entry."""
+
+    def __init__(self, *args):
+        self.entries = []  # each entry's degree-sums setting
+        super().__init__(*args)
+
+    def track_degree_sums(self, on):
+        super().track_degree_sums(on)
+        self.entries.append(on)
+        fresh, sums = oracles.neighbor_counts(self.lg, self.parts, self.num_parts)
+        assert self.counts.tobytes() == fresh.astype(self.counts.dtype).tobytes()
+        if on:
+            assert self.sums.dtype == np.float64 and self.sums.tobytes() == sums.astype(np.float64).tobytes()
+        else:
+            assert self.sums is None
+
+
+STAGES = {"vertex-balance": vert_balance, "vertex-refine": vert_refine, "edge-balance": edge_balance, "edge-refine": edge_refine}
+
+
+@PROPERTY_SETTINGS
+@given(labelled_task_graphs(), st.lists(st.sampled_from(sorted(STAGES)), min_size=1, max_size=5), st.integers(1, 3))
+def test_counts_carried_across_phases_stay_exact(case, phases, iters):
+    """Phases run back to back on one set of kept counts, as ``xtrapulp``
+    runs them: at every phase entry the counts, and in balance phases the
+    degree sums, equal a fresh count of the labels, and the labels and
+    ledger at the end equal those of the same phases each building its own
+    counts."""
+    n, local_graphs, state = case
+    p, T = state.num_parts, len(local_graphs)
+    cfg = Config(num_parts=p, num_tasks=T)
+    fresh_state = make_state(local_graphs, p)
+    for parts, fresh in zip(state.parts, fresh_state.parts):
+        fresh[:] = parts
+    ledger, fresh_ledger = make_ledger(local_graphs, state, cfg), make_ledger(local_graphs, fresh_state, cfg)
+    counts = [EntryCheckedCounts(lg, parts, p) for lg, parts in zip(local_graphs, state.parts)]
+    for name in phases:
+        STAGES[name](Runtime(T), local_graphs, state, ledger, cfg, iters=iters, counts=counts)
+        STAGES[name](Runtime(T), local_graphs, fresh_state, fresh_ledger, cfg, iters=iters)
+    assert all(c.entries == [False] + [name.endswith("balance") for name in phases] for c in counts)
+    assert [parts.tobytes() for parts in state.parts] == [parts.tobytes() for parts in fresh_state.parts]
+    for field in ("verts", "intra_edges", "cut_edges"):
+        assert getattr(ledger, field).tolist() == getattr(fresh_ledger, field).tolist()
 
 
 @pytest.mark.parametrize("kind", [BLOCK, RANDOM_HASH])
