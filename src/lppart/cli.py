@@ -93,8 +93,6 @@ def _add_common_run_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--dist", choices=tuple(DIST_NAMES), default=_env_default("dist", "block", str), help="vertex-to-task distribution")
     sub.add_argument("--dedup", action="store_true", default=_env_default("dedup", False, bool), help="drop duplicate input edges")
     sub.add_argument("--strict", action="store_true", default=_env_default("strict", False, bool), help="exit 3 if the configured tolerances are violated")
-    # tasks always run one after another; the flag is accepted so old manifests still parse
-    sub.add_argument("--sequential", action="store_true", help=argparse.SUPPRESS)
     sub.add_argument("--trace", default=_env_default("trace", None, str), help="write per-superstep message counts as JSON lines to this file")
 
 

@@ -16,14 +16,22 @@ vertex count; it round-trips exactly and loads much faster than text.
 A partition file has exactly n lines; line i is the (ASCII decimal) part of
 dense vertex i.
 
-Both text readers read the file's bytes once and parse the whole text in one
-``np.loadtxt`` call, after one regular expression has cut the whole-line
-comments.  Whatever numpy refuses -- a malformed line, an id past int64, bad
-UTF-8, or a token that Python's ``int`` takes and numpy does not, such as
-``1_000`` -- is read again by a plain line loop, which returns the array or
-raises an ``InputError`` naming the file and line.  The fast path therefore
-never accepts a file the loop rejects, and never returns a different array.
-The writers format the whole array from one ``tolist()`` and write it once.
+The edge-list reader reads the file's bytes once and parses the whole text
+in one ``np.loadtxt`` call, after one regular expression has cut the
+whole-line comments.  The partition reader parses the bytes as a uint8 array:
+it accepts a file whose bytes are only digits, ``-``, ``\\n`` and ``\\r``, and
+whose every non-blank line is an optional ``-`` and 1-18 digits, and takes
+the values by Horner's rule over digit columns.  Whatever either fast path
+refuses -- a malformed line, an id past int64, bad UTF-8, blanks around a
+label, or a token that Python's ``int`` takes and the fast path does not,
+such as ``1_000`` -- is read again by a plain line loop, which returns the
+array or raises an ``InputError`` naming the file and line.  The fast paths
+therefore never accept a file the loop rejects, and never return a different
+array.
+
+The writers format integers as ASCII decimal with array arithmetic (digit
+counts, prefix-summed offsets, one pass per digit column), in blocks of at
+most ``_BLOCK`` values, and write through text-mode files.
 """
 
 from __future__ import annotations
@@ -43,6 +51,8 @@ from .graph import stable_order
 CACHE_FORMAT_VERSION = 1
 INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1  # vertex ids are stored as int64
 _COMMENT_LINE = re.compile(r"\n[^\S\n]*#[^\n]*")  # matched after a newline, so a leading literal keeps the scan fast
+_BLOCK = 1 << 16  # values the writers format at a time, so their temporaries stay bounded at any n
+_MAX_DIGITS = 18  # the byte parser's widest label: any 18 digits fit int64
 
 
 def _universal_newlines(text: str) -> str:
@@ -50,17 +60,16 @@ def _universal_newlines(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
-def _loadtxt_int64(data: bytes, usecols: tuple[int, ...] | None, cut_comments: bool) -> np.ndarray | None:
-    """The 2-D int64 table of the file's data lines in one numpy pass, or None
-    where numpy refuses the text or it has no data lines (the caller's loop
-    then decides).  ``usecols=None`` requires every line to have the same
-    number of fields."""
+def _loadtxt_int64(data: bytes) -> np.ndarray | None:
+    """The (m, 2) int64 table of the first two fields of the edge list's data
+    lines in one numpy pass, or None where numpy refuses the text or it has no
+    data lines (the caller's loop then decides)."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError:
         return None
     text = _universal_newlines(text)
-    if cut_comments and "#" in text:
+    if "#" in text:
         text = _COMMENT_LINE.sub("\n", "\n" + text)
     if not text or text.isspace():
         return None
@@ -69,7 +78,7 @@ def _loadtxt_int64(data: bytes, usecols: tuple[int, ...] | None, cut_comments: b
         # the text more loosely than ``int`` would, so it refuses the file like an error does
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return np.loadtxt(StringIO(text), dtype=np.int64, comments=None, usecols=usecols, ndmin=2)
+            return np.loadtxt(StringIO(text), dtype=np.int64, comments=None, usecols=(0, 1), ndmin=2)
     except (ValueError, Warning):
         return None
 
@@ -87,7 +96,7 @@ def _text_lines(path: str | Path, data: bytes) -> list[str]:
 def read_edge_list(path: str | Path) -> np.ndarray:
     """Parse (u, v) pairs from text; raises ``InputError`` naming a bad line."""
     data = Path(path).read_bytes()
-    table = _loadtxt_int64(data, usecols=(0, 1), cut_comments=True)
+    table = _loadtxt_int64(data)
     return table if table is not None else _read_edge_list_loop(path, data)
 
 
@@ -120,14 +129,62 @@ def _read_edge_list_loop(path: str | Path, data: bytes) -> np.ndarray:
     raise InputError(f"{path}:{linenos[k]}: vertex id outside the signed 64-bit range in '{pairs[k][0]} {pairs[k][1]}'")
 
 
+def _decimal_text(values: np.ndarray, ends: str) -> str:
+    """Each int64 of the 2-D ``values``, row by row, in ASCII decimal followed
+    by its column's terminator ``ends[j]``.
+
+    Magnitudes are read in uint64 (``np.abs`` leaves ``INT64_MIN`` as is, and
+    its uint64 view is 2**63, so it needs no special path), then in the
+    narrowest unsigned type that holds the largest.  The digit counts give
+    each value's slot by a prefix sum.  Each pass writes one digit column,
+    widest first, at every value's slot; where a value is narrower than the
+    column the byte lands left of its first digit, on a slot that a later
+    pass, or the terminators and signs written last, overwrite.  The first
+    value's such bytes land in ``pad`` leading bytes that are cut off.
+    """
+    if not values.size:
+        return ""
+    values = values.ravel()
+    neg = values < 0
+    mag = np.abs(values).view(np.uint64)
+    mag = mag.astype(np.min_scalar_type(mag.max()), copy=False)
+    width = len(str(mag.max()))
+    digits = np.ones(len(mag), dtype=np.uint8)
+    for power in range(1, width):
+        digits += mag >= 10**power
+    pad = width - 1
+    pos = np.cumsum(digits + neg + np.uint8(1), dtype=np.intp)  # one past each terminator, not counting the pad
+    out = np.empty(int(pos[-1]) + pad, dtype=np.uint8)
+    pos -= 2  # each value's widest-column slot: its terminator's, pos - 1 + pad, less width
+    upper = 0
+    for col in range(width - 1, -1, -1):
+        shifted = mag // 10**col if col else mag  # numpy divides by a constant fast; its % is several times slower
+        out[pos] = shifted - upper * 10 + ord("0")
+        upper = shifted
+        pos += 1
+    for j, end in enumerate(ends.encode("ascii")):
+        out[pos[j :: len(ends)]] = end
+    if neg.any():
+        out[(pos - digits - 1)[neg]] = ord("-")
+    return out[pad:].tobytes().decode("ascii")
+
+
+def _decimal_blocks(values: np.ndarray, ends: str):
+    """``_decimal_text`` of ``values`` (``len(ends)`` per line) in blocks of at most ``_BLOCK`` values."""
+    values = np.asarray(values, dtype=np.int64).reshape(-1, len(ends))
+    rows = max(1, _BLOCK // len(ends))
+    for lo in range(0, len(values), rows):
+        yield _decimal_text(values[lo : lo + rows], ends)
+
+
 def edge_list_text(pairs: np.ndarray) -> str:
     """The edge-list text of ``pairs``: one ``u v`` line per pair."""
-    return "".join(map("{} {}\n".format, *np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T.tolist()))
+    return "".join(_decimal_blocks(pairs, " \n"))
 
 
 def write_edge_list(path: str | Path, pairs: np.ndarray) -> None:
     with open(path, "w") as fh:
-        fh.write(edge_list_text(pairs))
+        fh.writelines(_decimal_blocks(pairs, " \n"))
 
 
 def relabel_pairs(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -210,17 +267,53 @@ def dedup_pairs(pairs: np.ndarray) -> np.ndarray:
 
 
 def write_parts(path: str | Path, parts: np.ndarray) -> None:
+    """One label per line; an empty partition is one empty line."""
+    parts = np.asarray(parts, dtype=np.int64)
     with open(path, "w") as fh:
-        fh.write("\n".join(map(str, np.asarray(parts, dtype=np.int64).tolist())) + "\n")
+        fh.writelines(_decimal_blocks(parts, "\n"))
+        if not parts.size:
+            fh.write("\n")
 
 
 def read_parts(path: str | Path) -> np.ndarray:
     """One int64 part label per non-blank line; raises ``InputError`` naming a bad line."""
     data = Path(path).read_bytes()
-    table = _loadtxt_int64(data, usecols=None, cut_comments=False)
-    if table is not None and table.shape[1] == 1:
-        return table.ravel()
-    return _read_parts_loop(path, data)
+    parts = _parse_parts(data)
+    return parts if parts is not None else _read_parts_loop(path, data)
+
+
+def _parse_parts(data: bytes) -> np.ndarray | None:
+    """The labels of a file whose lines, split at every ``\\n`` and ``\\r`` with
+    the empty ones dropped, are each an optional ``-`` and 1-18 ASCII digits;
+    None for any other file."""
+    b = np.frombuffer(data, dtype=np.uint8)
+    digit = b - ord("0")  # wraps, so only '0'..'9' fall below 10
+    is_digit = digit < 10
+    minus = b == ord("-")
+    signs = np.count_nonzero(minus)
+    newlines = np.count_nonzero(b == ord("\n")) + np.count_nonzero(b == ord("\r"))
+    if np.count_nonzero(is_digit) + signs + newlines != len(b):
+        return None
+    text = np.zeros(len(b) + 2, dtype=bool)
+    np.logical_or(is_digit, minus, out=text[1:-1])
+    bounds = np.flatnonzero(text[1:] != text[:-1])  # each line's first byte, then one past its last
+    start, stop = bounds[0::2], bounds[1::2]
+    neg = minus[start]
+    width = np.subtract(stop, start, out=start)  # in place: the per-line arrays are the largest here
+    width -= neg
+    if signs != np.count_nonzero(neg) or (len(width) and not 1 <= width.min() <= width.max() <= _MAX_DIGITS):
+        return None  # a '-' past a line's first byte, or a line of no digits or too many
+    values = np.zeros(len(width), dtype=np.int64)
+    top = int(width.max(initial=0))
+    # right-aligned columns; left of a short label they read bytes the mask drops (a negative
+    # index wraps, and stays in range because some line has ``top`` digits)
+    at = np.subtract(stop, top, out=stop)
+    for col in range(top - 1, -1, -1):
+        values *= 10
+        values += digit[at] * (width > col)
+        at += 1
+    np.negative(values, out=values, where=neg)
+    return values
 
 
 def _read_parts_loop(path: str | Path, data: bytes) -> np.ndarray:
@@ -247,4 +340,4 @@ def _read_parts_loop(path: str | Path, data: bytes) -> np.ndarray:
 def write_id_map(path: str | Path, id_map: np.ndarray) -> None:
     """Original id of each dense vertex, one per line."""
     with open(path, "w") as fh:
-        fh.write("".join(map("{}\n".format, np.asarray(id_map, dtype=np.int64).tolist())))
+        fh.writelines(_decimal_blocks(id_map, "\n"))

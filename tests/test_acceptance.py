@@ -193,7 +193,7 @@ def test_criterion_06_multiplier_endpoints():
 
 
 def test_criterion_07_determinism(tmp_path):
-    """Byte-identical partition files across 3 repeated sequential runs."""
+    """Byte-identical partition files across 3 repeated runs."""
     instances = []
     pairs, n = grid_pairs(32)
     grid_file = tmp_path / "grid32.txt"
@@ -214,7 +214,7 @@ def test_criterion_07_determinism(tmp_path):
         for rep in range(3):
             out = tmp_path / f"{path.stem}-{rep}.parts"
             code = cli_main(["partition", "-i", str(path), "-p", "4", "-T", "2",
-                             "--seed", "11", "--sequential", "-o", str(out)])
+                             "--seed", "11", "-o", str(out)])
             assert code == 0
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1] == blobs[2], path

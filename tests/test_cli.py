@@ -295,13 +295,12 @@ def test_trace_flag_writes_json_lines(grid_file, tmp_path):
         assert rec["pairs_sent"] == sum(rec["per_task_sent"]) and len(rec["per_task_sent"]) == 2
 
 
-def test_sequential_flag_reproduces(grid_file, tmp_path):
+def test_sequential_flag_is_refused(grid_file, tmp_path, capsys):
     path, n = grid_file
-    a = tmp_path / "s.parts"
-    b = tmp_path / "t.parts"
-    assert run_cli("partition", "-i", path, "-p", 4, "-T", 2, "--seed", 5, "--sequential", "-o", a) == 0
-    assert run_cli("partition", "-i", path, "-p", 4, "-T", 2, "--seed", 5, "-o", b) == 0
-    assert a.read_bytes() == b.read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        run_cli("partition", "-i", path, "-p", 4, "-T", 2, "--seed", 5, "--sequential", "-o", tmp_path / "s.parts")
+    assert exc.value.code == 2
+    assert "--sequential" in capsys.readouterr().err
 
 
 def test_default_task_count_is_one(grid_file, tmp_path):

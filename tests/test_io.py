@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -104,17 +105,23 @@ def _outcome(read, path):
 
 TEXT_CHARS = list("019-+_#.xé") + [" ", "\t", "\r", "\n", "\x0c"]
 TOKENS = ["0", "1", "-9", "+1", "007", "1_0", "#", "x", "1.0", "é", "١", "9223372036854775807",
-          "9223372036854775808", "-9223372036854775808", "-9223372036854775809"]
+          "9223372036854775808", "-9223372036854775808", "-9223372036854775809",
+          # at the partition byte parser's edges: a signed zero, lone and misplaced signs, 18 and 19 digits
+          "-0", "-", "--1", "1-", "-999999999999999999", "1000000000000000000"]
+line_ends = st.sampled_from(["\n", "\r\n", "\r"])
 texts = st.one_of(
     st.text(alphabet=TEXT_CHARS, max_size=60),
-    # lines of whole tokens, so that valid files and out-of-range ids come up often
-    st.lists(
-        st.tuples(st.sampled_from(["", " ", "\x0c", "#"]),
-                  st.lists(st.sampled_from(TOKENS), max_size=4),
-                  st.sampled_from([" ", "\t", " \t"]),
-                  st.sampled_from(["\n", "\r\n", "\r"])),
-        max_size=8,
-    ).map(lambda lines: "".join(lead + sep.join(tokens) + end for lead, tokens, sep, end in lines)),
+    # lines of whole tokens, so that valid files and out-of-range ids come up often, and lines of
+    # at most one token, as in a partition file; each with or without a final newline
+    st.tuples(
+        st.one_of(
+            st.lists(st.tuples(st.sampled_from(["", " ", "\x0c", "#"]), st.lists(st.sampled_from(TOKENS), max_size=4),
+                               st.sampled_from([" ", "\t", " \t"]), line_ends), max_size=8),
+            st.lists(st.tuples(st.just(""), st.lists(st.sampled_from(TOKENS), max_size=1), st.just(""), line_ends),
+                     max_size=8),
+        ).map(lambda lines: "".join(lead + sep.join(tokens) + end for lead, tokens, sep, end in lines)),
+        st.booleans(),
+    ).map(lambda drawn: drawn[0] if drawn[1] else drawn[0].rstrip("\r\n")),
 )
 
 
@@ -182,20 +189,44 @@ def test_empty_and_comment_only_files_have_no_edges(tmp_path):
             io.load_pairs(path)
 
 
-int64s = st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from([-(2**63), 2**63 - 1, 0, -1]))
+def of_width(width):
+    """Integers of ``width`` decimal digits, of either sign, within int64."""
+    magnitudes = st.integers(10 ** (width - 1) if width > 1 else 0, min(10**width - 1, 2**63 - 1))
+    return st.tuples(magnitudes, st.booleans()).map(lambda drawn: -drawn[0] if drawn[1] else drawn[0])
+
+
+int64s = st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from([-(2**63), 2**63 - 1, 0, -1]),
+                   st.integers(1, 19).flatmap(of_width))
 
 
 @settings(deadline=None, max_examples=100)
-@given(st.lists(int64s, max_size=40))
-def test_writers_match_the_line_loop(tmp_path_factory, values):
+@given(st.lists(int64s, max_size=40), st.sampled_from([1, 2, 3, 5, io._BLOCK]))
+def test_writers_match_the_line_loop(tmp_path_factory, values, block):
     d = tmp_path_factory.mktemp("written")
     arr = np.array(values, dtype=np.int64)
     pairs = arr[: len(arr) // 2 * 2].reshape(-1, 2)
     oracles.write_edge_list(d / "old", pairs)
-    assert io.edge_list_text(pairs).encode() == (d / "old").read_bytes()
-    for write, oracle, data in ((io.write_edge_list, oracles.write_edge_list, pairs),
-                                (io.write_parts, oracles.write_parts, arr),
-                                (io.write_id_map, oracles.write_id_map, arr)):
-        write(d / "new", data)
-        oracle(d / "old", data)
-        assert (d / "new").read_bytes() == (d / "old").read_bytes()
+    with mock.patch.object(io, "_BLOCK", block):  # small blocks: most arrays span several
+        assert io.edge_list_text(pairs).encode() == (d / "old").read_bytes()
+        for write, oracle, data in ((io.write_edge_list, oracles.write_edge_list, pairs),
+                                    (io.write_parts, oracles.write_parts, arr),
+                                    (io.write_id_map, oracles.write_id_map, arr)):
+            write(d / "new", data)
+            oracle(d / "old", data)
+            assert (d / "new").read_bytes() == (d / "old").read_bytes()
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.one_of(st.integers(0, 255), st.integers(1, 18).flatmap(of_width)), max_size=40))
+def test_written_partitions_take_the_byte_parser(tmp_path_factory, labels):
+    """Labels of up to 18 digits, negatives and the empty partition included,
+    round-trip through ``write_parts`` and the byte parser alone."""
+    def refuse(*args):
+        raise AssertionError("read_parts left the byte parser")
+
+    path = tmp_path_factory.mktemp("parts") / "p.parts"
+    arr = np.array(labels, dtype=np.int64)
+    io.write_parts(path, arr)
+    with mock.patch.object(io, "_read_parts_loop", refuse), mock.patch.object(io, "_loadtxt_int64", refuse):
+        out = io.read_parts(path)
+    assert out.dtype == np.int64 and out.shape == arr.shape and np.array_equal(out, arr)
