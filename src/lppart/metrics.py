@@ -18,11 +18,15 @@ The whole-graph tallies and the components read each edge once from
 
 The diameter estimate runs its sweeps on the largest connected component.
 Components come from hook-and-shortcut union-find in O(log n) array rounds,
-labelled in order of each component's smallest vertex.  Each sweep is a
-direction-optimizing breadth-first search: a level expands top-down from the
-frontier, or bottom-up from the unvisited vertices once a constant times the
-frontier's edges exceeds the edges left to visit, so every level costs
-O(frontier edges) and every sweep O(n + m).
+labelled in order of each component's smallest vertex; the first round hooks
+every edge as it stands, since every vertex starts as its own root.  Each
+sweep is a direction-optimizing breadth-first search: a level expands
+top-down from the frontier, or bottom-up from the unvisited vertices once a
+constant times the frontier's edges exceeds the edges left to visit.  A
+bottom-up level reads each unvisited row in growing stages and stops at the
+first stage that meets the frontier, so it reads at most the unvisited
+vertices' edges; every level costs O(frontier edges) and every sweep
+O(n + m).
 """
 
 from __future__ import annotations
@@ -154,9 +158,20 @@ def edge_cut_distributed(local_graphs: Sequence[LocalGraph], parts_arrays: Seque
 # diameter estimation
 
 # A level goes bottom-up when this many times its frontier's edges exceed the
-# edges left to visit.  On rmat scale 16 and er 2^14 sweeps, 1-4 ran alike and
-# 8 or more ran 20-40% slower; randhd sweeps are top-down but for the last levels.
+# edges left to visit.  Re-measured with staged bottom-up levels, sweeps only,
+# the values alternated in one process (ratios of median times to 4's): on
+# rmat scale 16 (graph seed 5) 1 ran 1.65, 2 1.00, 8 1.11 and 16 1.67; with
+# graph seed 7 2 ran 1.03 and 8 1.06; rmat scale 14, er 2^14 and 2^16 and
+# randhd 2^15 ran 0.87-0.97 at 2 and 1.00-1.24 at 8.  Below 4 no graph gained
+# on rmat scale 16, where the diameter estimate is benchmarked.
 BOTTOM_UP_ALPHA = 4
+
+# A bottom-up level reads each unvisited row first 1 entry, then 2, then 8,
+# then the rest, and drops the row at the first stage that meets the frontier.
+# Over the ten sweeps on rmat scale 16 (graph seed 5), bottom-up levels visit
+# 357k rows, 312k of which find a parent: whole rows are 3.74M entries, these
+# stages read 0.65M, and a scan stopping at the exact entry would read 0.53M.
+BOTTOM_UP_STAGES = (1, 2, 8)
 
 
 def _bfs_levels(g: GlobalGraph, start: int, component: tuple[np.ndarray, int] | None = None) -> np.ndarray:
@@ -166,10 +181,10 @@ def _bfs_levels(g: GlobalGraph, start: int, component: tuple[np.ndarray, int] | 
     SC'12): top-down from the frontier, or bottom-up from the unvisited
     vertices that have an edge.  A level goes bottom-up only when
     ``BOTTOM_UP_ALPHA`` times the frontier's edges exceeds the edges of the
-    unvisited vertices, which that level scans, so either direction costs
-    O(frontier edges).  The list of unvisited vertices is built at the first
-    bottom-up level and shrunk only on bottom-up levels, so a sweep costs
-    O(n + m) however many levels the graph has.
+    unvisited vertices, which bound what that level scans, so either
+    direction costs O(frontier edges).  The list of unvisited vertices is
+    built at the first bottom-up level and shrunk only on bottom-up levels,
+    so a sweep costs O(n + m) however many levels the graph has.
 
     ``component`` is ``(vertices, entries)``: the vertices with an edge in
     ``start``'s component, ascending, and the sum of their degrees.  Given
@@ -220,16 +235,43 @@ def _top_down(g: GlobalGraph, counts: np.ndarray, total: int, dist: np.ndarray, 
 
 def _bottom_up(g: GlobalGraph, counts: np.ndarray, total: int, dist: np.ndarray, unvisited: np.ndarray, level: int) -> np.ndarray:
     """The vertices of ``unvisited``, whose degrees are ``counts`` (none 0)
-    summing to ``total``, that have a neighbor at ``level``."""
-    entries, begins = _row_entries(g.offsets[unvisited], counts, total)
-    # no row is empty, so every segment reduced here is one row's whole neighbor list
-    return unvisited[np.logical_or.reduceat(dist[g.nbrs[entries]] == level, begins)]
+    summing to ``total``, that have a neighbor at ``level``, in the order of
+    ``unvisited``.
+
+    The rows are read in stages, ``BOTTOM_UP_STAGES`` entries each and then
+    the rest (Beamer, Asanović & Patterson's early exit, a stage at a time).
+    After each stage a row leaves the scan once it has met a neighbor at
+    ``level`` or has no entries left.  No entry is read twice and only a row
+    with no such neighbor is read to its end, so a level reads at most
+    ``total`` entries, and on rmat graphs about a sixth of them.
+    """
+    found = np.zeros(len(unvisited), dtype=bool)
+    rows = np.arange(len(unvisited), dtype=np.int64)  # positions in ``unvisited`` still scanning
+    starts, left = g.offsets[unvisited], counts
+    for width in BOTTOM_UP_STAGES + (total,):
+        take = np.minimum(left, width)
+        entries, begins = _row_entries(starts, take, int(take.sum()))
+        near = dist[g.nbrs[entries]] == level
+        # a stage of one entry per row needs no reduction
+        hit = near if len(entries) == len(rows) else np.logical_or.reduceat(near, begins)
+        # no row that reaches this stage was found before
+        found[rows] = hit
+        # the rows that go on have entries left, so no later segment is empty
+        going_on = np.flatnonzero((left > take) & ~hit)
+        if not len(going_on):
+            break
+        rows, starts, left = rows[going_on], starts[going_on] + take[going_on], left[going_on] - take[going_on]
+    return unvisited[found]
 
 
 def _row_entries(starts: np.ndarray, counts: np.ndarray, total: int) -> tuple[np.ndarray, np.ndarray]:
     """(indices into ``nbrs`` of the rows beginning at ``starts`` with
     ``counts`` entries summing to ``total``, concatenated; where each row
-    begins among them)."""
+    begins among them).  No row may be empty: every caller hands over rows
+    of vertices with an edge, or the unread part of one."""
+    if total == len(counts):
+        # with no row empty, each holds one entry
+        return starts, np.arange(total, dtype=np.int64)
     begins = np.cumsum(counts) - counts
     return np.repeat(starts - begins, counts) + np.arange(total, dtype=np.int64), begins
 
@@ -245,20 +287,27 @@ def connected_components(g: GlobalGraph) -> np.ndarray:
     vertex of its tree.  The roots that still have an edge to another tree
     at least halve every two rounds, so the number of rounds grows with
     log n, not with the diameter.
+
+    The first round needs no lookups: every vertex is still its own root and
+    ``edge_list`` holds each edge as ``u < v`` with no self-loops, so every
+    edge is live and hooks ``v`` under ``u``.
     """
     n = g.num_vertices
     u, v = g.edge_list
     parent = np.arange(n, dtype=np.int64)
-    while len(u):
-        ru, rv = parent[u], parent[v]
-        live = ru != rv
-        u, v, ru, rv = u[live], v[live], ru[live], rv[live]
-        np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
+    np.minimum.at(parent, v, u)
+    while True:
         while True:
             grand = parent[parent]
             if np.array_equal(grand, parent):
                 break
             parent = grand
+        ru, rv = parent[u], parent[v]
+        live = ru != rv
+        if not live.any():
+            break
+        u, v, ru, rv = u[live], v[live], ru[live], rv[live]
+        np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
     # roots ascend with their components' smallest vertices: number them by rank
     is_root = parent == np.arange(n, dtype=np.int64)
     return (np.cumsum(is_root) - 1)[parent]

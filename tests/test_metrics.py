@@ -299,6 +299,69 @@ def test_diameter_sweeps_ignore_the_other_components_edges(bfs_steps):
         bfs_steps.clear()
 
 
+@pytest.fixture
+def bottom_up_reads(monkeypatch):
+    """Every index into ``nbrs`` that ``_row_entries`` hands out, in order."""
+    reads = []
+    row_entries = metrics._row_entries
+
+    def record(starts, counts, total):
+        entries, begins = row_entries(starts, counts, total)
+        reads.extend(entries.tolist())
+        return entries, begins
+
+    monkeypatch.setattr(metrics, "_row_entries", record)
+    return reads
+
+
+def _bottom_up_level(g, unvisited, dist, level):
+    unvisited = np.asarray(unvisited, dtype=np.int64)
+    counts = g.degrees[unvisited]
+    return metrics._bottom_up(g, counts, int(counts.sum()), dist, unvisited, level).tolist()
+
+
+def test_bottom_up_stops_a_row_at_its_first_frontier_entry(bottom_up_reads):
+    """Ten unvisited vertices of 1-25 entries each (repeats included) whose
+    first neighbor is on the frontier: the level reads one entry per row."""
+    r = np.random.default_rng(3)
+    left, right = 10, 20
+    pairs = [(u, left + int(w)) for u in range(left) for w in r.integers(0, right, size=r.integers(1, 26))]
+    g = build_csr(pairs, left + right)
+    level = 2
+    dist = np.full(left + right, -1, dtype=np.int64)
+    dist[left:] = r.integers(0, level, size=right)  # no other neighbor is on the frontier
+    dist[g.nbrs[g.offsets[:left]]] = level
+    assert _bottom_up_level(g, range(left), dist, level) == list(range(left))
+    assert sorted(bottom_up_reads) == g.offsets[:left].tolist()
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 10, 11, 12, 25])
+def test_bottom_up_reads_a_row_without_a_parent_once_in_full(bottom_up_reads, degree):
+    """A hub of ``degree`` entries with no neighbor on the frontier, beside
+    rows that find one in each stage: every hub entry is read exactly once
+    and no entry is read twice."""
+    hub, leaves = 0, list(range(1, 1 + min(degree, 5)))
+    pairs = [(hub, 1 + i % 5) for i in range(degree)]
+    # vertices 6-10 meet the frontier (vertex 11) at their 1st, 2nd, 4th, 12th
+    # and 20th entry, 10 entries before their row ends
+    seekers = [6, 7, 8, 9, 10]
+    for seeker, at in zip(seekers, [1, 2, 4, 12, 20]):
+        pairs += [(seeker, 12)] * (at - 1) + [(seeker, 11)] + [(seeker, 12)] * 10
+    g = build_csr(pairs, 13)
+    dist = np.full(13, -1, dtype=np.int64)
+    dist[[11, 12]] = [1, 0]
+    assert _bottom_up_level(g, [hub, *leaves, *seekers], dist, 1) == seekers
+    assert len(bottom_up_reads) == len(set(bottom_up_reads))
+    hub_row = range(g.offsets[hub], g.offsets[hub + 1])
+    assert sorted(e for e in bottom_up_reads if e in hub_row) == list(hub_row)
+    # the leaves' rows hold only the hub, so they are read in full too
+    assert sum(1 for e in bottom_up_reads if g.offsets[1] <= e < g.offsets[6]) == degree
+    # a seeker reads the stages of 1, 2 and 8 entries up to the one holding its
+    # frontier entry, or, past them, its whole row
+    assert metrics.BOTTOM_UP_STAGES == (1, 2, 8)
+    assert [sum(1 for e in bottom_up_reads if g.offsets[v] <= e < g.offsets[v + 1]) for v in seekers] == [1, 3, 11, 22, 30]
+
+
 def test_shuffled_long_path_is_one_component():
     n = 1 << 15
     ids = np.random.default_rng(7).permutation(n)

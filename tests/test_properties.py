@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from lppart import partition
+from lppart import metrics, partition
 from lppart.bsp import Runtime, apply_updates, exchange_updates
 from lppart.graph import BLOCK, RANDOM_HASH, build_csr, distribute, make_distribution
 from lppart.io import relabel_pairs
@@ -157,10 +157,46 @@ def test_send_plan_names_every_ghosting_task(case, num_tasks, kind, seed):
         assert sorted(slots) == list(range(lg.num_owned, lg.num_slots))
 
 
+@st.composite
+def hub_graphs(draw):
+    """(pairs, n): 1-3 hubs, each with 1-20 edges to 1-6 leaves, so repeats are
+    common and hub rows end inside and past every stage of a bottom-up scan
+    (``BOTTOM_UP_STAGES``), plus up to 10 pairs over all the vertices (loops
+    included) and 0-2 vertices no edge touches."""
+    hubs = draw(st.integers(1, 3))
+    touched = hubs + draw(st.integers(1, 6))
+    n = touched + draw(st.integers(0, 2))
+    leaf = st.integers(hubs, touched - 1)
+    pairs = [(hub, draw(leaf)) for hub in range(hubs) for _ in range(draw(st.integers(1, 20)))]
+    vertex = st.integers(0, touched - 1)
+    pairs += draw(st.lists(st.tuples(vertex, vertex), max_size=10))
+    # shuffle the pairs so a hub's edges interleave with the rest in every row
+    return draw(st.permutations(pairs)), n
+
+
 @PROPERTY_SETTINGS
-@given(partitioned_multigraphs())
-def test_components_and_bfs_match_oracles(case):
-    pairs, n, _, _ = case
+@given(hub_graphs(), st.data())
+def test_bottom_up_level_matches_the_oracle(graph, data):
+    """``_bottom_up`` returns exactly the given unvisited vertices that have a
+    neighbor at ``level``, in the order they were given, whatever the
+    distances elsewhere."""
+    pairs, n = graph
+    g = build_csr(pairs, n)
+    adj = oracles.adjacency(pairs, n)
+    with_edges = [v for v in range(n) if adj[v]]
+    order = data.draw(st.permutations(with_edges))
+    unvisited = order[: data.draw(st.integers(1, len(order)))]
+    dist = np.array(data.draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n)), dtype=np.int64)
+    level = data.draw(st.integers(0, 3))
+    counts = g.degrees[unvisited]
+    found = metrics._bottom_up(g, counts, int(counts.sum()), dist, np.array(unvisited, dtype=np.int64), level)
+    assert found.tolist() == [v for v in unvisited if any(dist[w] == level for w in adj[v])]
+
+
+@settings(PROPERTY_SETTINGS, max_examples=2 * PROPERTY_SETTINGS.max_examples)
+@given(st.one_of(partitioned_multigraphs().map(lambda case: case[:2]), hub_graphs()))
+def test_components_and_bfs_match_oracles(graph):
+    pairs, n = graph
     g = build_csr(pairs, n)
     labels = connected_components(g)
     assert labels.dtype == np.int64
