@@ -158,24 +158,25 @@ def _trace_line(event: SuperstepEvent) -> str:
 def cmd_partition(args) -> int:
     if args.parts is None:
         raise LppartError("--parts is required")
-    g, id_map = _load_graph(args.input, args.dedup)
     outer, bal, ref = _parse_iters(args.iters)
+    cfg = Config(
+        num_parts=args.parts,
+        num_tasks=args.tasks,
+        vert_imb=args.vert_imb,
+        edge_imb=args.edge_imb,
+        x=args.x,
+        y=args.y,
+        outer_iters=outer,
+        balance_iters=bal,
+        refine_iters=ref,
+        seed=args.seed,
+        init_mode=args.init,
+    )
+    cfg.validate()  # for every method: --strict reads the tolerances, the manifest records them all
+    g, id_map = _load_graph(args.input, args.dedup)
 
     with open(args.trace, "w") if args.trace else contextlib.nullcontext() as trace:
         if args.method == "xtrapulp":
-            cfg = Config(
-                num_parts=args.parts,
-                num_tasks=args.tasks,
-                vert_imb=args.vert_imb,
-                edge_imb=args.edge_imb,
-                x=args.x,
-                y=args.y,
-                outer_iters=outer,
-                balance_iters=bal,
-                refine_iters=ref,
-                seed=args.seed,
-                init_mode=args.init,
-            )
             dist = make_distribution(DIST_NAMES[args.dist], g.num_vertices, args.tasks, seed=subsystem_seed(args.seed, "dist"))
             local_graphs = distribute(g, dist)
             observer = None if trace is None else lambda event: trace.write(_trace_line(event))
@@ -240,6 +241,8 @@ def cmd_generate(args) -> int:
     if args.kind == "rmat":
         if args.scale is None:
             raise LppartError("rmat needs --scale")
+        if not 1 <= args.scale <= 62:
+            raise LppartError(f"--scale must lie in [1, 62] (vertex ids are int64), got {args.scale}")
         n = 1 << args.scale
     else:
         if args.n is None:

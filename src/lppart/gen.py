@@ -36,8 +36,9 @@ class GenSpec:
             raise ConfigError(f"need at least 2 vertices, got {self.num_vertices}")
         if self.avg_degree < 1:
             raise ConfigError(f"average degree must be >= 1, got {self.avg_degree}")
-        if abs(sum(self.probs) - 1.0) > 1e-9:
-            raise ConfigError(f"rmat probabilities must sum to 1, got {self.probs}")
+        # written to pass only on good values: NaN fails every comparison
+        if not (all(0.0 <= q <= 1.0 for q in self.probs) and abs(sum(self.probs) - 1.0) <= 1e-9):
+            raise ConfigError(f"rmat probabilities (--probs) must lie in [0, 1] and sum to 1, got {self.probs}")
 
 
 def generate(spec: GenSpec) -> np.ndarray:

@@ -48,16 +48,21 @@ draining part regains its pull before the tasks collectively empty it.  A
 step keeps its net vertex change per part (``c_v``, folded into the ledger)
 and the vertex guard list; each sweep builds the other estimates it reads.
 
-Within a task the sweep walks fixed-size chunks: neighbor-label counts are
-read per chunk, with the moves of the earlier chunks folded in (so labels
+Both weighted sweeps, balance and refine, run on one skeleton (``_sweep``).
+It walks a task's owned rows in fixed-size chunks and reads each chunk's
+neighbor counts, with the moves of the earlier chunks folded in, so labels
 written earlier in the same chunk are not yet visible, as with concurrent
-workers), while guard, estimate and score updates are applied move by move
-so the per-part guards always see the latest estimates.  Each sequential
-loop keeps only that state, which its next decision reads, and records one
-winner per candidate; the moved rows, their old and new labels, the label
-writes, the count notes and the ``c_v`` deltas (``bincount(new) -
-bincount(old)``) follow from the winners with array code, once per chunk or
-per call.
+workers.  It hands them to the sweep's ``pick``, which returns the chunk's
+moved rows and new labels; the skeleton writes those labels once, after
+the chunk's last candidate, and notes them in the counts (nothing in the
+chunk reads them), and folds the ``c_v`` deltas (``bincount(new) -
+bincount(old)``) once per call.  Inside ``pick`` one sequential loop per
+sweep passes the candidates through the per-part guards, in both stages,
+applying guard, estimate and score updates move by move so every decision
+sees the latest estimates.  The loop keeps only that state, which its next
+decision reads, and records one winner per candidate; the rows and labels
+follow from the winners with array code.  The vertex guard is charged at
+three sites: once per move in each sweep's loop and in the water-fill.
 Chunk boundaries are deterministic, making runs bit-reproducible for a fixed
 seed and task count.
 
@@ -65,17 +70,16 @@ Every choice among parts takes the first maximum: a vertex keeps its part
 when that part ties for the best score, and otherwise the lowest part index
 wins.  Because counts are frozen per chunk, refinement finds each vertex's
 plurality part with array code, and only the vertices whose plurality
-differs from their part (the movers) pass one by one through the guards.
+differs from their part (the movers) pass one by one through the caps.
 Balancing scores a vertex only over its support, the other parts its
 neighbors are in, which each chunk gathers with array code into flat lists
 of parts and neighbor weights.  A move must beat the score of staying, which
 is never below zero, and a part no neighbor is in weighs zero, so no part
 outside the support can win.  Guard-closed parts score -1.0, and a move
-rescores only the two parts it touches.  Both sweeps write a chunk's moved
-labels once, after its last candidate, and note them in the counts: nothing
-in the chunk reads them.  The isolated-vertex water-fill keeps its
-destination until a move changes it and writes its labels once per call; a
-degree-zero row is in no adjacency, so its moves change no count.
+rescores only the two parts it touches.  The isolated-vertex water-fill
+keeps its destination until a move changes it and writes its labels once
+per call; a degree-zero row is in no adjacency, so its moves change no
+count.
 Every task step, in every stage, returns the local rows it changed, in the
 order it changed them, as one int64 array; the exchange reads their global
 ids and new labels, so only the wire carries global ids.
@@ -83,7 +87,9 @@ ids and new labels, so only the wire carries global ids.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -129,12 +135,14 @@ class Config:
             raise ConfigError(f"part count must be >= 1, got {self.num_parts}")
         if self.num_tasks < 1:
             raise ConfigError(f"task count must be >= 1, got {self.num_tasks}")
-        if not (0.0 < self.y <= self.x):
-            raise ConfigError(f"need 0 < y <= x, got x={self.x}, y={self.y}")
+        # NaN fails every comparison, so each test is written to pass only on good values
+        if not (0.0 < self.y <= self.x < math.inf):
+            raise ConfigError(f"need finite 0 < y <= x (-Y, -X), got x={self.x}, y={self.y}")
         if min(self.outer_iters, self.balance_iters, self.refine_iters) < 1:
             raise ConfigError("iteration counts must be >= 1")
-        if self.vert_imb < 0 or self.edge_imb < 0:
-            raise ConfigError("imbalance ratios must be nonnegative")
+        for flag, ratio in (("--vert-imb", self.vert_imb), ("--edge-imb", self.edge_imb)):
+            if not 0.0 <= ratio < math.inf:
+                raise ConfigError(f"imbalance ratio {flag} must be finite and >= 0, got {ratio}")
         if self.init_mode not in INIT_MODES:
             raise ConfigError(f"unknown init mode {self.init_mode!r}")
         if self.chunk < 1:
@@ -565,6 +573,37 @@ def _fold_moves(c_v: list[int], old: np.ndarray, new: np.ndarray) -> None:
     c_v[:] = [c + d for c, d in zip(c_v, delta.tolist())]
 
 
+def _sweep(lg: LocalGraph, parts: np.ndarray, chunk: int, counts: NeighborCounts, c_v: list[int], pick: Callable) -> np.ndarray:
+    """The chunk walk both weighted sweeps share; returns the moved rows.
+
+    For every chunk of owned rows with adjacency entries it reads the kept
+    counts, and the degree sums while they are kept, as (rows x parts)
+    views, and hands ``pick(b0, raw, sums, cur, k_cur)`` those, the chunk's
+    labels and each row's count in its own part.  ``pick`` returns the
+    chunk-relative rows that move and their new labels; the walk writes
+    them and notes them in ``counts`` after the chunk (nothing in the chunk
+    reads them), and folds the moves into ``c_v`` once per call.
+    """
+    moved, left = [_NO_ROWS], [_NO_ROWS]  # per chunk: the moved rows, their old labels
+    for b0 in range(0, lg.num_owned, chunk):
+        b1 = min(b0 + chunk, lg.num_owned)
+        if lg.offsets[b0] == lg.offsets[b1]:
+            continue
+        raw, sums = counts.rows(b0, b1)
+        cur = parts[b0:b1]
+        r, new = pick(b0, raw, sums, cur, raw[np.arange(b1 - b0), cur])
+        if len(r):
+            rows = b0 + r
+            old = cur[r]
+            parts[rows] = new
+            counts.note(rows, old, new)
+            moved.append(rows)
+            left.append(old)
+    rows = np.concatenate(moved)
+    _fold_moves(c_v, np.concatenate(left), parts[rows])
+    return rows
+
+
 def _sweep_balance(
     lg: LocalGraph,
     parts: np.ndarray,
@@ -585,14 +624,15 @@ def _sweep_balance(
     edge stage, with ``edge_weights = (max_c, r_e, r_c)``, ``r_e`` times its
     intra-edge weight plus ``r_c`` times its cut weight.
 
-    A candidate is scored only over its support, in ascending part order
-    with a strict ``>``, which keeps the first maximum (see the module notes
-    for why no other part can win).  The loop keeps the guards, estimates
-    and scores and records each mover's winning support entry; the moved
-    rows, their labels and ``c_v`` follow from those with array code.
+    The rows of a chunk that have a neighbor outside their part are the
+    candidates.  Each is scored only over its support, in ascending part
+    order with a strict ``>``, which keeps the first maximum (see the module
+    notes for why no other part can win).  One loop serves both stages: a
+    win charges the vertex guards, then the stage's estimates rescore the
+    two touched parts.  The loop records each mover's winning support entry;
+    its row and part follow from those with array code.
     """
     p = ledger.num_parts
-    moved, left = [_NO_ROWS], [_NO_ROWS]  # per chunk: the moved rows, their old labels
     owned_deg = lg.degrees[: lg.num_owned]
     nprocs = float(lg.num_tasks)
     edge_stage = edge_weights is not None
@@ -606,17 +646,12 @@ def _sweep_balance(
         est_v = ledger.verts.astype(np.float64).tolist()
     # the score of every part the vertex guard admits, -1.0 for the others
     sw = [-1.0 if g + 1.0 > max_v else s for s, g in zip(score_w, guard_v)]
-    for b0 in range(0, lg.num_owned, chunk):
-        b1 = min(b0 + chunk, lg.num_owned)
-        if lg.offsets[b0] == lg.offsets[b1]:
-            continue
-        raw, wmat = counts.rows(b0, b1)
-        cur = parts[b0:b1]
-        k_cur = raw[np.arange(b1 - b0), cur]
-        cand = np.flatnonzero(owned_deg[b0:b1] > k_cur)
+
+    # the loop's lists and constants are bound as default arguments, so it
+    # reads them as local names, not as closure cells
+    def pick(b0, raw, wmat, cur, k_cur, sw=sw, guard_v=guard_v, nprocs=nprocs, max_v=max_v, mult=mult, edge_stage=edge_stage):
+        cand = np.flatnonzero(owned_deg[b0 : b0 + len(cur)] > k_cur)
         C = len(cand)
-        if not C:
-            continue
         # the candidates' supports, one after another in one flat list of
         # parts, with their neighbor weights; wmat > 0 exactly where raw > 0,
         # since every neighbor slot carries its global degree.  The flat
@@ -633,82 +668,60 @@ def _sweep_balance(
         sup_w = w_c.ravel()[at].tolist()
         ends = np.bincount(j_at, minlength=C).cumsum().tolist()
         own_w = w_c[np.arange(C), x_c].tolist()
+        # the edge estimates read each candidate's own-part count and degree
+        # and each support entry's count; the vertex estimates read none
+        if edge_stage:
+            kx_c, deg_c, sup_k = k_cur[cand].tolist(), owned_deg[b0 + cand].tolist(), raw_c.ravel()[at].tolist()
+        else:
+            kx_c = deg_c = repeat(0)
         wins: list[int] = []  # the winning support entry of each mover
         s0 = 0
-        # (in both loops) staying scores zero when the guard closes the
-        # current part; closed parts score at most zero, so they never beat it
-        if edge_stage:
-            sup_k = raw_c.ravel()[at].tolist()
-            kx_c = k_cur[cand]
-            for x, ow, s1, kx, rest in zip(x_c.tolist(), own_w, ends, kx_c.tolist(), (owned_deg[b0 + cand] - kx_c).tolist()):
-                top = ow * sw[x]
-                if top < 0.0:
-                    top = 0.0
-                win = -1
-                for i in range(s0, s1):
-                    v = sup_w[i] * sw[sup[i]]
-                    if v > top:
-                        top = v
-                        win = i
-                s0 = s1
-                if win < 0:
-                    continue
-                wins.append(win)
-                w = sup[win]
+        for x, ow, s1, kx, dv in zip(x_c.tolist(), own_w, ends, kx_c, deg_c):
+            # staying scores zero when the guard closes the current part;
+            # closed parts score at most zero, so they never beat it
+            top = ow * sw[x]
+            if top < 0.0:
+                top = 0.0
+            win = -1
+            for i in range(s0, s1):
+                v = sup_w[i] * sw[sup[i]]
+                if v > top:
+                    top = v
+                    win = i
+            s0 = s1
+            if win < 0:
+                continue
+            wins.append(win)
+            w = sup[win]
+            gx = guard_v[x] = guard_v[x] - nprocs
+            gw = guard_v[w] = guard_v[w] + nprocs
+            # rescore the two touched parts: _weight inlined, same operations
+            if edge_stage:
                 kw = sup_k[win]  # > 0: w is in the support
-                ko = rest - kw
+                ko = dv - kx - kw
                 dcx = kx - kw - ko
                 dcw = kx - kw + ko
-                # rescore the two touched parts: _weight inlined, same operations
-                g = guard_v[x] = guard_v[x] - nprocs
                 e = est_e[x] = est_e[x] - nprocs * kx
                 c = est_c[x] = est_c[x] + (mult if dcx > 0 else nprocs) * dcx
                 we = edge_target / (1.0 if 1.0 > e else e) - 1.0
                 wc = max_c / (1.0 if 1.0 > c else c) - 1.0
-                sw[x] = -1.0 if g + 1.0 > max_v else r_e * (0.0 if 0.0 > we else we) + r_c * (0.0 if 0.0 > wc else wc)
-                g = guard_v[w] = guard_v[w] + nprocs
+                sw[x] = -1.0 if gx + 1.0 > max_v else r_e * (0.0 if 0.0 > we else we) + r_c * (0.0 if 0.0 > wc else wc)
                 e = est_e[w] = est_e[w] + mult * kw
                 c = est_c[w] = est_c[w] + (mult if dcw > 0 else nprocs) * dcw
                 we = edge_target / (1.0 if 1.0 > e else e) - 1.0
                 wc = max_c / (1.0 if 1.0 > c else c) - 1.0
-                sw[w] = -1.0 if g + 1.0 > max_v else r_e * (0.0 if 0.0 > we else we) + r_c * (0.0 if 0.0 > wc else wc)
-        else:
-            for x, ow, s1 in zip(x_c.tolist(), own_w, ends):
-                top = ow * sw[x]
-                if top < 0.0:
-                    top = 0.0
-                win = -1
-                for i in range(s0, s1):
-                    v = sup_w[i] * sw[sup[i]]
-                    if v > top:
-                        top = v
-                        win = i
-                s0 = s1
-                if win < 0:
-                    continue
-                wins.append(win)
-                w = sup[win]
-                g = guard_v[x] = guard_v[x] - nprocs
+                sw[w] = -1.0 if gw + 1.0 > max_v else r_e * (0.0 if 0.0 > we else we) + r_c * (0.0 if 0.0 > wc else wc)
+            else:
                 e = est_v[x] = est_v[x] - nprocs
                 s = vert_target / (1.0 if 1.0 > e else e) - 1.0
-                sw[x] = -1.0 if g + 1.0 > max_v else (0.0 if 0.0 > s else s)
-                g = guard_v[w] = guard_v[w] + nprocs
+                sw[x] = -1.0 if gx + 1.0 > max_v else (0.0 if 0.0 > s else s)
                 e = est_v[w] = est_v[w] + mult
                 s = vert_target / (1.0 if 1.0 > e else e) - 1.0
-                sw[w] = -1.0 if g + 1.0 > max_v else (0.0 if 0.0 > s else s)
-        if wins:
-            won = np.array(wins, dtype=np.int64)
-            j = j_at[won]
-            rows = b0 + cand[j]
-            new = sup_a[won]
-            old = x_c[j]
-            parts[rows] = new
-            counts.note(rows, old, new)
-            moved.append(rows)
-            left.append(old)
-    rows = np.concatenate(moved)
-    _fold_moves(c_v, np.concatenate(left), parts[rows])
-    return rows
+                sw[w] = -1.0 if gw + 1.0 > max_v else (0.0 if 0.0 > s else s)
+        won = np.array(wins, dtype=np.int64)
+        return cand[j_at[won]], sup_a[won]
+
+    return _sweep(lg, parts, chunk, counts, c_v, pick)
 
 
 def _sweep_refine(
@@ -728,8 +741,13 @@ def _sweep_refine(
     when the destination's estimated size would exceed the vertex cap or, in
     the edge stage, with ``edge_caps = (max_e, max_c)``, the max intra-edge or
     max cut sizes at phase entry; returns the moved rows and notes them in
-    ``counts``.  The loop keeps the caps and records which movers pass them."""
-    moved, left = [_NO_ROWS], [_NO_ROWS]  # per chunk: the moved rows, their old labels
+    ``counts``.
+
+    A tie with the current part keeps it, so only the rows of a chunk whose
+    own count is below the maximum are movers, each to its first maximum.
+    One loop passes the movers through the vertex cap and, in the edge
+    stage, the edge and cut caps, in that order; it keeps the caps and
+    records which movers pass."""
     owned_deg = lg.degrees[: lg.num_owned]
     nprocs = float(lg.num_tasks)
     edge_stage = edge_caps is not None
@@ -744,56 +762,34 @@ def _sweep_refine(
     # transient overage cannot outlive the stage.  Only the list the vertex
     # test reads is kept, charged for additions at the rate that test uses
     add_v = nprocs if exact_caps else mult
-    for b0 in range(0, lg.num_owned, chunk):
-        b1 = min(b0 + chunk, lg.num_owned)
-        if lg.offsets[b0] == lg.offsets[b1]:
-            continue
-        raw, _ = counts.rows(b0, b1)
-        cur = parts[b0:b1]
-        k_cur = raw[np.arange(b1 - b0), cur]
-        # a tie with the current part keeps it, so only rows whose current
-        # count is below the maximum move, to their first maximum
+
+    # (the loop's list and constants as local names, as in _sweep_balance)
+    def pick(b0, raw, sums, cur, k_cur, cap_v=cap_v, nprocs=nprocs, max_v=max_v, add_v=add_v, edge_stage=edge_stage):
         movers = np.flatnonzero(k_cur < raw.max(axis=1))
-        if not len(movers):
-            continue
         dest = raw[movers].argmax(axis=1)
-        x_m = cur[movers]
+        if edge_stage:  # the edge caps read each mover's counts in its two parts and its degree
+            kx_m, kw_m, deg_m = k_cur[movers].tolist(), raw[movers, dest].tolist(), owned_deg[b0 + movers].tolist()
         kept: list[int] = []  # the movers that pass the caps
-        if edge_stage:
-            k_m = k_cur[movers]
-            for j, (x, w, kx, kw, dv) in enumerate(
-                zip(x_m.tolist(), dest.tolist(), k_m.tolist(), raw[movers, dest].tolist(), owned_deg[b0 + movers].tolist())
-            ):
-                if cap_v[w] + 1.0 > max_v or guard_e[w] + dv > max_e or guard_c[w] + dv > max_c:
+        for j, (x, w) in enumerate(zip(cur[movers].tolist(), dest.tolist())):
+            if cap_v[w] + 1.0 > max_v:
+                continue
+            if edge_stage:
+                dv = deg_m[j]
+                if guard_e[w] + dv > max_e or guard_c[w] + dv > max_c:
                     continue
-                kept.append(j)
-                cap_v[x] -= nprocs
-                cap_v[w] += add_v
+                kx, kw = kx_m[j], kw_m[j]
                 ko = dv - kx - kw
                 guard_e[x] -= nprocs * kx
                 guard_e[w] += nprocs * kw
                 guard_c[x] += nprocs * (kx - kw - ko)
                 guard_c[w] += nprocs * (kx - kw + ko)
-        else:
-            for j, (x, w) in enumerate(zip(x_m.tolist(), dest.tolist())):
-                if cap_v[w] + 1.0 > max_v:
-                    continue
-                kept.append(j)
-                cap_v[x] -= nprocs
-                cap_v[w] += add_v
-        # nothing in the chunk reads its labels after the counts are taken
-        if kept:
-            j = np.array(kept, dtype=np.int64)
-            rows = b0 + movers[j]
-            new = dest[j]
-            old = x_m[j]
-            parts[rows] = new
-            counts.note(rows, old, new)
-            moved.append(rows)
-            left.append(old)
-    rows = np.concatenate(moved)
-    _fold_moves(c_v, np.concatenate(left), parts[rows])
-    return rows
+            kept.append(j)
+            cap_v[x] -= nprocs
+            cap_v[w] += add_v
+        j = np.array(kept, dtype=np.int64)
+        return movers[j], dest[j]
+
+    return _sweep(lg, parts, chunk, counts, c_v, pick)
 
 
 def _place_isolated(

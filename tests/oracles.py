@@ -395,3 +395,63 @@ def place_isolated(lg, parts, c_v, guard_v, max_v, mean_size):
     rows = np.asarray(moved, dtype=np.int64)
     parts[rows] = dests
     return rows
+
+
+def sweep_refine_dense(lg, parts, chunk, ledger, mult, c_v, cap_v, max_v, edge_caps, exact_caps, counts):
+    """``partition._sweep_refine`` one row at a time: each row's plurality
+    part is the first maximum of its chunk's counts, and a mover passes the
+    caps, writes its label and updates ``c_v``, ``cap_v`` and the edge
+    guards before the next row is read.  Same arguments, results and side
+    effects.
+
+    It counts each chunk from the labels itself, asserts that the kept
+    ``counts`` hold the same at that moment, and notes its chunk's moves
+    there, as the library's sweep does."""
+    p = ledger.num_parts
+    moved = []
+    owned_deg = lg.degrees[: lg.num_owned].tolist()
+    nprocs = float(lg.num_tasks)
+    edge_stage = edge_caps is not None
+    if edge_stage:
+        max_e, max_c = edge_caps
+        guard_e = ledger.intra_edges.astype(np.float64).tolist()
+        guard_c = ledger.cut_edges.astype(np.float64).tolist()
+    add_v = nprocs if exact_caps else mult
+    for b0 in range(0, lg.num_owned, chunk):
+        b1 = min(b0 + chunk, lg.num_owned)
+        B = b1 - b0
+        e0, e1 = lg.offsets[b0], lg.offsets[b1]
+        if e0 == e1:
+            continue
+        flat = (lg.edge_src[e0:e1] - b0) * p + parts[lg.nbr_slots[e0:e1]]
+        raw = np.bincount(flat, minlength=B * p).reshape(B, p)
+        kept_raw, _ = counts.rows(b0, b1)
+        assert np.array_equal(kept_raw, raw), (b0, b1)
+        old_rows = parts[b0:b1].copy()
+        for r, row in enumerate(raw.tolist()):
+            x = int(old_rows[r])
+            top = max(row)
+            if row[x] == top:
+                continue
+            w = row.index(top)
+            if cap_v[w] + 1.0 > max_v:
+                continue
+            if edge_stage:
+                dv = owned_deg[b0 + r]
+                if guard_e[w] + dv > max_e or guard_c[w] + dv > max_c:
+                    continue
+                kx, kw = row[x], row[w]
+                ko = dv - kx - kw
+                guard_e[x] -= nprocs * kx
+                guard_e[w] += nprocs * kw
+                guard_c[x] += nprocs * (kx - kw - ko)
+                guard_c[w] += nprocs * (kx - kw + ko)
+            parts[b0 + r] = w
+            moved.append(b0 + r)
+            c_v[x] -= 1
+            c_v[w] += 1
+            cap_v[x] -= nprocs
+            cap_v[w] += add_v
+        changed = np.nonzero(parts[b0:b1] != old_rows)[0]
+        counts.note(b0 + changed, old_rows[changed], parts[b0 + changed])
+    return np.asarray(moved, dtype=np.int64)

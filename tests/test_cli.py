@@ -138,6 +138,13 @@ MALFORMED = {
     "parts-not-utf8": lambda d, grid: (("evaluate", "-i", grid, _bytes_file(d / "labels.parts", b"0\n\xff\n" + b"0\n" * 254)), f"{d / 'labels.parts'}:2: not valid UTF-8"),
     "evaluate-methods-share-a-stem": lambda d, grid: (("evaluate", "-i", grid, *_same_stem_parts(d)), f"{d / 'a' / 'x.parts'} and {d / 'b' / 'x.parts'} both name method 'x'"),
     "rmat-probs-not-numbers": lambda d, grid: (("generate", "rmat", "--scale", 4, "--probs", "a,b,c,d", "-o", d / "g.txt"), "--probs expects four comma-separated numbers"),
+    "rmat-probs-outside-unit": lambda d, grid: (("generate", "rmat", "--scale", 4, "--probs", "1.5,-0.5,0,0", "-o", d / "g.txt"), "(--probs) must lie in [0, 1]"),
+    "rmat-probs-nan": lambda d, grid: (("generate", "rmat", "--scale", 4, "--probs", "nan,0,0,1", "-o", d / "g.txt"), "(--probs) must lie in [0, 1]"),
+    "rmat-scale-negative": lambda d, grid: (("generate", "rmat", "--scale", -1, "-o", d / "g.txt"), "--scale must lie in [1, 62]"),
+    "rmat-scale-past-int64": lambda d, grid: (("generate", "rmat", "--scale", 70, "-o", d / "g.txt"), "--scale must lie in [1, 62]"),
+    "vert-imb-nan": lambda d, grid: (("partition", "-i", grid, "-p", 2, "--vert-imb", "nan", "--strict"), "--vert-imb must be finite and >= 0, got nan"),
+    "ramp-end-infinite": lambda d, grid: (("partition", "-i", grid, "-p", 2, "-X", "inf"), "need finite 0 < y <= x (-Y, -X), got x=inf"),
+    "baseline-vert-imb-negative": lambda d, grid: (("partition", "-i", grid, "-p", 2, "--method", "vblock", "--vert-imb", -1, "--strict"), "--vert-imb must be finite and >= 0, got -1.0"),
 }
 
 

@@ -94,6 +94,10 @@ def test_genspec_validation():
         GenSpec("er", 16, 0)
     with pytest.raises(ConfigError):
         GenSpec("rmat", 16, 4, probs=(0.5, 0.5, 0.5, 0.5))
+    # each sums to 1, but one probability lies outside [0, 1] or is not a number
+    for probs in ((1.5, -0.5, 0.0, 0.0), (float("nan"), 0.0, 0.0, 1.0), (0.0, 0.0, float("inf"), 1.0)):
+        with pytest.raises(ConfigError, match="must lie in"):
+            GenSpec("rmat", 16, 4, probs=probs)
 
 
 def test_generate_dispatch():

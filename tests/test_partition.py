@@ -88,6 +88,10 @@ def test_config_validation():
         Config(num_parts=2, y=0.0).validate()
     with pytest.raises(ConfigError):
         Config(num_parts=2, outer_iters=0).validate()
+    # NaN fails every comparison, so a NaN tolerance would switch its cap off
+    for bad in ({"vert_imb": float("nan")}, {"edge_imb": float("inf")}, {"vert_imb": -0.1}, {"x": float("inf")}, {"y": float("nan")}):
+        with pytest.raises(ConfigError):
+            Config(num_parts=2, **bad).validate()
     cfg = Config(num_parts=2)
     assert cfg.total_iters == 3 * (5 + 10)
 
@@ -757,25 +761,33 @@ def test_sequential_determinism(rng):
     assert np.array_equal(a, b)
 
 
-# sha256 of the little-endian int64 labels of n=1024 partitions into 8 parts;
+# sha256 of the little-endian int64 labels of n=1024 partitions into p parts;
 # rmat scale 10 has 308 isolated vertices, so every stage and the water-fill
-# run, and the hashes pin every label of every sweep
+# run, and the hashes pin every label of every sweep.  The p=64 and p=256
+# rows end at v_imb 1.5 and 6.25: the vertex guards close most parts there,
+# so those rows pin the guard bookkeeping at many parts
 GOLDEN = [
-    ("rmat", 1, BLOCK, {}, "c95cc5f68d8835d51598403be60b903ad294fbb5ed51fd138c95f381b30e8916"),
-    ("rmat", 3, BLOCK, {}, "a7da8d554ca035981c2a7220a1293ac8ed836e02f31c57154e99974a035f6fe1"),
-    ("rmat", 4, RANDOM_HASH, {}, "fd85169ae3000530c5cd7ca46c101a2d890dbee3d92eed83be52dcb03eaddadf"),
-    ("rmat", 2, BLOCK, {"chunk": 64}, "e8d8b9d0aeaab7cadde96ce75efca74aafcf5f1a9cf7b22cbaca77e0a447e400"),
-    ("er", 3, BLOCK, {"init_mode": "random"}, "10c945d8e1e6fa85a4ea61dbe84ca20eb6efbf322b4f5ba3d09f7c3ef1c42a76"),
+    ("rmat", 8, 1, BLOCK, {}, "c95cc5f68d8835d51598403be60b903ad294fbb5ed51fd138c95f381b30e8916"),
+    ("rmat", 8, 3, BLOCK, {}, "a7da8d554ca035981c2a7220a1293ac8ed836e02f31c57154e99974a035f6fe1"),
+    ("rmat", 8, 4, RANDOM_HASH, {}, "fd85169ae3000530c5cd7ca46c101a2d890dbee3d92eed83be52dcb03eaddadf"),
+    ("rmat", 8, 2, BLOCK, {"chunk": 64}, "e8d8b9d0aeaab7cadde96ce75efca74aafcf5f1a9cf7b22cbaca77e0a447e400"),
+    ("er", 8, 3, BLOCK, {"init_mode": "random"}, "10c945d8e1e6fa85a4ea61dbe84ca20eb6efbf322b4f5ba3d09f7c3ef1c42a76"),
+    ("rmat", 64, 1, BLOCK, {}, "7bf34761ad0dcfac7fff85e5aaf68ae0a9420d3dd5fbff009c7f4ade0e5b3682"),
+    ("rmat", 256, 4, BLOCK, {}, "c69c32fc4aa0820ebf3bc6210e048db915a107fbe28a3c57c5fdc05281237677"),
 ]
 
 
-@pytest.mark.parametrize("kind,T,dist,extra,digest", GOLDEN, ids=["rmat-T1", "rmat-T3", "rmat-hash-T4", "rmat-chunk64", "er-random-init"])
-def test_partition_matches_golden_hash(kind, T, dist, extra, digest):
+@pytest.mark.parametrize(
+    "kind,p,T,dist,extra,digest",
+    GOLDEN,
+    ids=["rmat-T1", "rmat-T3", "rmat-hash-T4", "rmat-chunk64", "er-random-init", "rmat-p64-T1", "rmat-p256-T4"],
+)
+def test_partition_matches_golden_hash(kind, p, T, dist, extra, digest):
     n = 1 << 10
     pairs = gen_rmat(GenSpec("rmat", n, 8, seed=4)) if kind == "rmat" else gen_er(n, 8, seed=4)
     g = build_csr(pairs, n)
     locals_ = distribute(g, make_distribution(dist, n, T, seed=2))
-    st = xtrapulp(locals_, Config(num_parts=8, num_tasks=T, seed=3, **extra))
+    st = xtrapulp(locals_, Config(num_parts=p, num_tasks=T, seed=3, **extra))
     parts = st.to_global(locals_, n)
     assert hashlib.sha256(parts.astype("<i8").tobytes()).hexdigest() == digest
 

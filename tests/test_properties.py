@@ -18,6 +18,7 @@ from lppart.partition import (
     _global_counts,
     _place_isolated,
     _sweep_balance,
+    _sweep_refine,
     edge_balance,
     edge_refine,
     make_ledger,
@@ -208,10 +209,10 @@ def test_components_and_bfs_match_oracles(graph):
 
 
 @st.composite
-def balance_sweeps(draw):
-    """A partitioned multigraph distributed over 1-3 tasks, with the inputs of
-    one balance sweep: scores on a few values (zero included), so equal
-    integer degree sums tie, and a cap that may close any part."""
+def swept_task_graphs(draw):
+    """A partitioned multigraph distributed over 1-3 tasks, with its ledger
+    and the sweep inputs both sweeps share: a ramp ``mult`` and a vertex cap
+    that may close any part."""
     touched = draw(st.integers(1, 24))
     n = touched + draw(st.integers(0, 3))
     vertex = st.integers(0, touched - 1)
@@ -225,9 +226,18 @@ def balance_sweeps(draw):
     for lg, tp in zip(local_graphs, state.parts):
         tp[:] = parts[lg.local_to_global]
     ledger = make_ledger(local_graphs, state, Config(num_parts=p, num_tasks=T))
-    score_w = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]), min_size=p, max_size=p))
     max_v = float(draw(st.integers(0, int(ledger.verts.max()) + 2)))
     mult = T * draw(st.sampled_from([0.25, 0.5, 1.0, 3.0]))
+    return n, local_graphs, state, ledger, mult, max_v
+
+
+@st.composite
+def balance_sweeps(draw):
+    """The inputs of one balance sweep: scores on a few values (zero
+    included), so equal integer degree sums tie, in either stage."""
+    n, local_graphs, state, ledger, mult, max_v = draw(swept_task_graphs())
+    p = ledger.num_parts
+    score_w = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]), min_size=p, max_size=p))
     edge_weights = draw(st.none() | st.tuples(st.just(ledger.max_cut()), st.sampled_from([0.25, 1.0]), st.sampled_from([0.25, 1.0])))
     return n, local_graphs, state, ledger, mult, max_v, score_w, edge_weights
 
@@ -251,6 +261,39 @@ def test_balance_sweep_matches_dense_oracle(case):
                 moved = sweep(lg, parts, chunk, ledger, mult, c_v, guard_v, max_v, list(score_w), edge_weights, counts)
                 assert moved.dtype == np.int64
                 results.append((moved.tolist(), parts.tolist(), c_v, np.asarray(guard_v).tobytes()))
+            assert results[0] == results[1], chunk
+
+
+@st.composite
+def refine_sweeps(draw):
+    """The inputs of one refine sweep: in the edge stage, edge and cut caps
+    that may close any part, and the ramped or full vertex charge."""
+    n, local_graphs, state, ledger, mult, max_v = draw(swept_task_graphs())
+    max_e = float(draw(st.integers(0, int(ledger.intra_edges.max()) + 4)))
+    max_c = float(draw(st.integers(0, int(ledger.cut_edges.max()) + 4)))
+    edge_caps = draw(st.none() | st.just((max_e, max_c)))
+    return n, local_graphs, state, ledger, mult, max_v, edge_caps, draw(st.booleans())
+
+
+@settings(deadline=None, max_examples=400)  # about one drawn sweep in seven moves a row
+@given(refine_sweeps())
+def test_refine_sweep_matches_move_by_move_oracle(case):
+    """The refine sweep moves the same rows, in the same order, to the same
+    parts, and leaves the same vertex deltas and caps, bit for bit, as
+    moving rows one at a time through the caps, in both stages, with either
+    vertex charge and at every chunk size.  The oracle checks the kept
+    counts against the labels at every chunk."""
+    n, local_graphs, state, ledger, mult, max_v, edge_caps, exact_caps = case
+    p = ledger.num_parts
+    for lg, task_parts in zip(local_graphs, state.parts):
+        for chunk in (1, 3, 64, n + 1):
+            results = []
+            for sweep in (_sweep_refine, oracles.sweep_refine_dense):
+                parts, c_v, cap_v = task_parts.copy(), [0] * p, ledger.verts.astype(np.float64).tolist()
+                counts = NeighborCounts(lg, parts, p)
+                moved = sweep(lg, parts, chunk, ledger, mult, c_v, cap_v, max_v, edge_caps, exact_caps, counts)
+                assert moved.dtype == np.int64
+                results.append((moved.tolist(), parts.tolist(), c_v, np.asarray(cap_v).tobytes()))
             assert results[0] == results[1], chunk
 
 
