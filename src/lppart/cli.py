@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, io
 from .baselines import edge_block_partition, random_partition, vertex_block_partition
 from .errors import InputError, LppartError
-from .gen import GenSpec, generate
+from .gen import MAX_PAIRS, GenSpec, generate
 from .graph import BLOCK, RANDOM_HASH, GlobalGraph, build_csr, distribute, make_distribution
 from .metrics import QualityReport, build_report, performance_ratio, write_method_table
 from .partition import Config, SuperstepEvent, xtrapulp
@@ -258,7 +258,13 @@ def cmd_generate(args) -> int:
             raise LppartError("--probs expects four comma-separated values")
         probs = tuple(parts)
     spec = GenSpec(kind=args.kind, num_vertices=n, avg_degree=args.davg, seed=args.seed, probs=probs)
-    pairs = generate(spec)
+    size = f"--scale {args.scale}" if args.kind == "rmat" else f"--n {n}"
+    if spec.num_pairs > MAX_PAIRS:
+        raise LppartError(f"{size} with --davg {args.davg} asks for {spec.num_pairs} pairs, more than one int64 array holds ({MAX_PAIRS})")
+    try:
+        pairs = generate(spec)
+    except MemoryError:
+        raise LppartError(f"not enough memory for the {spec.num_pairs} pairs that {size} with --davg {args.davg} asks for") from None
     if args.output is None:
         sys.stdout.write(io.edge_list_text(pairs))
     elif args.output.endswith(".npz"):

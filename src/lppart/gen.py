@@ -17,6 +17,7 @@ from .seeds import rng_for
 RMAT_DEFAULT_PROBS = (0.57, 0.19, 0.19, 0.05)  # standard Graph500 parameterization
 
 KINDS = ("rmat", "er", "randhd")
+MAX_PAIRS = np.iinfo(np.intp).max // 16  # the most int64 (u, v) rows one numpy array can hold
 
 
 @dataclass(frozen=True)
@@ -40,6 +41,11 @@ class GenSpec:
         if not (all(0.0 <= q <= 1.0 for q in self.probs) and abs(sum(self.probs) - 1.0) <= 1e-9):
             raise ConfigError(f"rmat probabilities (--probs) must lie in [0, 1] and sum to 1, got {self.probs}")
 
+    @property
+    def num_pairs(self) -> int:
+        """The pairs the generator draws: n * avg_degree / 2, or n * avg_degree for randhd."""
+        return self.num_vertices * self.avg_degree // (1 if self.kind == "randhd" else 2)
+
 
 def generate(spec: GenSpec) -> np.ndarray:
     if spec.kind == "rmat":
@@ -55,7 +61,7 @@ def gen_rmat(spec: GenSpec) -> np.ndarray:
     if n & (n - 1):
         raise ConfigError(f"rmat vertex count must be a power of two, got {n}")
     scale = n.bit_length() - 1
-    num_pairs = n * spec.avg_degree // 2
+    num_pairs = spec.num_pairs
     a, b, c, _ = spec.probs
     rng = rng_for(spec.seed, "gen-rmat")
 

@@ -199,7 +199,6 @@ class LocalGraph:
     nbr_slots: np.ndarray  # neighbor local slot per directed edge
     ghosts: np.ndarray  # global ids of ghosts, ascending
     local_to_global: np.ndarray  # owned ++ ghosts
-    slot_owner: np.ndarray  # owning task per local slot
     degrees: np.ndarray  # global degree per local slot
 
     # static sweep caches, filled by distribute()
@@ -267,7 +266,6 @@ def _build_local(
     nbr_slots = slot_of[nbr_gids]
 
     local_to_global = np.concatenate([owned, ghosts])
-    slot_owner = np.concatenate([np.full(len(owned), task, dtype=np.int64), owners[ghosts]])
     edge_src = np.repeat(np.arange(len(owned), dtype=np.int64), counts)
 
     # Edges this task is responsible for counting exactly once globally:
@@ -282,7 +280,6 @@ def _build_local(
         nbr_slots=nbr_slots,
         ghosts=ghosts,
         local_to_global=local_to_global,
-        slot_owner=slot_owner,
         degrees=degrees[local_to_global],
         edge_src=edge_src,
         scan_src=edge_src[mask],

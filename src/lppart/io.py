@@ -10,8 +10,15 @@ nonnegative and below the number of endpoints are relabelled by a mark
 table and a prefix sum, without a sort; ``dedup_pairs`` orders the canonical
 pairs by stable radix passes (``graph.stable_order``), not a comparison sort.
 
-The binary cache is an ``.npz`` with a version field, the pair array, and the
-vertex count; it round-trips exactly and loads much faster than text.
+The binary cache is an ``.npz`` with three members: ``format_version`` (1),
+``num_vertices`` (an int64 scalar) and ``pairs``.  Every member is stored,
+not deflated, so loading one is a copy rather than zlib inflation.  ``pairs``
+is stored in the narrowest unsigned type (uint8, uint16 or uint32) that holds
+every id when all ids lie in [0, 2**32), and as int64 otherwise; the reader
+widens it back to int64, so the cache round-trips exactly.  Caches written
+deflated with int64 pairs by earlier versions read back the same way.  A
+cache whose ``pairs`` are not integers, or whose ``num_vertices`` is not a
+nonnegative integer, is refused.
 
 A partition file has exactly n lines; line i is the (ASCII decimal) part of
 dense vertex i.
@@ -210,16 +217,28 @@ def relabel_pairs(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (np.cumsum(mark, dtype=np.int64) - 1)[pairs], np.flatnonzero(mark)
 
 
+def _stored_dtype(pairs: np.ndarray) -> np.dtype:
+    """The narrowest unsigned type holding every id of the int64 ``pairs`` if
+    all lie in [0, 2**32), else int64."""
+    if not pairs.size:
+        return np.dtype(np.uint8)
+    lo, hi = int(pairs.min()), int(pairs.max())
+    # decided apart from the signed case: np.result_type of an unsigned and a signed type can be float64
+    return np.min_scalar_type(hi) if lo >= 0 and hi < 1 << 32 else np.dtype(np.int64)
+
+
 def write_cache(path: str | Path, pairs: np.ndarray, num_vertices: int) -> None:
-    np.savez_compressed(
+    pairs = np.asarray(pairs, dtype=np.int64)
+    np.savez(
         path,
         format_version=np.int64(CACHE_FORMAT_VERSION),
         num_vertices=np.int64(num_vertices),
-        pairs=np.asarray(pairs, dtype=np.int64),
+        pairs=pairs.astype(_stored_dtype(pairs), copy=False),
     )
 
 
 def read_cache(path: str | Path) -> tuple[np.ndarray, int]:
+    """The cache's pairs, widened to int64, and its vertex count."""
     try:
         with np.load(path) as data:
             if "format_version" not in data or int(data["format_version"]) != CACHE_FORMAT_VERSION:
@@ -227,9 +246,14 @@ def read_cache(path: str | Path) -> tuple[np.ndarray, int]:
             missing = [key for key in ("pairs", "num_vertices") if key not in data]
             if missing:
                 raise InputError(f"{path}: cache has no {' or '.join(missing)} array")
-            return data["pairs"].astype(np.int64, copy=False), int(data["num_vertices"])
+            pairs, n = data["pairs"], data["num_vertices"]
     except (zipfile.BadZipFile, zlib.error, EOFError, ValueError) as exc:
         raise InputError(f"{path}: truncated or corrupt cache ({exc})") from exc
+    if pairs.dtype.kind not in "iu" or (pairs.dtype == np.uint64 and pairs.size and pairs.max() > INT64_MAX):
+        raise InputError(f"{path}: cache pairs must be integer ids within int64, got dtype {pairs.dtype}")
+    if n.shape != () or n.dtype.kind not in "iu" or n < 0:
+        raise InputError(f"{path}: cache num_vertices must be a nonnegative integer, got {n} of dtype {n.dtype}")
+    return pairs.astype(np.int64, copy=False), int(n)
 
 
 def load_pairs(path: str | Path) -> tuple[np.ndarray, np.ndarray]:

@@ -108,6 +108,7 @@ def exchange_plan(local_graphs, queues):
     queue scan order, and the total number of pairs sent.
     """
     T = len(local_graphs)
+    owner = {int(gid): lg.task for lg in local_graphs for gid in lg.owned}
     per_sender = []
     sent = 0
     for lg, queue in zip(local_graphs, queues):
@@ -117,7 +118,7 @@ def exchange_plan(local_graphs, queues):
             assert lg.owned[row] == gid, f"task {lg.task} queued vertex {gid} it does not own"
             to_send = [False] * T
             for slot in lg.nbr_slots[lg.offsets[row] : lg.offsets[row + 1]]:
-                task = int(lg.slot_owner[slot])
+                task = owner[int(lg.local_to_global[slot])]
                 if task != lg.task and not to_send[task]:
                     to_send[task] = True
                     buckets[task].append((gid, part))

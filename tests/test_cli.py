@@ -101,6 +101,12 @@ def _cache_without_pairs(tmp_path):
     return path
 
 
+def _cache_of(tmp_path, pairs, num_vertices):
+    path = tmp_path / "float.npz"
+    np.savez(path, format_version=np.int64(io.CACHE_FORMAT_VERSION), num_vertices=num_vertices, pairs=pairs)
+    return path
+
+
 def _empty_cache(tmp_path):
     path = tmp_path / "empty.npz"
     io.write_cache(path, np.empty((0, 2), dtype=np.int64), 0)
@@ -132,6 +138,8 @@ MALFORMED = {
     "truncated-npz-evaluate": lambda d, grid: (("evaluate", "-i", _truncated_cache(d), _parts_file(d, "0\n0\n1\n")), f"{d / 'cut.npz'}: truncated"),
     "empty-npz-evaluate": lambda d, grid: (("evaluate", "-i", _empty_cache(d), _parts_file(d, "")), f"{d / 'empty.npz'}: graph has no vertices"),
     "npz-without-pairs": lambda d, grid: (("partition", "-i", _cache_without_pairs(d), "-p", 2), f"{d / 'nopairs.npz'}: cache has no pairs"),
+    "npz-float-pairs": lambda d, grid: (("partition", "-i", _cache_of(d, np.array([[0.5, 1.7], [1.2, 2.9]]), np.int64(3)), "-p", 2), f"{d / 'float.npz'}: cache pairs must be integer ids within int64, got dtype float64"),
+    "npz-float-num-vertices": lambda d, grid: (("evaluate", "-i", _cache_of(d, np.array([[0, 1], [1, 2]]), np.float64(3.0)), _parts_file(d, "0\n0\n1\n")), f"{d / 'float.npz'}: cache num_vertices must be a nonnegative integer, got 3.0 of dtype float64"),
     "part-label-past-int64": lambda d, grid: (("evaluate", "-i", grid, _parts_file(d, "0\n\n99999999999999999999\n" + "0\n" * 253)), f"{d / 'labels.parts'}:3: part label"),
     "part-label-out-of-range": lambda d, grid: (("evaluate", "-i", grid, "-p", 2, _parts_file(d, "0\n1\n2\n" + "0\n" * 253)), f"{d / 'labels.parts'}: part labels must lie in [0, 2)"),
     "edge-list-not-utf8": lambda d, grid: (("partition", "-i", _bytes_file(d / "g.txt", b"0 1\n\xff\xfe 3\n"), "-p", 2), f"{d / 'g.txt'}:2: not valid UTF-8"),
@@ -221,6 +229,27 @@ def test_generate_binary_cache_roundtrip(tmp_path):
     out = tmp_path / "c.parts"
     assert run_cli("partition", "-i", cache, "-p", 2, "-o", out) == 0
     assert len(io.read_parts(out)) == 128
+
+
+def test_generate_past_one_array_exits_2_before_allocating(monkeypatch, capsys, tmp_path):
+    def no_call(spec):
+        raise AssertionError("generate ran")
+
+    monkeypatch.setattr("lppart.cli.generate", no_call)
+    for argv, flag in ((("rmat", "--scale", 62), "--scale 62"), (("er", "--n", 1 << 62), f"--n {1 << 62}"), (("randhd", "--n", 1 << 60, "--davg", 8), f"--n {1 << 60}")):
+        assert run_cli("generate", *argv, "-o", tmp_path / "g.txt") == 2
+        assert f"{flag} with --davg" in capsys.readouterr().err
+
+
+def test_generate_out_of_memory_exits_2(monkeypatch, capsys, tmp_path):
+    def out_of_memory(spec):
+        raise MemoryError
+
+    monkeypatch.setattr("lppart.cli.generate", out_of_memory)
+    assert run_cli("generate", "rmat", "--scale", 40, "--davg", 4, "-o", tmp_path / "g.txt") == 2
+    err = capsys.readouterr().err
+    assert "not enough memory" in err and "--scale 40 with --davg 4" in err
+    assert not (tmp_path / "g.txt").exists()
 
 
 def test_generate_missing_params_exit_2():

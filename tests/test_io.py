@@ -1,4 +1,5 @@
 import warnings
+import zipfile
 from unittest import mock
 
 import numpy as np
@@ -68,6 +69,63 @@ def test_relabel_and_dedup_match_np_unique(pairs):
                           ((io.dedup_pairs(pairs),), (oracles.dedup_pairs(pairs),))):
         for a, b in zip(got, expected):
             assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+def _expected_stored_dtype(pairs):
+    """The cache's rule, spelled out: the first of uint8, uint16, uint32 that
+    holds every id when none is negative, else int64; uint8 for no pairs."""
+    if not pairs.size:
+        return np.dtype(np.uint8)
+    if pairs.min() >= 0:
+        for dtype in (np.uint8, np.uint16, np.uint32):
+            if pairs.max() <= np.iinfo(dtype).max:
+                return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
+@st.composite
+def cache_pairs(draw):
+    """``id_pairs``, or ids at the edges of each stored type's range."""
+    edges = st.sampled_from([0, 1, 255, 256, 2**16 - 1, 2**16, 2**32 - 1, 2**32, -1, -(2**63), 2**63 - 1])
+    pairs = draw(st.lists(st.tuples(edges, edges), max_size=6))
+    return draw(st.one_of(id_pairs(), st.just(np.array(pairs, dtype=np.int64).reshape(-1, 2))))
+
+
+@settings(deadline=None, max_examples=200)
+@given(cache_pairs(), st.integers(0, 2**63 - 1))
+def test_cache_roundtrip_is_exact_and_stored_narrow(tmp_path_factory, pairs, n):
+    path = tmp_path_factory.mktemp("cache") / "g.npz"
+    io.write_cache(path, pairs, n)
+    with zipfile.ZipFile(path) as zf:
+        assert sorted(info.filename for info in zf.infolist()) == ["format_version.npy", "num_vertices.npy", "pairs.npy"]
+        assert all(info.compress_type == zipfile.ZIP_STORED for info in zf.infolist())
+    with np.load(path) as data:
+        assert data["pairs"].dtype == _expected_stored_dtype(pairs)
+        assert data["num_vertices"].dtype == np.int64 and data["format_version"].dtype == np.int64
+    back, m = io.read_cache(path)
+    assert m == n and back.dtype == np.int64 and back.shape == pairs.shape and np.array_equal(back, pairs)
+
+
+def test_cache_written_deflated_as_int64_reads_back(tmp_path):
+    pairs = np.array([[0, 70000], [5, 3], [-(2**63), 2**63 - 1]], dtype=np.int64)
+    path = tmp_path / "old.npz"
+    np.savez_compressed(path, format_version=np.int64(1), num_vertices=np.int64(70001), pairs=pairs)
+    back, n = io.read_cache(path)
+    assert n == 70001 and back.dtype == np.int64 and np.array_equal(back, pairs)
+
+
+@pytest.mark.parametrize("members,match", [
+    ({"pairs": np.array([[True, False]]), "num_vertices": np.int64(2)}, "pairs must be integer ids.*bool"),
+    ({"pairs": np.array([[0, 2**63]], dtype=np.uint64), "num_vertices": np.int64(2)}, "pairs must be integer ids.*uint64"),
+    ({"pairs": np.array([[0, 1]]), "num_vertices": np.int64(-1)}, "num_vertices must be a nonnegative integer"),
+    ({"pairs": np.array([[0, 1]]), "num_vertices": np.array([2, 3])}, "num_vertices must be a nonnegative integer"),
+])
+def test_cache_with_out_of_range_members_refused(tmp_path, members, match):
+    """Float members are MALFORMED rows in test_cli."""
+    path = tmp_path / "bad.npz"
+    np.savez(path, format_version=np.int64(io.CACHE_FORMAT_VERSION), **members)
+    with pytest.raises(InputError, match=f"{path}: cache {match}"):
+        io.read_cache(path)
 
 
 def test_cache_roundtrip_and_version(tmp_path):
