@@ -26,7 +26,10 @@ constant times the frontier's edges exceeds the edges left to visit.  A
 bottom-up level reads each unvisited row in growing stages and stops at the
 first stage that meets the frontier, so it reads at most the unvisited
 vertices' edges; every level costs O(frontier edges) and every sweep
-O(n + m).
+O(n + m).  The sweeps' frontier and unvisited lists are selected by index
+(``np.flatnonzero``), as their masks are mixed and a boolean index branches
+on every element; the components' live-edge filter, true for about 1% of the
+edges in its first round on rmat and for none after, stays a mask.
 """
 
 from __future__ import annotations
@@ -190,10 +193,15 @@ def _bfs_levels(g: GlobalGraph, start: int, component: tuple[np.ndarray, int] | 
     ``start``'s component, ascending, and the sum of their degrees.  Given
     it, only that component's edges count as left to visit and only its
     vertices are scanned bottom-up; by default every vertex with an edge is.
+
+    The distances, and the scratch that drops repeated top-down entries, are
+    int32 while the graph has fewer than 2^31 adjacency entries, which bound
+    both a distance and a position; otherwise int64.
     """
     degrees = g.degrees
-    dist = np.full(g.num_vertices, -1, dtype=np.int64)
-    position = np.empty(g.num_vertices, dtype=np.int64)
+    index = np.int32 if len(g.nbrs) < 2**31 else np.int64
+    dist = np.full(g.num_vertices, -1, dtype=index)
+    position = np.empty(g.num_vertices, dtype=index)
     dist[start] = 0
     frontier = np.array([start], dtype=np.int64)
     counts = degrees[frontier]
@@ -206,7 +214,7 @@ def _bfs_levels(g: GlobalGraph, start: int, component: tuple[np.ndarray, int] | 
         if BOTTOM_UP_ALPHA * frontier_edges > unvisited_edges:
             if unvisited is None:
                 unvisited = np.flatnonzero(degrees)
-            unvisited = unvisited[dist[unvisited] < 0]
+            unvisited = unvisited[np.flatnonzero(dist[unvisited] < 0)]
             frontier = _bottom_up(g, degrees[unvisited], unvisited_edges, dist, unvisited, level)
         else:
             frontier = _top_down(g, counts, frontier_edges, dist, position, frontier)
@@ -227,10 +235,10 @@ def _top_down(g: GlobalGraph, counts: np.ndarray, total: int, dist: np.ndarray, 
     reads its own position back stays.
     """
     reached = g.nbrs[_row_entries(g.offsets[frontier], counts, total)[0]]
-    reached = reached[dist[reached] < 0]
-    order = np.arange(len(reached), dtype=np.int64)
+    reached = reached[np.flatnonzero(dist[reached] < 0)]
+    order = np.arange(len(reached), dtype=position.dtype)
     position[reached] = order
-    return reached[position[reached] == order]
+    return reached[np.flatnonzero(position[reached] == order)]
 
 
 def _bottom_up(g: GlobalGraph, counts: np.ndarray, total: int, dist: np.ndarray, unvisited: np.ndarray, level: int) -> np.ndarray:
@@ -261,7 +269,7 @@ def _bottom_up(g: GlobalGraph, counts: np.ndarray, total: int, dist: np.ndarray,
         if not len(going_on):
             break
         rows, starts, left = rows[going_on], starts[going_on] + take[going_on], left[going_on] - take[going_on]
-    return unvisited[found]
+    return unvisited[np.flatnonzero(found)]
 
 
 def _row_entries(starts: np.ndarray, counts: np.ndarray, total: int) -> tuple[np.ndarray, np.ndarray]:

@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -117,6 +117,34 @@ def test_build_csr_matches_the_comparison_sort(case):
     assert g.offsets.dtype == g.nbrs.dtype == np.int64
     assert np.array_equal(g.offsets, offsets) and np.array_equal(g.nbrs, nbrs)
     assert g.num_edges == len(oracles.undirected_pairs(pairs))
+
+
+@st.composite
+def multigraphs(draw):
+    """(pairs, n): edges drawn with replacement over [0, n), so loops and
+    duplicates occur, and so do vertices no edge touches."""
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    return draw(st.lists(st.tuples(vertex, vertex), max_size=40)), n
+
+
+@settings(deadline=None, max_examples=80)
+@given(multigraphs())
+@example(([], 3))
+@example(([(0, 0), (2, 2), (2, 2)], 3))
+def test_edge_list_holds_each_edge_once_in_row_order(case):
+    pairs, n = case
+    g = build_csr(pairs, n)
+    u, v = g.edge_list
+    assert u.dtype == v.dtype == np.int64
+    for column in (u, v):
+        with pytest.raises(ValueError):
+            column[:1] = 0
+    assert (u < v).all()
+    # each input pair that is not a loop, once as (min, max), with multiplicity
+    assert sorted(zip(u.tolist(), v.tolist())) == sorted((min(a, b), max(a, b)) for a, b in oracles.undirected_pairs(pairs))
+    # by u, then by position in u's CSR row
+    assert list(zip(u.tolist(), v.tolist())) == [(a, b) for a in range(n) for b in g.neighbors(a).tolist() if a < b]
 
 
 # sha256 of the little-endian int64 ``offsets`` then ``nbrs`` of the CSR of each
@@ -244,6 +272,36 @@ def test_edge_scan_covers_each_edge_once(rng):
         locals_ = distribute(g, make_distribution(BLOCK, n, T))
         total = sum(len(lg.scan_src) for lg in locals_)
         assert total == g.num_edges
+
+
+@st.composite
+def distributed_multigraphs(draw):
+    """(pairs, n, distribution): a drawn multigraph split over 1 to n tasks."""
+    pairs, n = draw(multigraphs())
+    kind = draw(st.sampled_from([BLOCK, RANDOM_HASH]))
+    return pairs, n, make_distribution(kind, n, draw(st.integers(1, n)), seed=draw(st.integers(0, 3)))
+
+
+@settings(deadline=None, max_examples=80)
+@given(distributed_multigraphs())
+@example(([(0, 1), (1, 2), (2, 0), (2, 3), (3, 1)], 4, make_distribution(BLOCK, 4, 4)))
+@example(([], 5, make_distribution(RANDOM_HASH, 5, 2, seed=1)))
+@example(([(1, 1), (3, 3)], 4, make_distribution(BLOCK, 4, 2)))
+def test_distribute_selects_ghosts_and_scan_entries_by_their_definitions(case):
+    pairs, n, dist = case
+    g = build_csr(pairs, n)
+    owner = dist.owner_of(np.arange(n)).tolist()
+    for lg in distribute(g, dist):
+        owned = [v for v in range(n) if owner[v] == lg.task]
+        entries = [(row, v, w) for row, v in enumerate(owned) for w in g.neighbors(v).tolist()]
+        # the distinct neighbor ids owned by other tasks, ascending
+        ghosts = sorted({w for _, _, w in entries if owner[w] != lg.task})
+        slot = {w: s for s, w in enumerate(owned + ghosts)}
+        assert lg.ghosts.dtype == lg.scan_src.dtype == lg.scan_dst.dtype == np.int64
+        assert lg.ghosts.tolist() == ghosts
+        # the entries whose source id is below their neighbor's, in entry order
+        scan = [(row, slot[w]) for row, v, w in entries if v < w]
+        assert list(zip(lg.scan_src.tolist(), lg.scan_dst.tolist())) == scan
 
 
 def test_local_graph_fields_grow_with_owned_and_ghosts():
