@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, io
 from .baselines import edge_block_partition, random_partition, vertex_block_partition
-from .errors import InputError, LppartError
+from .errors import ConfigError, InputError, LppartError
 from .gen import MAX_PAIRS, GenSpec, generate
 from .graph import BLOCK, RANDOM_HASH, GlobalGraph, build_csr, distribute, make_distribution
 from .metrics import QualityReport, build_report, performance_ratio, write_method_table
@@ -282,12 +282,21 @@ def cmd_evaluate(args) -> int:
             raise LppartError(f"{first_with[name]} and {path} both name method {name!r}; rename one")
         first_with[name] = path
     g, _ = _load_graph(args.input, args.dedup)
+    n = g.num_vertices
+    # the part count sizes every per-part array, so it is held to n, as partition holds it
+    if args.parts is not None and args.parts > n:
+        raise ConfigError(f"part count -p {args.parts} exceeds vertex count {n}")
     reports: dict[str, QualityReport] = {}
     for path in args.partitions:
         parts = io.read_parts(path)
-        if len(parts) != g.num_vertices:
-            raise LppartError(f"{path}: {len(parts)} labels for a graph with {g.num_vertices} vertices")
-        p = args.parts if args.parts is not None else int(parts.max()) + 1
+        if len(parts) != n:
+            raise LppartError(f"{path}: {len(parts)} labels for a graph with {n} vertices")
+        p = args.parts
+        if p is None:
+            top = int(parts.argmax())
+            p = int(parts[top]) + 1
+            if p > n:
+                raise InputError(f"{path}: label {parts[top]} at vertex {top} makes the part count {p}, above the vertex count {n}")
         name = Path(path).stem
         try:
             reports[name] = build_report(g, parts, p, metadata={"partition_file": str(path)})

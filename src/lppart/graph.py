@@ -7,7 +7,10 @@ caller decision).  A ``Distribution`` assigns every vertex to exactly one
 owning task; ``distribute`` then builds one ``LocalGraph`` per task holding
 the owned vertices, their adjacency re-indexed to task-local slots, ghost
 entries for one-hop neighbors owned elsewhere, and the send plan that says
-which tasks ghost each owned vertex and in which of their slots.
+which tasks ghost each owned vertex and in which of their slots.  A task
+keeps every adjacency entry of its owned rows, so an edge between two tasks
+is held by both and every per-task edge tally counts each edge from both
+ends; summed over tasks, such tallies are twice the edge counts.
 
 No set-up step uses a comparison sort.  ``stable_order`` is the one ordering
 primitive: a least-significant-digit radix sort over 16-bit digits, so the
@@ -18,7 +21,7 @@ plan entries the same way.
 Selections by a mixed mask take ``a[np.flatnonzero(mask)]``: numpy's boolean
 index branches on every element, and at 30-70% true it runs 3-4.5 times slower
 than a take by index.  That covers the edge list's ``u < v`` (half the
-entries) and ``distribute``'s ghost filter, ghost dedupe and scan split.  A
+entries) and ``distribute``'s ghost filter and ghost dedupe.  A
 mask that is nearly all true, nearly all false or true in runs, where the
 boolean form is as fast or faster, stays a mask: the CSR's self-loop drop.
 """
@@ -185,11 +188,14 @@ class LocalGraph:
     """One task's share of the graph.
 
     Local slots [0, num_owned) are the owned vertices in ascending global id;
-    slots [num_owned, num_owned + num_ghosts) are ghosts (one-hop neighbors
-    owned elsewhere), also ascending.  ``nbr_slots`` holds the local CSR
-    adjacency of owned vertices in slot indices.  ``degrees`` carries the
-    *global* degree of every slot so weighting functions can read ghost
-    degrees without communication.
+    slots [num_owned, num_slots) are ghosts (one-hop neighbors owned
+    elsewhere), also ascending.  ``local_to_global`` holds every slot's
+    global id once; ``owned`` and ``ghosts`` are views of its two ranges.
+    ``nbr_slots`` holds the local CSR adjacency of owned vertices in slot
+    indices, every entry of every owned row, so an edge to another task's
+    vertex is held by both tasks.  ``degrees`` carries the *global* degree
+    of every slot so weighting functions can read ghost degrees without
+    communication.
 
     The send plan is a CSR over the owned rows: row r's entries
     ``plan_offsets[r]:plan_offsets[r + 1]`` name, in ascending order, every
@@ -201,17 +207,12 @@ class LocalGraph:
 
     task: int
     num_tasks: int
-    owned: np.ndarray  # global ids, ascending
+    num_owned: int
+    local_to_global: np.ndarray  # global id per slot: the owned ids, then the ghosts', each ascending
     offsets: np.ndarray  # local CSR offsets over owned, length num_owned + 1
     nbr_slots: np.ndarray  # neighbor local slot per directed edge
-    ghosts: np.ndarray  # global ids of ghosts, ascending
-    local_to_global: np.ndarray  # owned ++ ghosts
     degrees: np.ndarray  # global degree per local slot
-
-    # static sweep caches, filled by distribute()
-    edge_src: np.ndarray = field(default=None, repr=False)  # owned local row per directed edge
-    scan_src: np.ndarray = field(default=None, repr=False)  # rows of edges this task counts (gid(src) < gid(dst))
-    scan_dst: np.ndarray = field(default=None, repr=False)  # matching neighbor slots
+    edge_src: np.ndarray  # owned local row per directed edge
 
     # send plan, filled by distribute()
     plan_offsets: np.ndarray = field(default=None, repr=False)  # CSR offsets over owned, length num_owned + 1
@@ -219,12 +220,18 @@ class LocalGraph:
     plan_slot: np.ndarray = field(default=None, repr=False)  # the row's ghost slot on that task
 
     @property
-    def num_owned(self) -> int:
-        return len(self.owned)
+    def owned(self) -> np.ndarray:
+        """Global ids of the owned slots, ascending: a view of ``local_to_global``."""
+        return self.local_to_global[: self.num_owned]
+
+    @property
+    def ghosts(self) -> np.ndarray:
+        """Global ids of the ghost slots, ascending: a view of ``local_to_global``."""
+        return self.local_to_global[self.num_owned :]
 
     @property
     def num_ghosts(self) -> int:
-        return len(self.ghosts)
+        return self.num_slots - self.num_owned
 
     @property
     def num_slots(self) -> int:
@@ -273,24 +280,15 @@ def _build_local(
     nbr_slots = slot_of[nbr_gids]
 
     local_to_global = np.concatenate([owned, ghosts])
-    edge_src = np.repeat(np.arange(len(owned), dtype=np.int64), counts)
-
-    # Edges this task is responsible for counting exactly once globally:
-    # the direction whose source global id is smaller (lower-owner rule).
-    src_gids = owned[edge_src]
-    scan = np.flatnonzero(src_gids < nbr_gids)
     return LocalGraph(
         task=task,
         num_tasks=dist.num_tasks,
-        owned=owned,
+        num_owned=len(owned),
+        local_to_global=local_to_global,
         offsets=offsets,
         nbr_slots=nbr_slots,
-        ghosts=ghosts,
-        local_to_global=local_to_global,
         degrees=degrees[local_to_global],
-        edge_src=edge_src,
-        scan_src=edge_src[scan],
-        scan_dst=nbr_slots[scan],
+        edge_src=np.repeat(np.arange(len(owned), dtype=np.int64), counts),
     )
 
 

@@ -9,10 +9,13 @@ Both are reported because either reading of "average edges per part" is
 defensible.
 
 The distributed variants compute the same quantities from per-task local
-views: every edge is counted exactly once by the task owning its lower-id
-endpoint.  The per-task counts that check the partitioner's ledger (once
-when it is made and once at every phase exit) and the global counts behind
-the report share one tally, fed the parts at both ends of each edge once.
+views: every task tallies each adjacency entry of its owned rows, so each
+edge is counted once from each end, and the sum over tasks is halved after
+the all-reduce.  The per-task counts that check the partitioner's ledger
+(once when it is made and once at every phase exit) and the global counts
+behind the report share one tally, fed the parts at the two ends of each
+counted edge: for the report, each edge once; for a task, each of its
+adjacency entries.
 The whole-graph tallies and the components read each edge once from
 ``GlobalGraph.edge_list``, which the first of them builds.
 
@@ -90,12 +93,14 @@ def _imbalances(g: GlobalGraph, verts: np.ndarray, intra: np.ndarray, p: int) ->
 def imbalance(g: GlobalGraph, parts, num_parts: int | None = None) -> tuple[float, float]:
     """(vertex imbalance, edge imbalance): max part size over the p-way average.
 
-    Edge imbalance counts intra-part edges; with no edges it is 0.
+    Edge imbalance counts intra-part edges; with no edges it is 0.  Without
+    ``num_parts``, p is the largest label + 1, or 1 for an empty partition.
     """
     parts = _check_parts(g, parts)
-    p = num_parts if num_parts is not None else int(parts.max()) + 1
-    verts, intra, _ = part_counts(g, parts, p)
-    return _imbalances(g, verts, intra, p)
+    if num_parts is None:
+        num_parts = int(parts.max()) + 1 if len(parts) else 1
+    verts, intra, _ = part_counts(g, parts, num_parts)
+    return _imbalances(g, verts, intra, num_parts)
 
 
 def _tally(vert_parts: np.ndarray, a: np.ndarray, b: np.ndarray, num_parts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -133,11 +138,14 @@ def part_counts(g: GlobalGraph, parts, num_parts: int) -> tuple[np.ndarray, np.n
 
 
 # ---------------------------------------------------------------------------
-# distributed counterparts (owned edges only, lower-id rule)
+# distributed counterparts (every adjacency entry: each edge from both ends)
 
 
 def per_task_counts(lg: LocalGraph, parts: np.ndarray, num_parts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """This task's exact contribution to (vertices, intra edges, cut incidence) per part.
+    """This task's (vertices, intra edges, cut incidence) per part, tallied
+    over every adjacency entry of its owned rows, so each edge once from
+    each end this task owns: summed over tasks, the vertices are the part
+    sizes and the edge tallies twice the part counts.
 
     Raises ``InputError`` naming the first owned or ghost slot whose label is
     outside [0, num_parts).
@@ -147,14 +155,16 @@ def per_task_counts(lg: LocalGraph, parts: np.ndarray, num_parts: int) -> tuple[
         raise InputError(
             f"part labels must lie in [0, {num_parts}), got {parts[slot]} at slot {slot} (vertex {lg.local_to_global[slot]})"
         )
-    return _tally(parts[: lg.num_owned], parts[lg.scan_src], parts[lg.scan_dst], num_parts)
+    return _tally(parts[: lg.num_owned], parts[lg.edge_src], parts[lg.nbr_slots], num_parts)
 
 
 def edge_cut_distributed(local_graphs: Sequence[LocalGraph], parts_arrays: Sequence[np.ndarray]) -> int:
+    """The edge cut from per-task labels: each task counts its cut adjacency
+    entries, so the sum counts every cut edge twice."""
     total = 0
     for lg, parts in zip(local_graphs, parts_arrays):
-        total += int((parts[lg.scan_src] != parts[lg.scan_dst]).sum())
-    return total
+        total += int((parts[lg.edge_src] != parts[lg.nbr_slots]).sum())
+    return total // 2
 
 
 # ---------------------------------------------------------------------------

@@ -15,22 +15,25 @@ Every iteration is one superstep: each task sweeps its owned vertices and
 queues part changes, changed labels are exchanged so ghost copies stay
 coherent, and integer per-part deltas are all-reduced into the global ledger.
 
-Neighbor counts are kept for the whole job.  After initialization each task
-counts, for every owned row, its neighbors in each part (``NeighborCounts``);
-each balance phase adds the sums of those neighbors' degrees on entry and
-each refine phase drops them.  Every label change after that, a task's own
-move or a ghost label it receives, is noted and folded in before the next
-read: the rows next to the changed slots are shifted from the old part's bin
-to the new one, or, when the changes touch more than ``RECOUNT_FRACTION`` of
-the task's adjacency entries, the counts are recounted; both give the same
-arrays.  A stage function called on its own builds the counts it needs.  The sweeps read their chunk's rows
-from these counts instead of gathering labels.  The ledger's edge counts
-come from them in O(owned) per task: summed over tasks, each row's count in
-its own part gives twice the intra-part edges, and its degree minus that
-count its cut incidence.  The vertex sizes folded from the per-task deltas
-are checked against the owned labels every superstep, and the full
-``metrics.per_task_counts`` recount checks the whole ledger once per phase,
-before its last superstep is announced; either raises ``ProtocolError``.
+Neighbor counts are kept for the whole job, in one form.  After
+initialization each task counts, for every owned row, its neighbors in each
+part and the sums of those neighbors' degrees (``NeighborCounts``), and
+keeps both exact through every phase.  Every label change after that, a
+task's own move or a ghost label it receives, is noted and folded in before
+the next read: the rows next to the changed slots are shifted from the old
+part's bin to the new one, or, when the changes touch more than
+``RECOUNT_FRACTION`` of the task's adjacency entries, recounted; both give
+the same arrays.  A stage function called on its own builds the counts.  The
+sweeps read their chunk's rows from these counts instead of gathering
+labels.  Every per-task edge tally counts each adjacency entry, so each edge
+from both ends, and the sums over tasks are halved after the all-reduce.
+The ledger's edge counts come from the kept counts in O(owned) per task:
+summed over tasks, each row's count in its own part gives twice the
+intra-part edges, and its degree minus that count its cut incidence.  The
+vertex sizes folded from the per-task deltas are checked against the owned
+labels every superstep, and the full ``metrics.per_task_counts`` recount,
+halved in the same way, checks the whole ledger once per phase, before its
+last superstep is announced; either raises ``ProtocolError``.
 
 Movement damping: the attraction weights see part sizes as the *ramped*
 estimate ``size + mult * delta``, where ``delta`` counts this task's moves so
@@ -241,18 +244,19 @@ def _weight(target: float, estimate: float) -> float:
 
 
 def _global_counts(local_graphs, parts_arrays, num_parts):
+    """(vertices, intra edges, cut incidence) per part, all-reduced from the
+    per-task tallies; these count each edge from both ends, so the edge
+    counts are halved."""
     per_task = [metrics.per_task_counts(lg, parts, num_parts) for lg, parts in zip(local_graphs, parts_arrays)]
-    verts = allreduce_sum([c[0] for c in per_task])
-    intra = allreduce_sum([c[1] for c in per_task])
-    cut = allreduce_sum([c[2] for c in per_task])
-    return verts, intra, cut
+    verts, intra, cut = (allreduce_sum(terms) for terms in zip(*per_task))
+    return verts, intra // 2, cut // 2
 
 
 def make_ledger(local_graphs: Sequence[LocalGraph], state: PartitionState, cfg: Config) -> PartLedger:
     p = state.num_parts
     verts, intra, cut = _global_counts(local_graphs, state.parts, p)
     n = int(verts.sum())
-    m = sum(len(lg.scan_src) for lg in local_graphs)
+    m = sum(len(lg.nbr_slots) for lg in local_graphs) // 2
     return PartLedger(
         num_parts=p,
         verts=verts.astype(np.int64),
@@ -425,7 +429,7 @@ def _init_direct(runtime, local_graphs, state, cfg, notify):
 
 
 # ---------------------------------------------------------------------------
-# neighbor counts kept through a phase
+# neighbor counts kept for the job
 
 # A flush shifts the kept counts entry by entry while the adjacency entries
 # its label changes touch are at most this fraction of the task's entries,
@@ -437,25 +441,24 @@ RECOUNT_FRACTION = 0.25
 
 
 class NeighborCounts:
-    """One task's owned-row x part neighbor counts, exact for its current labels.
+    """One task's owned-row x part neighbor counts and degree sums, exact for its current labels.
 
     ``counts[r * p + q]`` is the number of adjacency entries of owned row r
-    whose slot is labelled q; while ``sums`` is kept (the balance phases)
-    ``sums[r * p + q]`` adds up those slots' global degrees.  ``xtrapulp``
-    builds one per task after initialization and keeps it for the whole job:
-    a balance phase adds the sums on entry (``track_degree_sums``) and a
-    refine phase drops them.  Every label change is noted with its old and
-    new label and folded in before the next read, either by shifting the
-    entries of the rows next to the changed slots (``LocalGraph.slot_rows``)
-    or, past ``RECOUNT_FRACTION`` of the task's entries, by recounting.  A
-    recount reads the entries' row keys (``edge_src * p``) and, for the sums,
-    their neighbor degrees, both built at first use and released with the
-    object.  The counts are int32 where no count can reach 2^31.  The sums
-    are whole numbers held in float64, as the balance sweep multiplies them
-    by float scores, so every way of keeping them gives the same bytes.
+    whose slot is labelled q, and ``sums[r * p + q]`` adds up those slots'
+    global degrees.  ``xtrapulp`` builds one per task after initialization
+    and keeps both exact for the whole job, in every phase.  Every label
+    change is noted with its old and new label and folded in before the next
+    read, either by shifting the entries of the rows next to the changed
+    slots (``LocalGraph.slot_rows``) or, past ``RECOUNT_FRACTION`` of the
+    task's entries, by recounting.  A recount reads the entries' row keys
+    (``edge_src * p``) and neighbor degrees, both built with the object and
+    released with it.  The counts are int32 where no count can reach 2^31.
+    The sums are whole numbers held in float64, as the balance sweep
+    multiplies them by float scores, so every way of keeping them gives the
+    same bytes.
     """
 
-    def __init__(self, lg: LocalGraph, parts: np.ndarray, num_parts: int, degree_sums: bool = False):
+    def __init__(self, lg: LocalGraph, parts: np.ndarray, num_parts: int):
         self.lg = lg
         self.parts = parts
         self.num_parts = num_parts
@@ -463,43 +466,20 @@ class NeighborCounts:
         entries = len(lg.nbr_slots)
         self.limit = RECOUNT_FRACTION * entries
         self.dtype = np.int32 if entries < 2**31 else np.int64  # no count exceeds the entries
+        key = np.int32 if lg.num_owned * num_parts < 2**31 else np.int64
+        self.row_keys = lg.edge_src.astype(key) * key(num_parts)
+        self.nbr_degrees = lg.degrees[lg.nbr_slots].astype(np.float64)
         self.pending: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self.sums = None
-        self.row_keys = None  # edge_src * p per entry
-        self.nbr_degrees = None  # the global degree of each entry's slot, float64
         self.recount()
-        self.track_degree_sums(degree_sums)
-
-    def _keys(self) -> np.ndarray:
-        """``row * p + label`` for every adjacency entry."""
-        if self.row_keys is None:
-            lg = self.lg
-            dtype = np.int32 if lg.num_owned * self.num_parts < 2**31 else np.int64
-            self.row_keys = lg.edge_src.astype(dtype) * dtype(self.num_parts)
-        keys = self.parts[self.lg.nbr_slots]
-        keys += self.row_keys
-        return keys
-
-    def _degree_sums(self, keys: np.ndarray) -> np.ndarray:
-        if self.nbr_degrees is None:
-            self.nbr_degrees = self.lg.degrees[self.lg.nbr_slots].astype(np.float64)
-        # (bincount gives int64 zeros when there are no entries)
-        return np.bincount(keys, weights=self.nbr_degrees, minlength=self.lg.num_owned * self.num_parts).astype(np.float64, copy=False)
-
-    def track_degree_sums(self, on: bool) -> None:
-        """Keep the degree sums from now on (built by one weighted bincount
-        of the current labels if they are not kept yet), or drop them."""
-        if not on:
-            self.sums = None
-        elif self.sums is None:
-            self.flush()
-            self.sums = self._degree_sums(self._keys())
 
     def recount(self) -> None:
-        keys = self._keys()
-        self.counts = np.bincount(keys, minlength=self.lg.num_owned * self.num_parts).astype(self.dtype)
-        if self.sums is not None:
-            self.sums = self._degree_sums(keys)
+        # ``row * p + label`` for every adjacency entry
+        keys = self.parts[self.lg.nbr_slots]
+        keys += self.row_keys
+        size = self.lg.num_owned * self.num_parts
+        self.counts = np.bincount(keys, minlength=size).astype(self.dtype)
+        # (bincount gives int64 zeros when there are no entries)
+        self.sums = np.bincount(keys, weights=self.nbr_degrees, minlength=size).astype(np.float64, copy=False)
 
     def note(self, slots: np.ndarray, old: np.ndarray, new: np.ndarray) -> None:
         """Record that ``slots`` changed from labels ``old`` to ``new``."""
@@ -530,18 +510,15 @@ class NeighborCounts:
         one = self.counts.dtype.type(1)
         np.subtract.at(self.counts, out_keys, one)
         np.add.at(self.counts, base, one)
-        if self.sums is not None:
-            degree = np.repeat(self.lg.degrees[slots].astype(np.float64), sizes)
-            np.subtract.at(self.sums, out_keys, degree)
-            np.add.at(self.sums, base, degree)
+        degree = np.repeat(self.lg.degrees[slots].astype(np.float64), sizes)
+        np.subtract.at(self.sums, out_keys, degree)
+        np.add.at(self.sums, base, degree)
 
-    def rows(self, b0: int, b1: int) -> tuple[np.ndarray, np.ndarray | None]:
+    def rows(self, b0: int, b1: int) -> tuple[np.ndarray, np.ndarray]:
         """The counts and degree sums of rows ``b0:b1`` as (rows x parts) views."""
         self.flush()
         p = self.num_parts
-        raw = self.counts[b0 * p : b1 * p].reshape(b1 - b0, p)
-        sums = None if self.sums is None else self.sums[b0 * p : b1 * p].reshape(b1 - b0, p)
-        return raw, sums
+        return self.counts[b0 * p : b1 * p].reshape(b1 - b0, p), self.sums[b0 * p : b1 * p].reshape(b1 - b0, p)
 
     def tally(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(vertices, own-part neighbor counts, degrees) per part over the owned rows.
@@ -577,8 +554,7 @@ def _sweep(lg: LocalGraph, parts: np.ndarray, chunk: int, counts: NeighborCounts
     """The chunk walk both weighted sweeps share; returns the moved rows.
 
     For every chunk of owned rows with adjacency entries it reads the kept
-    counts, and the degree sums while they are kept, as (rows x parts)
-    views, and hands ``pick(b0, raw, sums, cur, k_cur)`` those, the chunk's
+    counts and degree sums as (rows x parts) views, and hands ``pick(b0, raw, sums, cur, k_cur)`` those, the chunk's
     labels and each row's count in its own part.  ``pick`` returns the
     chunk-relative rows that move and their new labels; the walk writes
     them and notes them in ``counts`` after the chunk (nothing in the chunk
@@ -615,7 +591,7 @@ def _sweep_balance(
     max_v: float,
     score_w: list[float],  # per-part attraction multipliers at iteration start
     edge_weights: tuple[float, float, float] | None,
-    counts: NeighborCounts,  # this task's counts, with degree sums
+    counts: NeighborCounts,  # this task's counts
 ) -> np.ndarray:
     """Degree-weighted sweep: counts scaled by the part scores, vertex guard on
     destinations; returns the moved rows and notes them in ``counts``.
@@ -864,10 +840,7 @@ def _run_phase(runtime, local_graphs, state, ledger, cfg, iters, phase, observer
     edge_stage = phase in (PHASE_EDGE_BALANCE, PHASE_EDGE_REFINE)
     exact_caps = edge_stage or closing_round
     if counts is None:
-        counts = [NeighborCounts(lg, parts, p, balance) for lg, parts in zip(local_graphs, state.parts)]
-    else:
-        for c in counts:
-            c.track_degree_sums(balance)
+        counts = [NeighborCounts(lg, parts, p) for lg, parts in zip(local_graphs, state.parts)]
 
     for it in range(iters):
         # caps: balance phases track the current max each iteration; refine

@@ -277,8 +277,8 @@ def sweep_balance_dense(lg, parts, chunk, ledger, mult, c_v, guard_v, max_v, sco
     labels written move by move.  Same arguments, results and side effects.
 
     It counts each chunk from the labels itself, asserts that the kept
-    ``counts`` hold the same at that moment, and notes its chunk's moves
-    there, as the library's sweep does."""
+    ``counts`` and degree sums hold the same at that moment, and notes its
+    chunk's moves there, as the library's sweep does."""
     p = ledger.num_parts
     moved = []
     owned_deg = lg.degrees[: lg.num_owned]
@@ -406,8 +406,8 @@ def sweep_refine_dense(lg, parts, chunk, ledger, mult, c_v, cap_v, max_v, edge_c
     effects.
 
     It counts each chunk from the labels itself, asserts that the kept
-    ``counts`` hold the same at that moment, and notes its chunk's moves
-    there, as the library's sweep does."""
+    ``counts`` and degree sums hold the same at that moment, and notes its
+    chunk's moves there, as the library's sweep does."""
     p = ledger.num_parts
     moved = []
     owned_deg = lg.degrees[: lg.num_owned].tolist()
@@ -424,10 +424,12 @@ def sweep_refine_dense(lg, parts, chunk, ledger, mult, c_v, cap_v, max_v, edge_c
         e0, e1 = lg.offsets[b0], lg.offsets[b1]
         if e0 == e1:
             continue
-        flat = (lg.edge_src[e0:e1] - b0) * p + parts[lg.nbr_slots[e0:e1]]
+        nbr = lg.nbr_slots[e0:e1]
+        flat = (lg.edge_src[e0:e1] - b0) * p + parts[nbr]
         raw = np.bincount(flat, minlength=B * p).reshape(B, p)
-        kept_raw, _ = counts.rows(b0, b1)
-        assert np.array_equal(kept_raw, raw), (b0, b1)
+        wmat = np.bincount(flat, weights=lg.degrees[nbr].astype(np.float64), minlength=B * p).reshape(B, p)
+        kept_raw, kept_w = counts.rows(b0, b1)
+        assert np.array_equal(kept_raw, raw) and kept_w.tobytes() == wmat.tobytes(), (b0, b1)
         old_rows = parts[b0:b1].copy()
         for r, row in enumerate(raw.tolist()):
             x = int(old_rows[r])

@@ -141,6 +141,8 @@ MALFORMED = {
     "npz-float-pairs": lambda d, grid: (("partition", "-i", _cache_of(d, np.array([[0.5, 1.7], [1.2, 2.9]]), np.int64(3)), "-p", 2), f"{d / 'float.npz'}: cache pairs must be integer ids within int64, got dtype float64"),
     "npz-float-num-vertices": lambda d, grid: (("evaluate", "-i", _cache_of(d, np.array([[0, 1], [1, 2]]), np.float64(3.0)), _parts_file(d, "0\n0\n1\n")), f"{d / 'float.npz'}: cache num_vertices must be a nonnegative integer, got 3.0 of dtype float64"),
     "part-label-past-int64": lambda d, grid: (("evaluate", "-i", grid, _parts_file(d, "0\n\n99999999999999999999\n" + "0\n" * 253)), f"{d / 'labels.parts'}:3: part label"),
+    "part-label-above-vertex-count": lambda d, grid: (("evaluate", "-i", grid, _parts_file(d, "0\n100000000000\n" + "0\n" * 254)), f"{d / 'labels.parts'}: label 100000000000 at vertex 1 makes the part count 100000000001, above the vertex count 256"),
+    "part-count-above-vertex-count": lambda d, grid: (("evaluate", "-i", grid, "-p", 100000000000, _parts_file(d, "0\n" * 256)), "part count -p 100000000000 exceeds vertex count 256"),
     "part-label-out-of-range": lambda d, grid: (("evaluate", "-i", grid, "-p", 2, _parts_file(d, "0\n1\n2\n" + "0\n" * 253)), f"{d / 'labels.parts'}: part labels must lie in [0, 2)"),
     "edge-list-not-utf8": lambda d, grid: (("partition", "-i", _bytes_file(d / "g.txt", b"0 1\n\xff\xfe 3\n"), "-p", 2), f"{d / 'g.txt'}:2: not valid UTF-8"),
     "parts-not-utf8": lambda d, grid: (("evaluate", "-i", grid, _bytes_file(d / "labels.parts", b"0\n\xff\n" + b"0\n" * 254)), f"{d / 'labels.parts'}:2: not valid UTF-8"),

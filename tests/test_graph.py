@@ -148,17 +148,38 @@ def test_edge_list_holds_each_edge_once_in_row_order(case):
 
 
 # sha256 of the little-endian int64 ``offsets`` then ``nbrs`` of the CSR of each
-# generated graph (average degree 16, graph seed 5), and of every LocalGraph
-# array field, task by task in FIELDS order, of its distribution (seed 1)
+# generated graph (average degree 16, graph seed 5), and of each LocalGraph
+# array, task by task, of its distribution (seed 1): one digest per array, so
+# a change to one array names it and leaves the others' digests standing
 CSR_GOLDEN = [
     ("rmat", 1 << 16, "38b7c5ef95ab67e62279cfdb43b231ef47f04f979a021b172a99e310af41edc7"),
     ("er", 1 << 14, "a1d60aa72f9b96b29a5916a6777046e290fa059ebfab884c34eb67b5f9aff73e"),
 ]
-FIELDS = ("owned", "offsets", "nbr_slots", "ghosts", "local_to_global", "degrees",
-          "edge_src", "scan_src", "scan_dst", "plan_offsets", "plan_dest", "plan_slot")
 LOCAL_GOLDEN = [
-    ("er", RANDOM_HASH, 16, "b584396040799d2c466236213d5da2fd7b12a55a8c9fb26711b7d238c4f1a9a2"),
-    ("rmat", BLOCK, 4, "c7d012544751a5e533d3d0764e6283bd4a6c03fbb2dd358fe4d859c0429ec742"),
+    ("er", RANDOM_HASH, 16, {
+        "owned": "468416e6f976cdd51653e7106ec1164e4ce1bf2aac5d7e96d77359cdf560eb56",
+        "offsets": "a73f714a6a6cda9f7a9a5700c5705666f0164b9e0d18a03ac2b5ea6da8f5c41c",
+        "nbr_slots": "49c4e0209ec6eef2027eaf484add050fe34200c97d2a73ebc1d72cc9a807c038",
+        "ghosts": "3ba8ab17804b63e2c15649c9d4bc71ef8fadb3c9a6bd4bea8b1fba923aa78413",
+        "local_to_global": "65547e45d028ae6979dfa1917da160f0c244dabc82d62067a341422fd9f9e795",
+        "degrees": "b1ded1b4e1e8e3781b97ac0db5a3eb098a5cd09e169a6052f41bd9d0a49d7da2",
+        "edge_src": "6674cd56aff03a1604420c7aad14cf8d3ba0cf176031439101190fcf45d82c1c",
+        "plan_offsets": "9f658de2f6650a6c769eba5a2d7ce5011253cc5e2da6129792caebf3d2e2b65c",
+        "plan_dest": "67f0a392df2f381b0af41551788dd4977b69fb5a10c0e83b1c9c9a8c177e97e6",
+        "plan_slot": "a7384fb591b90e314829e787976fa400da73990934327efa6ee0cafa5ac4d03d",
+    }),
+    ("rmat", BLOCK, 4, {
+        "owned": "08063881d584e95e1734c94e92def2197295bb9d20f96d44852ce6fe37aa3687",
+        "offsets": "cd90768c48bcd7d04d728940cee3ca4c14fc13f57056c662bcef499f3a36a274",
+        "nbr_slots": "a3d0f02582622ddfd9143fd9ab8a5cdf6120ddea075b7c57018bdb94b3976fce",
+        "ghosts": "4a3bf88722e14f6a2a8c8b722e2dd329c70f197eb101f688304e484643b98893",
+        "local_to_global": "3c6e0b586da91cdbe3ccc60a76e6b5fed49507a883318e5495af76e7ad9369b8",
+        "degrees": "d7737f42bd8973cfa9946e7fef874f6b1f2c3079ddd339eeeb32de270ca8084e",
+        "edge_src": "8e51f62b41fd8cf2e081c8aa2500ec29cc08412141780e053af753c3f2b189ed",
+        "plan_offsets": "7501df7d693eb579be65d97198fdeca4b6ce384afddd0e46e6cace6106a74354",
+        "plan_dest": "8e56c33a4e718428c63443e0e9f35694314775404dc4460f0edfef8efafbe111",
+        "plan_slot": "c56a646ab9e834deced99ac862418154682cc95345794d54df411693c0a11809",
+    }),
 ]
 
 
@@ -168,15 +189,18 @@ def test_csr_golden(kind, n, digest):
     assert hashlib.sha256(g.offsets.astype("<i8").tobytes() + g.nbrs.astype("<i8").tobytes()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("kind,dist,num_tasks,digest", LOCAL_GOLDEN, ids=[row[0] for row in LOCAL_GOLDEN])
-def test_local_graphs_golden(kind, dist, num_tasks, digest):
+@pytest.mark.parametrize("kind,dist,num_tasks,digests", LOCAL_GOLDEN, ids=[row[0] for row in LOCAL_GOLDEN])
+def test_local_graphs_golden(kind, dist, num_tasks, digests):
     n = 1 << 14
     g = build_csr(generate(GenSpec(kind, n, 16, seed=5)), n)
-    h = hashlib.sha256()
-    for lg in distribute(g, make_distribution(dist, n, num_tasks, seed=1)):
-        for name in FIELDS:
+    local_graphs = distribute(g, make_distribution(dist, n, num_tasks, seed=1))
+    found = {}
+    for name in digests:
+        h = hashlib.sha256()
+        for lg in local_graphs:
             h.update(getattr(lg, name).astype("<i8").tobytes())
-    assert h.hexdigest() == digest
+        found[name] = h.hexdigest()
+    assert found == digests
 
 
 # ---------------------------------------------------------------------------
@@ -264,16 +288,6 @@ def test_local_graph_invariants(rng, kind, num_tasks):
         assert sorted(rebuilt[v]) == sorted(g.neighbors(v).tolist())
 
 
-def test_edge_scan_covers_each_edge_once(rng):
-    n = 80
-    pairs = random_pairs(rng, n, 300)
-    g = build_csr(pairs, n)
-    for T in (1, 2, 5):
-        locals_ = distribute(g, make_distribution(BLOCK, n, T))
-        total = sum(len(lg.scan_src) for lg in locals_)
-        assert total == g.num_edges
-
-
 @st.composite
 def distributed_multigraphs(draw):
     """(pairs, n, distribution): a drawn multigraph split over 1 to n tasks."""
@@ -287,21 +301,36 @@ def distributed_multigraphs(draw):
 @example(([(0, 1), (1, 2), (2, 0), (2, 3), (3, 1)], 4, make_distribution(BLOCK, 4, 4)))
 @example(([], 5, make_distribution(RANDOM_HASH, 5, 2, seed=1)))
 @example(([(1, 1), (3, 3)], 4, make_distribution(BLOCK, 4, 2)))
-def test_distribute_selects_ghosts_and_scan_entries_by_their_definitions(case):
+def test_distribute_selects_ghosts_by_their_definition(case):
     pairs, n, dist = case
     g = build_csr(pairs, n)
     owner = dist.owner_of(np.arange(n)).tolist()
     for lg in distribute(g, dist):
-        owned = [v for v in range(n) if owner[v] == lg.task]
-        entries = [(row, v, w) for row, v in enumerate(owned) for w in g.neighbors(v).tolist()]
         # the distinct neighbor ids owned by other tasks, ascending
-        ghosts = sorted({w for _, _, w in entries if owner[w] != lg.task})
-        slot = {w: s for s, w in enumerate(owned + ghosts)}
-        assert lg.ghosts.dtype == lg.scan_src.dtype == lg.scan_dst.dtype == np.int64
+        ghosts = sorted({w for v in range(n) if owner[v] == lg.task for w in g.neighbors(v).tolist() if owner[w] != lg.task})
+        assert lg.ghosts.dtype == np.int64
         assert lg.ghosts.tolist() == ghosts
-        # the entries whose source id is below their neighbor's, in entry order
-        scan = [(row, slot[w]) for row, v, w in entries if v < w]
-        assert list(zip(lg.scan_src.tolist(), lg.scan_dst.tolist())) == scan
+
+
+@settings(deadline=None, max_examples=80)
+@given(multigraphs(), st.integers(1, 4), st.sampled_from([BLOCK, RANDOM_HASH]), st.integers(0, 3))
+@example(([], 3), 2, RANDOM_HASH, 1)
+@example(([(0, 0), (2, 2), (2, 2)], 3), 3, BLOCK, 0)
+def test_adjacency_entries_hold_each_edge_from_both_ends(case, num_tasks, kind, seed):
+    """Across all tasks, the (row id, neighbor id) pairs of the adjacency
+    entries are every input edge that is not a loop once in each
+    orientation, with multiplicity: each edge is tallied from both ends, so
+    the sums over tasks halve.  ``owned`` and ``ghosts`` are views of
+    ``local_to_global``, which holds each slot's id once."""
+    pairs, n = case
+    local_graphs = distribute(build_csr(pairs, n), make_distribution(kind, n, min(num_tasks, n), seed=seed))
+    entries = []
+    for lg in local_graphs:
+        entries += zip(lg.owned[lg.edge_src].tolist(), lg.local_to_global[lg.nbr_slots].tolist())
+        assert lg.owned.base is lg.local_to_global and lg.ghosts.base is lg.local_to_global
+        assert lg.num_ghosts == lg.num_slots - lg.num_owned
+    edges = oracles.undirected_pairs(pairs)
+    assert sorted(entries) == sorted(edges + [(b, a) for a, b in edges])
 
 
 def test_local_graph_fields_grow_with_owned_and_ghosts():

@@ -53,6 +53,13 @@ def test_cut_against_brute_force_oracle(rng):
         assert count == max(oracles.per_part_cut(pairs, parts.tolist(), p))
 
 
+def test_empty_partition_takes_one_part():
+    """With no vertices and no ``num_parts``, p is 1, as ``max_part_cut`` takes it."""
+    g = build_csr([], 0)
+    assert imbalance(g, []) == (0.0, 0.0)
+    assert max_part_cut(g, []) == (0, 0)
+
+
 def test_imbalance_examples(rng):
     g = build_csr([(0, 1), (1, 2), (2, 3)], 4)
     v, e = imbalance(g, [0, 0, 1, 1], 2)
@@ -105,7 +112,7 @@ def test_per_task_counts_rejects_a_label_outside_the_parts(label, where):
     g = build_csr([(0, 1), (1, 2), (2, 3)], 4)
     lg = distribute(g, make_distribution(BLOCK, 4, 2))[0]
     assert lg.owned.tolist() == [0, 1] and lg.local_to_global[lg.num_owned :].tolist() == [2]
-    assert lg.num_owned in lg.scan_dst.tolist()
+    assert lg.num_owned in lg.nbr_slots.tolist()
     parts = np.zeros(lg.num_slots, dtype=np.int64)
     slot = 1 if where == "owned" else lg.num_owned
     parts[slot] = label
@@ -131,9 +138,10 @@ def test_distributed_metrics_match_sequential(rng):
             verts += a
             intra += b
             cut += c
+        # every task counts each of its edges from both ends, so the edge tallies sum to twice the global ones
         over, oi = oracles.part_sizes(pairs, parts_global.tolist(), n, p)
-        assert verts.tolist() == over and intra.tolist() == oi
-        assert cut.tolist() == oracles.per_part_cut(pairs, parts_global.tolist(), p)
+        assert verts.tolist() == over and intra.tolist() == [2 * e for e in oi]
+        assert cut.tolist() == [2 * c for c in oracles.per_part_cut(pairs, parts_global.tolist(), p)]
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,9 @@ def test_per_task_tallies_sum_to_part_counts(case, num_tasks, kind, seed):
     for lg in distribute(g, make_distribution(kind, n, T, seed=seed)):
         for total, count in zip(totals, per_task_counts(lg, glob[lg.local_to_global], p)):
             total += count
-    assert [t.tolist() for t in totals] == [c.tolist() for c in part_counts(g, glob, p)]
+    # each task counts its edges from both ends: the edge tallies sum to twice the part counts
+    verts, intra, cut = part_counts(g, glob, p)
+    assert [t.tolist() for t in totals] == [verts.tolist(), (2 * intra).tolist(), (2 * cut).tolist()]
 
 
 @PROPERTY_SETTINGS
@@ -257,7 +259,7 @@ def test_balance_sweep_matches_dense_oracle(case):
             results = []
             for sweep in (_sweep_balance, oracles.sweep_balance_dense):
                 parts, c_v, guard_v = task_parts.copy(), [0] * p, ledger.verts.astype(np.float64).tolist()
-                counts = NeighborCounts(lg, parts, p, True)
+                counts = NeighborCounts(lg, parts, p)
                 moved = sweep(lg, parts, chunk, ledger, mult, c_v, guard_v, max_v, list(score_w), edge_weights, counts)
                 assert moved.dtype == np.int64
                 results.append((moved.tolist(), parts.tolist(), c_v, np.asarray(guard_v).tobytes()))
@@ -342,7 +344,7 @@ class RecordingCounts(NeighborCounts):
     def __init__(self, *args):
         self.branches = []
         super().__init__(*args)
-        self.branches.clear()  # the build at phase entry is not a flush
+        self.branches.clear()  # the build in __init__ is not a flush
 
     def recount(self):
         self.branches.append("recount")
@@ -360,8 +362,7 @@ def _assert_counts_are_fresh(local_graphs, state, counts, p):
         c.flush()
         fresh, sums = oracles.neighbor_counts(lg, parts, p)
         assert c.counts.dtype == np.int32 and c.counts.tobytes() == fresh.astype(np.int32).tobytes()
-        if c.sums is not None:
-            assert c.sums.dtype == np.float64 and c.sums.tobytes() == sums.astype(np.float64).tobytes()
+        assert c.sums.dtype == np.float64 and c.sums.tobytes() == sums.astype(np.float64).tobytes()
     verts, own, ends = (sum(terms) for terms in zip(*(c.tally() for c in counts)))
     expected = _global_counts(local_graphs, state.parts, p)
     assert [verts.tolist(), (own // 2).tolist(), (ends - own).tolist()] == [e.tolist() for e in expected]
@@ -405,15 +406,15 @@ def labelled_task_graphs(draw):
 
 
 @PROPERTY_SETTINGS
-@given(labelled_task_graphs(), st.booleans(), st.data())
-def test_kept_counts_match_a_fresh_count(case, degree_sums, data):
+@given(labelled_task_graphs(), st.data())
+def test_kept_counts_match_a_fresh_count(case, data):
     """Drawn owned moves at chunk 1, 3, 64 and n+1, each superstep followed
     by a real exchange: small change sets take the shift and large ones the
     recount, and either way the counts stay equal to a fresh count and the
     ledger they give to the recount's."""
     n, local_graphs, state = case
     p = state.num_parts
-    counts = [NeighborCounts(lg, parts, p, degree_sums) for lg, parts in zip(local_graphs, state.parts)]
+    counts = [NeighborCounts(lg, parts, p) for lg, parts in zip(local_graphs, state.parts)]
     _assert_counts_are_fresh(local_graphs, state, counts, p)
 
     def draw_moves(rows, p):
@@ -429,25 +430,6 @@ def test_kept_counts_match_a_fresh_count(case, degree_sums, data):
         _assert_counts_are_fresh(local_graphs, state, counts, p)
 
 
-class EntryCheckedCounts(NeighborCounts):
-    """Kept counts that check themselves against a fresh count whenever a
-    phase sets their degree sums, which it does on entry."""
-
-    def __init__(self, *args):
-        self.entries = []  # each entry's degree-sums setting
-        super().__init__(*args)
-
-    def track_degree_sums(self, on):
-        super().track_degree_sums(on)
-        self.entries.append(on)
-        fresh, sums = oracles.neighbor_counts(self.lg, self.parts, self.num_parts)
-        assert self.counts.tobytes() == fresh.astype(self.counts.dtype).tobytes()
-        if on:
-            assert self.sums.dtype == np.float64 and self.sums.tobytes() == sums.astype(np.float64).tobytes()
-        else:
-            assert self.sums is None
-
-
 STAGES = {"vertex-balance": vert_balance, "vertex-refine": vert_refine, "edge-balance": edge_balance, "edge-refine": edge_refine}
 
 
@@ -455,10 +437,9 @@ STAGES = {"vertex-balance": vert_balance, "vertex-refine": vert_refine, "edge-ba
 @given(labelled_task_graphs(), st.lists(st.sampled_from(sorted(STAGES)), min_size=1, max_size=5), st.integers(1, 3))
 def test_counts_carried_across_phases_stay_exact(case, phases, iters):
     """Phases run back to back on one set of kept counts, as ``xtrapulp``
-    runs them: at every phase entry the counts, and in balance phases the
-    degree sums, equal a fresh count of the labels, and the labels and
-    ledger at the end equal those of the same phases each building its own
-    counts."""
+    runs them: after every phase the counts and degree sums equal a fresh
+    count of the labels, and the labels and ledger at the end equal those of
+    the same phases each building its own counts."""
     n, local_graphs, state = case
     p, T = state.num_parts, len(local_graphs)
     cfg = Config(num_parts=p, num_tasks=T)
@@ -466,11 +447,11 @@ def test_counts_carried_across_phases_stay_exact(case, phases, iters):
     for parts, fresh in zip(state.parts, fresh_state.parts):
         fresh[:] = parts
     ledger, fresh_ledger = make_ledger(local_graphs, state, cfg), make_ledger(local_graphs, fresh_state, cfg)
-    counts = [EntryCheckedCounts(lg, parts, p) for lg, parts in zip(local_graphs, state.parts)]
+    counts = [NeighborCounts(lg, parts, p) for lg, parts in zip(local_graphs, state.parts)]
     for name in phases:
         STAGES[name](Runtime(T), local_graphs, state, ledger, cfg, iters=iters, counts=counts)
+        _assert_counts_are_fresh(local_graphs, state, counts, p)
         STAGES[name](Runtime(T), local_graphs, fresh_state, fresh_ledger, cfg, iters=iters)
-    assert all(c.entries == [False] + [name.endswith("balance") for name in phases] for c in counts)
     assert [parts.tobytes() for parts in state.parts] == [parts.tobytes() for parts in fresh_state.parts]
     for field in ("verts", "intra_edges", "cut_edges"):
         assert getattr(ledger, field).tolist() == getattr(fresh_ledger, field).tolist()
@@ -487,7 +468,7 @@ def test_kept_counts_take_both_branches(kind):
     labels = rng.integers(0, p, size=n)
     for lg, parts in zip(local_graphs, state.parts):
         parts[:] = labels[lg.local_to_global]
-    counts = [RecordingCounts(lg, parts, p, True) for lg, parts in zip(local_graphs, state.parts)]
+    counts = [RecordingCounts(lg, parts, p) for lg, parts in zip(local_graphs, state.parts)]
     _upkeep_round(local_graphs, state, counts, 64, lambda rows, p: (rows[:1], rng.integers(0, p, size=1)))
     assert all(c.branches and set(c.branches) == {"shift"} for c in counts)
     _assert_counts_are_fresh(local_graphs, state, counts, p)
