@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,7 @@ from .errors import ConfigError, InputError, LppartError
 from .gen import MAX_PAIRS, GenSpec, generate
 from .graph import BLOCK, RANDOM_HASH, GlobalGraph, build_csr, distribute, make_distribution
 from .metrics import QualityReport, build_report, performance_ratio, write_method_table
-from .partition import Config, SuperstepEvent, xtrapulp
+from .partition import INIT_MODES, Config, SuperstepEvent, xtrapulp
 from .seeds import subsystem_seed
 
 ENV_PREFIX = "LPPART_"
@@ -80,16 +80,18 @@ class RunManifest:
 
 
 def _add_common_run_flags(sub: argparse.ArgumentParser) -> None:
+    tuning = {f.name: f.default for f in fields(Config)}  # the defaults live on Config
+    iters = f"{tuning['outer_iters']},{tuning['balance_iters']},{tuning['refine_iters']}"
     sub.add_argument("-p", "--parts", type=int, default=_env_default("parts", None, int), help="number of parts (required)")
-    sub.add_argument("-T", "--tasks", type=int, default=_env_default("tasks", 1, int), help="logical task count (default 1)")
-    sub.add_argument("--vert-imb", type=float, default=_env_default("vert-imb", 0.10, float), help="vertex imbalance ratio (default 0.10)")
-    sub.add_argument("--edge-imb", type=float, default=_env_default("edge-imb", 0.10, float), help="edge imbalance ratio (default 0.10)")
-    sub.add_argument("-X", dest="x", type=float, default=_env_default("x", 1.0, float), help="update-limit ramp end (default 1.0)")
-    sub.add_argument("-Y", dest="y", type=float, default=_env_default("y", 0.25, float), help="update-limit ramp start (default 0.25)")
-    sub.add_argument("--iters", default=_env_default("iters", "3,5,10", str), help="outer,balance,refine iteration counts (default 3,5,10)")
-    sub.add_argument("--seed", type=int, default=_env_default("seed", 0, int), help="master seed; all randomness derives from it")
+    sub.add_argument("-T", "--tasks", type=int, default=_env_default("tasks", tuning["num_tasks"], int), help="logical task count (default %(default)s)")
+    sub.add_argument("--vert-imb", type=float, default=_env_default("vert-imb", tuning["vert_imb"], float), help="vertex imbalance ratio (default %(default)s)")
+    sub.add_argument("--edge-imb", type=float, default=_env_default("edge-imb", tuning["edge_imb"], float), help="edge imbalance ratio (default %(default)s)")
+    sub.add_argument("-X", dest="x", type=float, default=_env_default("x", tuning["x"], float), help="update-limit ramp end (default %(default)s)")
+    sub.add_argument("-Y", dest="y", type=float, default=_env_default("y", tuning["y"], float), help="update-limit ramp start (default %(default)s)")
+    sub.add_argument("--iters", default=_env_default("iters", iters, str), help="outer,balance,refine iteration counts (default %(default)s)")
+    sub.add_argument("--seed", type=int, default=_env_default("seed", tuning["seed"], int), help="master seed; all randomness derives from it")
     sub.add_argument("--method", choices=METHODS, default=_env_default("method", "xtrapulp", str))
-    sub.add_argument("--init", choices=("bfs-lp", "random", "block"), default=_env_default("init", "bfs-lp", str))
+    sub.add_argument("--init", choices=INIT_MODES, default=_env_default("init", tuning["init_mode"], str))
     sub.add_argument("--dist", choices=tuple(DIST_NAMES), default=_env_default("dist", "block", str), help="vertex-to-task distribution")
     sub.add_argument("--dedup", action="store_true", default=_env_default("dedup", False, bool), help="drop duplicate input edges")
     sub.add_argument("--strict", action="store_true", default=_env_default("strict", False, bool), help="exit 3 if the configured tolerances are violated")
@@ -127,12 +129,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_graph(path: str, dedup: bool) -> tuple[GlobalGraph, np.ndarray]:
-    pairs, id_map = io.load_pairs(path)
-    if len(id_map) == 0:
-        raise LppartError(f"{path}: graph has no vertices")
-    if dedup:
-        pairs = io.dedup_pairs(pairs)
-    return build_csr(pairs, len(id_map)), id_map
+    n = None  # the vertex count, once read
+    try:
+        pairs, id_map = io.load_pairs(path)
+        n = len(id_map)
+        if n == 0:
+            raise LppartError(f"{path}: graph has no vertices")
+        if dedup:
+            pairs = io.dedup_pairs(pairs)
+        return build_csr(pairs, n), id_map
+    except MemoryError:
+        raise LppartError(f"{path}: not enough memory to build its graph" + ("" if n is None else f" of {n} vertices")) from None
 
 
 def _parse_iters(text: str) -> tuple[int, int, int]:
@@ -283,7 +290,9 @@ def cmd_evaluate(args) -> int:
         first_with[name] = path
     g, _ = _load_graph(args.input, args.dedup)
     n = g.num_vertices
-    # the part count sizes every per-part array, so it is held to n, as partition holds it
+    # the part count sizes every per-part array, so it is held to [1, n], as partition holds it
+    if args.parts is not None and args.parts < 1:
+        raise ConfigError(f"part count -p must be >= 1, got {args.parts}")
     if args.parts is not None and args.parts > n:
         raise ConfigError(f"part count -p {args.parts} exceeds vertex count {n}")
     reports: dict[str, QualityReport] = {}

@@ -259,11 +259,15 @@ def read_cache(path: str | Path) -> tuple[np.ndarray, int]:
 def load_pairs(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read text or binary edges and densify ids.
 
-    Returns (dense pairs, id_map).  Binary caches are assumed dense already.
+    Returns (dense pairs, id_map).  Binary caches are assumed dense already;
+    one whose vertex count no int64 array holds (the id map is one) is
+    refused, naming the file.
     """
     path = Path(path)
     if path.suffix == ".npz":
         pairs, n = read_cache(path)
+        if n > np.iinfo(np.intp).max // 8:
+            raise InputError(f"{path}: cache num_vertices {n} is more than one int64 array holds")
         return pairs, np.arange(n, dtype=np.int64)
     raw = read_edge_list(path)
     if raw.size == 0:

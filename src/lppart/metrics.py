@@ -187,7 +187,7 @@ BOTTOM_UP_ALPHA = 4
 BOTTOM_UP_STAGES = (1, 2, 8)
 
 
-def _bfs_levels(g: GlobalGraph, start: int, component: tuple[np.ndarray, int] | None = None) -> np.ndarray:
+def _bfs_levels(g: GlobalGraph, start: int, component: tuple[np.ndarray, int]) -> np.ndarray:
     """Distance from ``start`` (-1 where unreachable), one level per array pass.
 
     Each level takes one of two directions (Beamer, Asanović & Patterson,
@@ -195,14 +195,15 @@ def _bfs_levels(g: GlobalGraph, start: int, component: tuple[np.ndarray, int] | 
     vertices that have an edge.  A level goes bottom-up only when
     ``BOTTOM_UP_ALPHA`` times the frontier's edges exceeds the edges of the
     unvisited vertices, which bound what that level scans, so either
-    direction costs O(frontier edges).  The list of unvisited vertices is
-    built at the first bottom-up level and shrunk only on bottom-up levels,
-    so a sweep costs O(n + m) however many levels the graph has.
+    direction costs O(frontier edges).  The list of unvisited vertices starts
+    as the component's and is shrunk only on bottom-up levels, so a sweep
+    costs O(n + m) however many levels the graph has.
 
     ``component`` is ``(vertices, entries)``: the vertices with an edge in
-    ``start``'s component, ascending, and the sum of their degrees.  Given
-    it, only that component's edges count as left to visit and only its
-    vertices are scanned bottom-up; by default every vertex with an edge is.
+    ``start``'s component, ascending, and the sum of their degrees.  Only
+    that component's edges count as left to visit and only its vertices are
+    scanned bottom-up.  ``(np.flatnonzero(g.degrees), 2 * g.num_edges)``
+    searches the whole graph.
 
     The distances, and the scratch that drops repeated top-down entries, are
     int32 while the graph has fewer than 2^31 adjacency entries, which bound
@@ -216,14 +217,12 @@ def _bfs_levels(g: GlobalGraph, start: int, component: tuple[np.ndarray, int] | 
     frontier = np.array([start], dtype=np.int64)
     counts = degrees[frontier]
     frontier_edges = int(counts[0])
-    unvisited, entries = (None, 2 * g.num_edges) if component is None else component
+    unvisited, entries = component
     unvisited_edges = entries - frontier_edges
     level = 0
     # once no unvisited vertex has an edge, none can be reached
     while frontier_edges and unvisited_edges:
         if BOTTOM_UP_ALPHA * frontier_edges > unvisited_edges:
-            if unvisited is None:
-                unvisited = np.flatnonzero(degrees)
             unvisited = unvisited[np.flatnonzero(dist[unvisited] < 0)]
             frontier = _bottom_up(g, degrees[unvisited], unvisited_edges, dist, unvisited, level)
         else:

@@ -23,17 +23,19 @@ task's own move or a ghost label it receives, is noted and folded in before
 the next read: the rows next to the changed slots are shifted from the old
 part's bin to the new one, or, when the changes touch more than
 ``RECOUNT_FRACTION`` of the task's adjacency entries, recounted; both give
-the same arrays.  A stage function called on its own builds the counts.  The
-sweeps read their chunk's rows from these counts instead of gathering
-labels.  Every per-task edge tally counts each adjacency entry, so each edge
-from both ends, and the sums over tasks are halved after the all-reduce.
-The ledger's edge counts come from the kept counts in O(owned) per task:
-summed over tasks, each row's count in its own part gives twice the
-intra-part edges, and its degree minus that count its cut incidence.  The
-vertex sizes folded from the per-task deltas are checked against the owned
-labels every superstep, and the full ``metrics.per_task_counts`` recount,
-halved in the same way, checks the whole ledger once per phase, before its
-last superstep is announced; either raises ``ProtocolError``.
+the same arrays.  ``xtrapulp`` builds them once and hands them to
+``_run_phase``, the one way into a phase; no stage builds its own.  The
+sweeps read their graph, labels and chunk rows from these counts instead of
+gathering labels.  Every per-task tally, ``NeighborCounts.tally`` and the
+``metrics.per_task_counts`` recount alike, counts each adjacency entry, so
+each edge from both ends, and one helper (``_global_counts``) all-reduces
+the tallies and halves the edge counts.  The ledger's edge counts come from
+the kept counts in O(owned) per task: each row's count in its own part gives
+its intra-part entries, and its degree minus that count its cut entries.
+The vertex sizes folded from the per-task deltas are checked against the
+owned labels every superstep, and the full recount checks the whole ledger
+once per phase, before its last superstep is announced; either raises
+``ProtocolError``.
 
 Movement damping: the attraction weights see part sizes as the *ramped*
 estimate ``size + mult * delta``, where ``delta`` counts this task's moves so
@@ -48,8 +50,11 @@ task fills its guard, a part lands exactly on its cap instead of overshooting
 by ``nprocs / mult``, which would ratchet the caps upward every iteration.
 Weight estimates damp only additions: removals are charged in full, so a
 draining part regains its pull before the tasks collectively empty it.  A
-step keeps its net vertex change per part (``c_v``, folded into the ledger)
-and the vertex guard list; each sweep builds the other estimates it reads.
+step keeps the vertex guard list; each sweep builds the other estimates it
+reads.  The sweeps and the water-fill return their moved rows with the old
+labels, and the step alone folds them into its net vertex change per part,
+``c_v = bincount(parts[rows]) - bincount(old)`` (each row moves at most once
+per step), which the all-reduce folds into the ledger.
 
 Both weighted sweeps, balance and refine, run on one skeleton (``_sweep``).
 It walks a task's owned rows in fixed-size chunks and reads each chunk's
@@ -58,14 +63,13 @@ written earlier in the same chunk are not yet visible, as with concurrent
 workers.  It hands them to the sweep's ``pick``, which returns the chunk's
 moved rows and new labels; the skeleton writes those labels once, after
 the chunk's last candidate, and notes them in the counts (nothing in the
-chunk reads them), and folds the ``c_v`` deltas (``bincount(new) -
-bincount(old)``) once per call.  Inside ``pick`` one sequential loop per
-sweep passes the candidates through the per-part guards, in both stages,
-applying guard, estimate and score updates move by move so every decision
-sees the latest estimates.  The loop keeps only that state, which its next
-decision reads, and records one winner per candidate; the rows and labels
-follow from the winners with array code.  The vertex guard is charged at
-three sites: once per move in each sweep's loop and in the water-fill.
+chunk reads them).  Inside ``pick`` one sequential loop per sweep passes the
+candidates through the per-part guards, in both stages, applying guard,
+estimate and score updates move by move so every decision sees the latest
+estimates.  The loop keeps only that state, which its next decision reads,
+and records one winner per candidate; the rows and labels follow from the
+winners with array code.  The vertex guard is charged at three sites: once
+per move in each sweep's loop and in the water-fill.
 Chunk boundaries are deterministic, making runs bit-reproducible for a fixed
 seed and task count.
 
@@ -243,18 +247,17 @@ def _weight(target: float, estimate: float) -> float:
     return 0.0 if 0.0 > w else w
 
 
-def _global_counts(local_graphs, parts_arrays, num_parts):
-    """(vertices, intra edges, cut incidence) per part, all-reduced from the
-    per-task tallies; these count each edge from both ends, so the edge
-    counts are halved."""
-    per_task = [metrics.per_task_counts(lg, parts, num_parts) for lg, parts in zip(local_graphs, parts_arrays)]
-    verts, intra, cut = (allreduce_sum(terms) for terms in zip(*per_task))
+def _global_counts(tallies):
+    """(vertices, intra edges, cut incidence) per part, all-reduced from
+    per-task tallies that count each edge from both ends, so the edge counts
+    are halved."""
+    verts, intra, cut = (allreduce_sum(terms) for terms in zip(*tallies))
     return verts, intra // 2, cut // 2
 
 
 def make_ledger(local_graphs: Sequence[LocalGraph], state: PartitionState, cfg: Config) -> PartLedger:
     p = state.num_parts
-    verts, intra, cut = _global_counts(local_graphs, state.parts, p)
+    verts, intra, cut = _global_counts(metrics.per_task_counts(lg, parts, p) for lg, parts in zip(local_graphs, state.parts))
     n = int(verts.sum())
     m = sum(len(lg.nbr_slots) for lg in local_graphs) // 2
     return PartLedger(
@@ -521,20 +524,22 @@ class NeighborCounts:
         return self.counts[b0 * p : b1 * p].reshape(b1 - b0, p), self.sums[b0 * p : b1 * p].reshape(b1 - b0, p)
 
     def tally(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(vertices, own-part neighbor counts, degrees) per part over the owned rows.
+        """(vertices, intra edges, cut incidence) per part over the owned rows,
+        each edge from both ends, as ``metrics.per_task_counts`` tallies them.
 
-        Summed over tasks, the own-part counts are twice the intra-part
-        edges, and degrees minus own-part counts the cut incidence.
+        A row's count in its own part is its intra entries, and its degree
+        minus that its cut entries.  Summed over tasks, the intra entries
+        count each intra-part edge from both ends; a cut edge has one entry
+        per end part, and ``per_task_counts`` tallies each entry at its far
+        end too, so the cut entries are doubled to match.
         """
         self.flush()
         lg, p = self.lg, self.num_parts
         labels = self.parts[: lg.num_owned]
         own = self.counts[np.arange(0, lg.num_owned * p, p) + labels]
-        return (
-            np.bincount(labels, minlength=p),
-            np.bincount(labels, weights=own, minlength=p).astype(np.int64),
-            np.bincount(labels, weights=lg.degrees[: lg.num_owned], minlength=p).astype(np.int64),
-        )
+        intra = np.bincount(labels, weights=own, minlength=p).astype(np.int64)
+        ends = np.bincount(labels, weights=lg.degrees[: lg.num_owned], minlength=p).astype(np.int64)
+        return np.bincount(labels, minlength=p), intra, 2 * (ends - intra)
 
 
 # ---------------------------------------------------------------------------
@@ -543,23 +548,17 @@ class NeighborCounts:
 _NO_ROWS = np.empty(0, dtype=np.int64)
 
 
-def _fold_moves(c_v: list[int], old: np.ndarray, new: np.ndarray) -> None:
-    """Add the net vertex change per part of moves from labels ``old`` to ``new``."""
-    p = len(c_v)
-    delta = np.bincount(new, minlength=p) - np.bincount(old, minlength=p)
-    c_v[:] = [c + d for c, d in zip(c_v, delta.tolist())]
-
-
-def _sweep(lg: LocalGraph, parts: np.ndarray, chunk: int, counts: NeighborCounts, c_v: list[int], pick: Callable) -> np.ndarray:
-    """The chunk walk both weighted sweeps share; returns the moved rows.
+def _sweep(counts: NeighborCounts, chunk: int, pick: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """The chunk walk both weighted sweeps share; returns the moved rows and their old labels.
 
     For every chunk of owned rows with adjacency entries it reads the kept
     counts and degree sums as (rows x parts) views, and hands ``pick(b0, raw, sums, cur, k_cur)`` those, the chunk's
     labels and each row's count in its own part.  ``pick`` returns the
     chunk-relative rows that move and their new labels; the walk writes
     them and notes them in ``counts`` after the chunk (nothing in the chunk
-    reads them), and folds the moves into ``c_v`` once per call.
+    reads them).
     """
+    lg, parts = counts.lg, counts.parts
     moved, left = [_NO_ROWS], [_NO_ROWS]  # per chunk: the moved rows, their old labels
     for b0 in range(0, lg.num_owned, chunk):
         b1 = min(b0 + chunk, lg.num_owned)
@@ -575,26 +574,22 @@ def _sweep(lg: LocalGraph, parts: np.ndarray, chunk: int, counts: NeighborCounts
             counts.note(rows, old, new)
             moved.append(rows)
             left.append(old)
-    rows = np.concatenate(moved)
-    _fold_moves(c_v, np.concatenate(left), parts[rows])
-    return rows
+    return np.concatenate(moved), np.concatenate(left)
 
 
 def _sweep_balance(
-    lg: LocalGraph,
-    parts: np.ndarray,
+    counts: NeighborCounts,  # this task's counts, labels and graph
     chunk: int,
     ledger: PartLedger,
     mult: float,
-    c_v: list[int],
     guard_v: list[float],
     max_v: float,
     score_w: list[float],  # per-part attraction multipliers at iteration start
     edge_weights: tuple[float, float, float] | None,
-    counts: NeighborCounts,  # this task's counts
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Degree-weighted sweep: counts scaled by the part scores, vertex guard on
-    destinations; returns the moved rows and notes them in ``counts``.
+    destinations; returns the moved rows and their old labels, and notes
+    the moves in ``counts``.
 
     A part's score is its vertex weight against the vertex target, or in the
     edge stage, with ``edge_weights = (max_c, r_e, r_c)``, ``r_e`` times its
@@ -609,6 +604,7 @@ def _sweep_balance(
     its row and part follow from those with array code.
     """
     p = ledger.num_parts
+    lg = counts.lg
     owned_deg = lg.degrees[: lg.num_owned]
     nprocs = float(lg.num_tasks)
     edge_stage = edge_weights is not None
@@ -697,33 +693,31 @@ def _sweep_balance(
         won = np.array(wins, dtype=np.int64)
         return cand[j_at[won]], sup_a[won]
 
-    return _sweep(lg, parts, chunk, counts, c_v, pick)
+    return _sweep(counts, chunk, pick)
 
 
 def _sweep_refine(
-    lg: LocalGraph,
-    parts: np.ndarray,
+    counts: NeighborCounts,  # this task's counts, labels and graph
     chunk: int,
     ledger: PartLedger,
-    mult: float,
-    c_v: list[int],
+    add_v: float,  # what each addition charges the vertex caps
     cap_v: list[float],
     max_v: float,
     edge_caps: tuple[float, float] | None,
-    exact_caps: bool,
-    counts: NeighborCounts,  # this task's counts
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Plurality sweep: move to the raw-count argmax, vetoed (vertex stays)
     when the destination's estimated size would exceed the vertex cap or, in
     the edge stage, with ``edge_caps = (max_e, max_c)``, the max intra-edge or
-    max cut sizes at phase entry; returns the moved rows and notes them in
-    ``counts``.
+    max cut sizes at phase entry; returns the moved rows and their old
+    labels, and notes the moves in ``counts``.
 
     A tie with the current part keeps it, so only the rows of a chunk whose
     own count is below the maximum are movers, each to its first maximum.
     One loop passes the movers through the vertex cap and, in the edge
     stage, the edge and cut caps, in that order; it keeps the caps and
-    records which movers pass."""
+    records which movers pass.  A removal charges the caps a full share; an
+    addition charges ``add_v``."""
+    lg = counts.lg
     owned_deg = lg.degrees[: lg.num_owned]
     nprocs = float(lg.num_tasks)
     edge_stage = edge_caps is not None
@@ -731,13 +725,6 @@ def _sweep_refine(
         max_e, max_c = edge_caps
         guard_e = ledger.intra_edges.astype(np.float64).tolist()
         guard_c = ledger.cut_edges.astype(np.float64).tolist()
-    # early vertex-stage refinement mobility scales with the update-limit
-    # ramp (ramped destination test: small x/y admit more moves, which is
-    # where the ramp buys cut quality, and the next balancing round repairs
-    # any overshoot); the closing round of each stage charges full shares so
-    # transient overage cannot outlive the stage.  Only the list the vertex
-    # test reads is kept, charged for additions at the rate that test uses
-    add_v = nprocs if exact_caps else mult
 
     # (the loop's list and constants as local names, as in _sweep_balance)
     def pick(b0, raw, sums, cur, k_cur, cap_v=cap_v, nprocs=nprocs, max_v=max_v, add_v=add_v, edge_stage=edge_stage):
@@ -765,19 +752,12 @@ def _sweep_refine(
         j = np.array(kept, dtype=np.int64)
         return movers[j], dest[j]
 
-    return _sweep(lg, parts, chunk, counts, c_v, pick)
+    return _sweep(counts, chunk, pick)
 
 
-def _place_isolated(
-    lg: LocalGraph,
-    parts: np.ndarray,
-    c_v: list[int],
-    guard_v: list[float],
-    max_v: float,
-    mean_size: float,
-) -> np.ndarray:
+def _place_isolated(lg: LocalGraph, parts: np.ndarray, guard_v: list[float], max_v: float, mean_size: float) -> tuple[np.ndarray, np.ndarray]:
     """Water-fill degree-zero vertices toward parts below the mean size;
-    returns the moved rows.
+    returns the moved rows and their old labels.
 
     Neighbor counts carry no signal for an isolated vertex, so it would
     otherwise be pinned to its initial random part forever; moving it is
@@ -820,27 +800,23 @@ def _place_isolated(
     # row is in no adjacency, so no neighbor count changes
     new = np.array(dests, dtype=np.int64)
     changed = new != old
-    rows, old, new = rows[changed], old[changed], new[changed]
-    parts[rows] = new
-    _fold_moves(c_v, old, new)
-    return rows
+    rows = rows[changed]
+    parts[rows] = new[changed]
+    return rows, old[changed]
 
 
 # ---------------------------------------------------------------------------
 # phase driver
 
 
-def _run_phase(runtime, local_graphs, state, ledger, cfg, iters, phase, observer, closing_round=True, counts=None):
-    """Run ``iters`` supersteps of ``phase``.  ``counts`` are the tasks' kept
-    neighbor counts, exact for the current labels; without them, the phase
-    builds its own."""
+def _run_phase(runtime, local_graphs, state, ledger, cfg, counts, phase, iters, observer=None, closing_round=True):
+    """Run ``iters`` supersteps of ``phase`` on ``counts``, the tasks' kept
+    neighbor counts, exact for the current labels."""
     p = state.num_parts
     T = runtime.num_tasks
     balance = phase in (PHASE_VERT_BALANCE, PHASE_EDGE_BALANCE)
     edge_stage = phase in (PHASE_EDGE_BALANCE, PHASE_EDGE_REFINE)
-    exact_caps = edge_stage or closing_round
-    if counts is None:
-        counts = [NeighborCounts(lg, parts, p) for lg, parts in zip(local_graphs, state.parts)]
+    mean_size = float(ledger.verts.sum()) / p
 
     for it in range(iters):
         # caps: balance phases track the current max each iteration; refine
@@ -853,6 +829,12 @@ def _run_phase(runtime, local_graphs, state, ledger, cfg, iters, phase, observer
             max_v = ledger.max_verts()
             edge_caps = (ledger.max_edges(), ledger.max_cut()) if edge_stage else None
         mult = compute_mult(ledger.iter_tot, ledger.total_iters, T, cfg.x, cfg.y)
+        # early vertex-stage refinement mobility scales with the update-limit
+        # ramp (ramped destination test: small x/y admit more moves, which is
+        # where the ramp buys cut quality, and the next balancing round repairs
+        # any overshoot); the closing round of each stage charges full shares so
+        # transient overage cannot outlive the stage
+        add_v = float(T) if edge_stage or closing_round else mult
         if phase == PHASE_EDGE_BALANCE:
             max_c = ledger.max_cut()
             # bias toward edge balance first; once met, freeze the edge ramp
@@ -872,55 +854,37 @@ def _run_phase(runtime, local_graphs, state, ledger, cfg, iters, phase, observer
         task_cv = [None] * T
 
         def step(t):
-            lg, parts = local_graphs[t], state.parts[t]
-            c_v = [0] * p
+            c = counts[t]
             guard_v = ledger.verts.astype(np.float64).tolist()
             if balance:
-                moved = _sweep_balance(lg, parts, cfg.chunk, ledger, mult, c_v, guard_v, max_v, score_w, edge_weights, counts[t])
+                rows, old = _sweep_balance(c, cfg.chunk, ledger, mult, guard_v, max_v, score_w, edge_weights)
                 if phase == PHASE_VERT_BALANCE:
-                    isolated = _place_isolated(lg, parts, c_v, guard_v, max_v, float(ledger.verts.sum()) / p)
-                    moved = np.concatenate([moved, isolated])
+                    isolated, was = _place_isolated(c.lg, c.parts, guard_v, max_v, mean_size)
+                    rows, old = np.concatenate([rows, isolated]), np.concatenate([old, was])
             else:
-                moved = _sweep_refine(lg, parts, cfg.chunk, ledger, mult, c_v, guard_v, max_v, edge_caps, exact_caps, counts[t])
-            task_cv[t] = np.array(c_v, dtype=np.int64)
-            return moved
+                rows, old = _sweep_refine(c, cfg.chunk, ledger, add_v, guard_v, max_v, edge_caps)
+            # c_v: the task's net vertex change per part (each row moved once)
+            task_cv[t] = np.bincount(c.parts[rows], minlength=p) - np.bincount(old, minlength=p)
+            return rows
 
         results = runtime.run_superstep(step)
         pairs_sent = _exchange_round(local_graphs, state, results, counts)
 
         old_cut = ledger.cut_edges
         ledger.verts = ledger.verts + allreduce_sum(task_cv)
-        verts_check, own, ends = (allreduce_sum(terms) for terms in zip(*(c.tally() for c in counts)))
-        if not np.array_equal(verts_check, ledger.verts):
+        verts, ledger.intra_edges, ledger.cut_edges = _global_counts(c.tally() for c in counts)
+        if not np.array_equal(verts, ledger.verts):
             raise ProtocolError(f"{phase} iteration {it}: folded vertex sizes disagree with the owned labels")
-        ledger.intra_edges = own // 2
-        ledger.cut_edges = ends - own
         ledger.cut_deltas = ledger.cut_edges - old_cut
         ledger.iter_tot += 1
         if it == iters - 1:
             # the edge counts came from the kept counts; the full recount checks
             # them once per phase, before its last superstep is announced
-            verts, intra, cut = _global_counts(local_graphs, state.parts, p)
-            if not all(map(np.array_equal, (verts, intra, cut), (ledger.verts, ledger.intra_edges, ledger.cut_edges))):
+            recount = _global_counts(metrics.per_task_counts(lg, parts, p) for lg, parts in zip(local_graphs, state.parts))
+            if not all(map(np.array_equal, recount, (ledger.verts, ledger.intra_edges, ledger.cut_edges))):
                 raise ProtocolError(f"{phase}: the ledger disagrees with the recount at phase exit")
         if observer is not None:
             observer(SuperstepEvent(phase, it, runtime.superstep, local_graphs, state, ledger, pairs_sent))
-
-
-def vert_balance(runtime, local_graphs, state, ledger, cfg, iters=None, observer=None, counts=None):
-    _run_phase(runtime, local_graphs, state, ledger, cfg, iters or cfg.balance_iters, PHASE_VERT_BALANCE, observer, counts=counts)
-
-
-def vert_refine(runtime, local_graphs, state, ledger, cfg, iters=None, observer=None, closing_round=True, counts=None):
-    _run_phase(runtime, local_graphs, state, ledger, cfg, iters or cfg.refine_iters, PHASE_VERT_REFINE, observer, closing_round, counts)
-
-
-def edge_balance(runtime, local_graphs, state, ledger, cfg, iters=None, observer=None, counts=None):
-    _run_phase(runtime, local_graphs, state, ledger, cfg, iters or cfg.balance_iters, PHASE_EDGE_BALANCE, observer, counts=counts)
-
-
-def edge_refine(runtime, local_graphs, state, ledger, cfg, iters=None, observer=None, counts=None):
-    _run_phase(runtime, local_graphs, state, ledger, cfg, iters or cfg.refine_iters, PHASE_EDGE_REFINE, observer, counts=counts)
 
 
 def xtrapulp(
@@ -942,12 +906,9 @@ def xtrapulp(
     ledger = make_ledger(local_graphs, state, cfg)
     # every phase keeps these counts exact, so they are built once for the job
     counts = [NeighborCounts(lg, parts, cfg.num_parts) for lg, parts in zip(local_graphs, state.parts)]
-    for outer in range(cfg.outer_iters):
-        vert_balance(runtime, local_graphs, state, ledger, cfg, observer=observer, counts=counts)
-        vert_refine(runtime, local_graphs, state, ledger, cfg, observer=observer,
-                    closing_round=outer == cfg.outer_iters - 1, counts=counts)
-    ledger.iter_tot = 0
-    for _ in range(cfg.outer_iters):
-        edge_balance(runtime, local_graphs, state, ledger, cfg, observer=observer, counts=counts)
-        edge_refine(runtime, local_graphs, state, ledger, cfg, observer=observer, counts=counts)
+    for stage in ((PHASE_VERT_BALANCE, PHASE_VERT_REFINE), (PHASE_EDGE_BALANCE, PHASE_EDGE_REFINE)):
+        ledger.iter_tot = 0  # each stage ramps the update limit from its start
+        for outer in range(cfg.outer_iters):
+            for phase, iters in zip(stage, (cfg.balance_iters, cfg.refine_iters)):
+                _run_phase(runtime, local_graphs, state, ledger, cfg, counts, phase, iters, observer, outer == cfg.outer_iters - 1)
     return state

@@ -5,6 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lppart.metrics import per_task_counts
+from lppart.partition import NeighborCounts, _global_counts
+
 sys.path.insert(0, str(Path(__file__).parent))
 
 SESSION_START = time.time()
@@ -71,3 +74,17 @@ def random_pairs(rng, n, m):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+# ---------------------------------------------------------------------------
+# shared partition helpers
+
+
+def kept_counts(local_graphs, state):
+    """Every task's kept neighbor counts for its current labels, as ``xtrapulp`` builds them."""
+    return [NeighborCounts(lg, parts, state.num_parts) for lg, parts in zip(local_graphs, state.parts)]
+
+
+def recount(local_graphs, parts_arrays, p):
+    """(vertices, intra edges, cut incidence) per part from the full per-task recount."""
+    return _global_counts(per_task_counts(lg, parts, p) for lg, parts in zip(local_graphs, parts_arrays))

@@ -271,15 +271,18 @@ def neighbor_counts(lg, parts, p):
     return counts, sums
 
 
-def sweep_balance_dense(lg, parts, chunk, ledger, mult, c_v, guard_v, max_v, score_w, edge_weights, counts):
+def sweep_balance_dense(counts, chunk, ledger, mult, guard_v, max_v, score_w, edge_weights, c_v):
     """``partition._sweep_balance`` scoring every part of every candidate: a
     dense product list per candidate whose first maximum is the destination,
-    labels written move by move.  Same arguments, results and side effects.
+    labels written move by move.  Same arguments and side effects, plus
+    ``c_v``, the net vertex change per part, updated move by move; returns
+    the moved rows.
 
     It counts each chunk from the labels itself, asserts that the kept
     ``counts`` and degree sums hold the same at that moment, and notes its
     chunk's moves there, as the library's sweep does."""
     p = ledger.num_parts
+    lg, parts = counts.lg, counts.parts
     moved = []
     owned_deg = lg.degrees[: lg.num_owned]
     deg_f = lg.degrees.astype(np.float64)
@@ -366,10 +369,11 @@ def sweep_balance_dense(lg, parts, chunk, ledger, mult, c_v, guard_v, max_v, sco
     return np.asarray(moved, dtype=np.int64)
 
 
-def place_isolated(lg, parts, c_v, guard_v, max_v, mean_size):
+def place_isolated(lg, parts, guard_v, max_v, mean_size, c_v):
     """``partition._place_isolated`` as it was before its bookkeeping left the
-    loop: the moved rows, labels, ``c_v`` and guards updated move by move.
-    Same arguments, results and side effects."""
+    loop: the moved rows, labels, ``c_v`` (the net vertex change per part)
+    and guards updated move by move.  Same arguments and side effects, plus
+    ``c_v``; returns the moved rows."""
     rows = np.nonzero(lg.degrees[: lg.num_owned] == 0)[0]
     nprocs = float(lg.num_tasks)
     # the fill of every part the vertex guard admits, -1.0 for the others
@@ -398,17 +402,18 @@ def place_isolated(lg, parts, c_v, guard_v, max_v, mean_size):
     return rows
 
 
-def sweep_refine_dense(lg, parts, chunk, ledger, mult, c_v, cap_v, max_v, edge_caps, exact_caps, counts):
+def sweep_refine_dense(counts, chunk, ledger, add_v, cap_v, max_v, edge_caps, c_v):
     """``partition._sweep_refine`` one row at a time: each row's plurality
     part is the first maximum of its chunk's counts, and a mover passes the
-    caps, writes its label and updates ``c_v``, ``cap_v`` and the edge
-    guards before the next row is read.  Same arguments, results and side
-    effects.
+    caps, writes its label and updates ``c_v`` (the net vertex change per
+    part), ``cap_v`` and the edge guards before the next row is read.  Same
+    arguments and side effects, plus ``c_v``; returns the moved rows.
 
     It counts each chunk from the labels itself, asserts that the kept
     ``counts`` and degree sums hold the same at that moment, and notes its
     chunk's moves there, as the library's sweep does."""
     p = ledger.num_parts
+    lg, parts = counts.lg, counts.parts
     moved = []
     owned_deg = lg.degrees[: lg.num_owned].tolist()
     nprocs = float(lg.num_tasks)
@@ -417,7 +422,6 @@ def sweep_refine_dense(lg, parts, chunk, ledger, mult, c_v, cap_v, max_v, edge_c
         max_e, max_c = edge_caps
         guard_e = ledger.intra_edges.astype(np.float64).tolist()
         guard_c = ledger.cut_edges.astype(np.float64).tolist()
-    add_v = nprocs if exact_caps else mult
     for b0 in range(0, lg.num_owned, chunk):
         b1 = min(b0 + chunk, lg.num_owned)
         B = b1 - b0

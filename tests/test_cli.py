@@ -1,12 +1,14 @@
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from conftest import grid_pairs
 from lppart import io
-from lppart.cli import main
+from lppart.cli import ENV_PREFIX, build_parser, main
+from lppart.partition import INIT_MODES, Config
 from lppart.graph import build_csr
 from lppart.metrics import edge_cut
 
@@ -101,8 +103,8 @@ def _cache_without_pairs(tmp_path):
     return path
 
 
-def _cache_of(tmp_path, pairs, num_vertices):
-    path = tmp_path / "float.npz"
+def _cache_of(tmp_path, pairs, num_vertices, name="float.npz"):
+    path = tmp_path / name
     np.savez(path, format_version=np.int64(io.CACHE_FORMAT_VERSION), num_vertices=num_vertices, pairs=pairs)
     return path
 
@@ -139,10 +141,13 @@ MALFORMED = {
     "empty-npz-evaluate": lambda d, grid: (("evaluate", "-i", _empty_cache(d), _parts_file(d, "")), f"{d / 'empty.npz'}: graph has no vertices"),
     "npz-without-pairs": lambda d, grid: (("partition", "-i", _cache_without_pairs(d), "-p", 2), f"{d / 'nopairs.npz'}: cache has no pairs"),
     "npz-float-pairs": lambda d, grid: (("partition", "-i", _cache_of(d, np.array([[0.5, 1.7], [1.2, 2.9]]), np.int64(3)), "-p", 2), f"{d / 'float.npz'}: cache pairs must be integer ids within int64, got dtype float64"),
+    "npz-num-vertices-past-one-array": lambda d, grid: (("partition", "-i", _cache_of(d, np.array([[0, 1], [1, 2]]), np.int64(2**62), "huge.npz"), "-p", 2), f"{d / 'huge.npz'}: cache num_vertices 4611686018427387904 is more than one int64 array holds"),
     "npz-float-num-vertices": lambda d, grid: (("evaluate", "-i", _cache_of(d, np.array([[0, 1], [1, 2]]), np.float64(3.0)), _parts_file(d, "0\n0\n1\n")), f"{d / 'float.npz'}: cache num_vertices must be a nonnegative integer, got 3.0 of dtype float64"),
     "part-label-past-int64": lambda d, grid: (("evaluate", "-i", grid, _parts_file(d, "0\n\n99999999999999999999\n" + "0\n" * 253)), f"{d / 'labels.parts'}:3: part label"),
     "part-label-above-vertex-count": lambda d, grid: (("evaluate", "-i", grid, _parts_file(d, "0\n100000000000\n" + "0\n" * 254)), f"{d / 'labels.parts'}: label 100000000000 at vertex 1 makes the part count 100000000001, above the vertex count 256"),
     "part-count-above-vertex-count": lambda d, grid: (("evaluate", "-i", grid, "-p", 100000000000, _parts_file(d, "0\n" * 256)), "part count -p 100000000000 exceeds vertex count 256"),
+    "part-count-zero": lambda d, grid: (("evaluate", "-i", grid, "-p", 0, _parts_file(d, "0\n" * 256)), "part count -p must be >= 1, got 0"),
+    "part-count-negative": lambda d, grid: (("evaluate", "-i", grid, "-p", -1, _parts_file(d, "0\n" * 256)), "part count -p must be >= 1, got -1"),
     "part-label-out-of-range": lambda d, grid: (("evaluate", "-i", grid, "-p", 2, _parts_file(d, "0\n1\n2\n" + "0\n" * 253)), f"{d / 'labels.parts'}: part labels must lie in [0, 2)"),
     "edge-list-not-utf8": lambda d, grid: (("partition", "-i", _bytes_file(d / "g.txt", b"0 1\n\xff\xfe 3\n"), "-p", 2), f"{d / 'g.txt'}:2: not valid UTF-8"),
     "parts-not-utf8": lambda d, grid: (("evaluate", "-i", grid, _bytes_file(d / "labels.parts", b"0\n\xff\n" + b"0\n" * 254)), f"{d / 'labels.parts'}:2: not valid UTF-8"),
@@ -252,6 +257,37 @@ def test_generate_out_of_memory_exits_2(monkeypatch, capsys, tmp_path):
     err = capsys.readouterr().err
     assert "not enough memory" in err and "--scale 40 with --davg 4" in err
     assert not (tmp_path / "g.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["partition", "evaluate"])
+@pytest.mark.parametrize("target,size", [("lppart.cli.build_csr", " of 256 vertices"), ("lppart.io.load_pairs", "")])
+def test_graph_out_of_memory_exits_2_naming_the_file(monkeypatch, capsys, grid_file, tmp_path, command, target, size):
+    """A ``MemoryError`` while the graph is read or built exits 2 naming the
+    file, and the vertex count once it is known; nothing is allocated."""
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(target, out_of_memory)
+    path = grid_file[0]
+    argv = ("partition", "-i", path, "-p", 2, "-o", tmp_path / "g.parts") if command == "partition" else ("evaluate", "-i", path, _parts_file(tmp_path, "0\n" * 256))
+    assert run_cli(*argv) == 2
+    assert f"lppart: error: {path}: not enough memory to build its graph{size}\n" == capsys.readouterr().err
+
+
+def test_parser_defaults_are_the_config_defaults(monkeypatch, capsys):
+    """Every tuning flag's default is ``Config``'s field default, and ``--init``
+    offers the partitioner's init modes."""
+    for name in list(os.environ):
+        if name.startswith(ENV_PREFIX):
+            monkeypatch.delenv(name)
+    args = build_parser().parse_args(["partition", "-i", "g.txt"])
+    tuning = {f.name: f.default for f in fields(Config)}
+    cfg_fields = ("num_tasks", "vert_imb", "edge_imb", "x", "y", "seed", "init_mode")
+    assert (args.tasks, args.vert_imb, args.edge_imb, args.x, args.y, args.seed, args.init) == tuple(tuning[f] for f in cfg_fields)
+    assert args.iters == f"{tuning['outer_iters']},{tuning['balance_iters']},{tuning['refine_iters']}"
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["partition", "--help"])
+    assert "  --init {" + ",".join(INIT_MODES) + "}\n" in capsys.readouterr().out
 
 
 def test_generate_missing_params_exit_2():

@@ -218,12 +218,12 @@ def _start_component(g, pairs, n, start):
 
 def _assert_bfs_matches_oracle(pairs, n, starts, restrict=False):
     """Distances from each start equal the oracle's; with ``restrict``, the
-    search is given the start's component."""
+    search is given the start's component, and otherwise the whole graph."""
     g = build_csr(pairs, n)
     adj = oracles.adjacency(pairs, n)
     for start in starts:
         want = oracles.bfs_distances(adj, start)
-        component = _start_component(g, pairs, n, start) if restrict else None
+        component = _start_component(g, pairs, n, start) if restrict else (np.flatnonzero(g.degrees), 2 * g.num_edges)
         assert _bfs_levels(g, start, component).tolist() == [want.get(v, -1) for v in range(n)], start
 
 

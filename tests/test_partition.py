@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import cycle_pairs, grid_pairs, path_pairs, random_pairs, two_cliques_pairs
+from conftest import cycle_pairs, grid_pairs, kept_counts, path_pairs, random_pairs, recount, two_cliques_pairs
 from lppart.bsp import Runtime
 from lppart.cli import main
 from lppart import partition
@@ -14,16 +14,16 @@ from lppart.gen import GenSpec, gen_er, gen_rmat
 from lppart.graph import BLOCK, RANDOM_HASH, build_csr, distribute, make_distribution
 from lppart.metrics import edge_cut
 from lppart.partition import (
+    PHASE_EDGE_BALANCE,
+    PHASE_EDGE_REFINE,
+    PHASE_VERT_BALANCE,
+    PHASE_VERT_REFINE,
     Config,
-    _global_counts,
+    _run_phase,
     compute_mult,
-    edge_balance,
-    edge_refine,
     init_parts,
     make_ledger,
     make_state,
-    vert_balance,
-    vert_refine,
     xtrapulp,
 )
 
@@ -41,10 +41,10 @@ def preset(locals_, num_parts, labels):
     return state
 
 
-def run_phase(phase, locals_, state, cfg, iters, **kw):
-    rt = Runtime(1)
-    ledger = make_ledger(locals_, state, cfg)
-    phase(rt, locals_, state, ledger, cfg, iters=iters, **kw)
+def run_phase(phase, locals_, state, cfg, iters, ledger=None, observer=None, T=1):
+    """Run ``iters`` supersteps of ``phase`` on counts built for the state; returns the ledger."""
+    ledger = make_ledger(locals_, state, cfg) if ledger is None else ledger
+    _run_phase(Runtime(T), locals_, state, ledger, cfg, kept_counts(locals_, state), phase, iters, observer)
     return ledger
 
 
@@ -207,7 +207,7 @@ def test_vert_balance_fixed_point_when_balanced_and_plurality_stable():
     # the weights and plurality
     cfg = Config(num_parts=2, num_tasks=1, vert_imb=0.5)
     state = preset(locals_, 2, [0] * 4 + [1] * 4)
-    ledger = run_phase(vert_balance, locals_, state, cfg, iters=3)
+    ledger = run_phase(PHASE_VERT_BALANCE, locals_, state, cfg, iters=3)
     assert state.parts[0].tolist() == [0] * 4 + [1] * 4
     assert ledger.verts.tolist() == [4, 4]
 
@@ -220,7 +220,7 @@ def test_vert_balance_empty_part_is_a_fixed_point():
     g, locals_ = single_task(pairs, 6)
     cfg = Config(num_parts=2, num_tasks=1, vert_imb=0.10)
     state = preset(locals_, 2, [0] * 6)
-    ledger = run_phase(vert_balance, locals_, state, cfg, iters=5)
+    ledger = run_phase(PHASE_VERT_BALANCE, locals_, state, cfg, iters=5)
     assert ledger.verts.tolist() == [6, 0]
     # the full pipeline (roots seed both parts) does reach the balanced split
     outcomes = set()
@@ -245,7 +245,7 @@ def test_vert_balance_weight_clamps_to_zero_for_overweight():
     cfg = Config(num_parts=2, num_tasks=1)
     before = [0] * 5 + [1] * 3
     state = preset(locals_, 2, before)
-    run_phase(vert_balance, locals_, state, cfg, iters=1)
+    run_phase(PHASE_VERT_BALANCE, locals_, state, cfg, iters=1)
     # part 0 holds 5 vertices against a 4.4 target, so its weight is zero
     # and no vertex moves into it
     after = state.parts[0].tolist()
@@ -259,7 +259,7 @@ def test_vert_balance_drains_overweight_part(rng):
     locals_ = distribute(g, make_distribution(BLOCK, n, 1))
     cfg = Config(num_parts=2, num_tasks=1)
     state = preset(locals_, 2, [0] * 48 + [1] * 16)
-    ledger = run_phase(vert_balance, locals_, state, cfg, iters=5)
+    ledger = run_phase(PHASE_VERT_BALANCE, locals_, state, cfg, iters=5)
     assert ledger.verts.max() <= 48
     assert ledger.verts.min() >= 16
     assert abs(int(ledger.verts[0]) - int(ledger.verts[1])) < 32
@@ -274,7 +274,7 @@ def test_vert_refine_fixed_point_when_plurality_satisfied():
     g, locals_ = single_task(pairs, n)
     cfg = Config(num_parts=2, num_tasks=1, vert_imb=0.5)
     state = preset(locals_, 2, [0] * 4 + [1] * 4)
-    run_phase(vert_refine, locals_, state, cfg, iters=3)
+    run_phase(PHASE_VERT_REFINE, locals_, state, cfg, iters=3)
     assert state.parts[0].tolist() == [0] * 4 + [1] * 4
 
 
@@ -289,13 +289,13 @@ def test_vert_refine_alternating_cycle_is_frozen_by_size_guard():
     assert _min_balanced_bisection_cut(pairs, n) == 2
     state = preset(locals_, 2, labels)
     cfg = Config(num_parts=2, num_tasks=1, vert_imb=0.10)
-    run_phase(vert_refine, locals_, state, cfg, iters=10)
+    run_phase(PHASE_VERT_REFINE, locals_, state, cfg, iters=10)
     assert state.parts[0].tolist() == labels
     # from an unbalanced start the cap leaves room and refinement reaches
     # the two-arc optimum
     state2 = preset(locals_, 2, [0, 0, 0, 0, 1, 1])
     cfg2 = Config(num_parts=2, num_tasks=1, vert_imb=0.10)
-    run_phase(vert_refine, locals_, state2, cfg2, iters=10)
+    run_phase(PHASE_VERT_REFINE, locals_, state2, cfg2, iters=10)
     final = state2.parts[0].tolist()
     assert oracles.edge_cut(pairs, final) == 2
 
@@ -307,7 +307,7 @@ def test_vert_refine_full_part_rejects_plurality_move():
     g, locals_ = single_task(pairs, 5)
     state = preset(locals_, 2, [0, 0, 0, 1, 1])
     cfg = Config(num_parts=2, num_tasks=1, vert_imb=0.10)  # Imb_v = 2.75 < 4
-    run_phase(vert_refine, locals_, state, cfg, iters=5)
+    run_phase(PHASE_VERT_REFINE, locals_, state, cfg, iters=5)
     assert state.parts[0].tolist() == [0, 0, 0, 1, 1]
 
 
@@ -319,7 +319,7 @@ def test_refine_reaches_plurality_in_slack_instances(rng):
     labels[12] = 0
     state = preset(locals_, 2, labels)
     cfg = Config(num_parts=2, num_tasks=1, vert_imb=0.5)
-    run_phase(vert_refine, locals_, state, cfg, iters=5)
+    run_phase(PHASE_VERT_REFINE, locals_, state, cfg, iters=5)
     assert state.parts[0].tolist() == [0] * 8 + [1] * 8
 
 
@@ -363,7 +363,7 @@ def test_refine_iteration_matches_async_reference(rng):
         cfg = Config(num_parts=p, num_tasks=1, chunk=1)
         imb_v = 1.1 * n / p
         expected = _refine_reference(g, labels, p, imb_v)
-        run_phase(vert_refine, locals_, state, cfg, iters=1)
+        run_phase(PHASE_VERT_REFINE, locals_, state, cfg, iters=1)
         assert state.parts[0].tolist() == expected, f"trial {trial}"
 
 
@@ -419,7 +419,7 @@ def test_balance_iteration_matches_async_reference(rng):
         imb_v = 1.1 * n / p
         mult = compute_mult(0, cfg.total_iters, 1, cfg.x, cfg.y)
         expected = _balance_reference(g, labels, p, imb_v, mult)
-        run_phase(vert_balance, locals_, state, cfg, iters=1)
+        run_phase(PHASE_VERT_BALANCE, locals_, state, cfg, iters=1)
         assert state.parts[0].tolist() == expected, f"trial {trial}"
 
 
@@ -471,7 +471,7 @@ def test_isolated_water_fill_matches_async_reference(rng):
         balanced = _balance_reference(g, labels, p, imb_v, mult)
         expected = _water_fill_reference(balanced, g.degrees, p, max_v)
         assert expected != balanced, f"trial {trial}: the water-fill moved nothing"
-        run_phase(vert_balance, locals_, state, cfg, iters=1)
+        run_phase(PHASE_VERT_BALANCE, locals_, state, cfg, iters=1)
         assert state.parts[0].tolist() == expected, f"trial {trial}"
 
 
@@ -551,7 +551,7 @@ def test_edge_balance_iteration_matches_async_reference(rng):
         r_c = (cfg.x - cfg.y) * (27 / cfg.total_iters) + cfg.y
         expected = _edge_balance_reference(g, labels, p, 1.1 * n / p, 1.1 * g.num_edges / p, mult, r_e, r_c)
         assert expected != labels, f"trial {trial}: the reference moved nothing"
-        edge_balance(Runtime(1), locals_, state, ledger, cfg, iters=1)
+        run_phase(PHASE_EDGE_BALANCE, locals_, state, cfg, 1, ledger=ledger)
         assert state.parts[0].tolist() == expected, f"trial {trial}"
 
 
@@ -561,7 +561,7 @@ def test_refine_tie_with_current_part_keeps_it():
     pairs = [(0, 1), (0, 2), (0, 3), (0, 4)]
     g, locals_ = single_task(pairs, 5)
     state = preset(locals_, 2, [1, 0, 0, 1, 1])
-    run_phase(vert_refine, locals_, state, Config(num_parts=2, num_tasks=1, vert_imb=3.0), iters=1)
+    run_phase(PHASE_VERT_REFINE, locals_, state, Config(num_parts=2, num_tasks=1, vert_imb=3.0), iters=1)
     assert state.parts[0][0] == 1
 
 
@@ -571,7 +571,7 @@ def test_refine_tie_between_other_parts_takes_lower_index():
     pairs = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]
     g, locals_ = single_task(pairs, 6)
     state = preset(locals_, 4, [0, 0, 3, 3, 1, 1])
-    run_phase(vert_refine, locals_, state, Config(num_parts=4, num_tasks=1, vert_imb=3.0), iters=1)
+    run_phase(PHASE_VERT_REFINE, locals_, state, Config(num_parts=4, num_tasks=1, vert_imb=3.0), iters=1)
     assert state.parts[0][0] == 1
 
 
@@ -584,7 +584,7 @@ def test_edge_balance_fixed_point_when_everything_equal():
     g, locals_ = single_task(pairs, n)
     cfg = Config(num_parts=2, num_tasks=1, vert_imb=0.5, edge_imb=0.5)
     state = preset(locals_, 2, [0] * 4 + [1] * 4)
-    ledger = run_phase(edge_balance, locals_, state, cfg, iters=3)
+    ledger = run_phase(PHASE_EDGE_BALANCE, locals_, state, cfg, iters=3)
     assert state.parts[0].tolist() == [0] * 4 + [1] * 4
     assert ledger.intra_edges.tolist() == [6, 6]
 
@@ -597,7 +597,7 @@ def test_edge_balance_migrates_until_edge_constraint_met():
     labels = [0] * 7 + [1]
     cfg = Config(num_parts=2, num_tasks=1, vert_imb=0.5, edge_imb=0.10)
     state = preset(locals_, 2, labels)
-    ledger = run_phase(edge_balance, locals_, state, cfg, iters=5)
+    ledger = run_phase(PHASE_EDGE_BALANCE, locals_, state, cfg, iters=5)
     assert ledger.intra_edges.max() <= ledger.edge_target
     from lppart.partition import _weight
 
@@ -613,7 +613,6 @@ def test_edge_ledger_matches_brute_force_recount(rng):
     p = 4
     state = preset(locals_, p, rng.integers(0, p, size=n).tolist())
     cfg = Config(num_parts=p, num_tasks=1)
-    rt = Runtime(1)
     ledger = make_ledger(locals_, state, cfg)
 
     def check(ev):
@@ -624,8 +623,8 @@ def test_edge_ledger_matches_brute_force_recount(rng):
         assert ev.ledger.intra_edges.tolist() == intra
         assert ev.ledger.cut_edges.tolist() == per_cut
 
-    edge_balance(rt, locals_, state, ledger, cfg, iters=3, observer=check)
-    edge_refine(rt, locals_, state, ledger, cfg, iters=3, observer=check)
+    run_phase(PHASE_EDGE_BALANCE, locals_, state, cfg, 3, ledger=ledger, observer=check)
+    run_phase(PHASE_EDGE_REFINE, locals_, state, cfg, 3, ledger=ledger, observer=check)
 
 
 def test_edge_refine_no_moves_when_slack_and_plurality_stable():
@@ -633,7 +632,7 @@ def test_edge_refine_no_moves_when_slack_and_plurality_stable():
     g, locals_ = single_task(pairs, n)
     cfg = Config(num_parts=2, num_tasks=1, vert_imb=0.5, edge_imb=0.5)
     state = preset(locals_, 2, [0] * 4 + [1] * 4)
-    run_phase(edge_refine, locals_, state, cfg, iters=3)
+    run_phase(PHASE_EDGE_REFINE, locals_, state, cfg, iters=3)
     assert state.parts[0].tolist() == [0] * 4 + [1] * 4
 
 
@@ -648,7 +647,7 @@ def test_edge_refine_rejects_move_past_edge_cap():
     labels = [0, 0, 0, 1, 1, 1, 1]
     state = preset(locals_, 2, labels)
     cfg = Config(num_parts=2, num_tasks=1, vert_imb=1.0, edge_imb=0.10)
-    run_phase(edge_refine, locals_, state, cfg, iters=3)
+    run_phase(PHASE_EDGE_REFINE, locals_, state, cfg, iters=3)
     assert state.parts[0].tolist() == labels
 
 
@@ -665,10 +664,8 @@ def test_edge_refine_cut_trend_measured_not_asserted(rng):
         p = 3
         state = preset(locals_, p, r.integers(0, p, size=n).tolist())
         cfg = Config(num_parts=p, num_tasks=1)
-        rt = Runtime(1)
-        ledger = make_ledger(locals_, state, cfg)
         before = edge_cut(g, state.to_global(locals_, n))
-        edge_refine(rt, locals_, state, ledger, cfg, iters=10)
+        run_phase(PHASE_EDGE_REFINE, locals_, state, cfg, 10)
         after = edge_cut(g, state.to_global(locals_, n))
         if after > before:
             increases.append((seed, before, after))
@@ -835,12 +832,8 @@ def preset_multi(locals_, num_parts, global_labels):
     return state
 
 
-@pytest.mark.parametrize(
-    "phase,name",
-    [(vert_balance, "vertex-balance"), (vert_refine, "vertex-refine"), (edge_balance, "edge-balance"), (edge_refine, "edge-refine")],
-    ids=["vertex-balance", "vertex-refine", "edge-balance", "edge-refine"],
-)
-def test_phase_exit_recount_catches_a_corrupt_count(phase, name, monkeypatch):
+@pytest.mark.parametrize("phase", [PHASE_VERT_BALANCE, PHASE_VERT_REFINE, PHASE_EDGE_BALANCE, PHASE_EDGE_REFINE])
+def test_phase_exit_recount_catches_a_corrupt_count(phase, monkeypatch):
     """The ledger's edge counts come from the kept neighbor counts; one count
     corrupted at the last superstep boundary of a phase is caught by the
     full recount at its exit.  Uncorrupted, the same phase passes the check."""
@@ -852,12 +845,10 @@ def test_phase_exit_recount_catches_a_corrupt_count(phase, name, monkeypatch):
 
     def run():
         state = preset_multi(locals_, p, labels)
-        ledger = make_ledger(locals_, state, cfg)
-        phase(Runtime(T), locals_, state, ledger, cfg, iters=iters)
-        return state, ledger
+        return state, run_phase(phase, locals_, state, cfg, iters, T=T)
 
     state, ledger = run()
-    assert [c.tolist() for c in _global_counts(locals_, state.parts, p)] == [
+    assert [c.tolist() for c in recount(locals_, state.parts, p)] == [
         ledger.verts.tolist(), ledger.intra_edges.tolist(), ledger.cut_edges.tolist()
     ]
 
@@ -872,7 +863,7 @@ def test_phase_exit_recount_catches_a_corrupt_count(phase, name, monkeypatch):
         return real_tally(self)
 
     monkeypatch.setattr(partition.NeighborCounts, "tally", corrupted_tally)
-    with pytest.raises(ProtocolError, match=f"^{name}: the ledger disagrees with the recount at phase exit"):
+    with pytest.raises(ProtocolError, match=f"^{phase}: the ledger disagrees with the recount at phase exit"):
         run()
     assert tallies[(iters - 1) * T] == 0
 
@@ -895,10 +886,10 @@ def test_superstep_check_catches_an_unfolded_label_change(monkeypatch):
 
     monkeypatch.setattr(partition.NeighborCounts, "tally", tally_after_a_stray_write)
     with pytest.raises(ProtocolError, match="^vertex-refine iteration 0: folded vertex sizes disagree"):
-        vert_refine(Runtime(T), locals_, state, ledger, cfg, iters=2)
+        run_phase(PHASE_VERT_REFINE, locals_, state, cfg, 2, ledger=ledger, T=T)
 
 
-STAGE_ORDER = [("vertex-balance", vert_balance), ("vertex-refine", vert_refine), ("edge-balance", edge_balance), ("edge-refine", edge_refine)]
+STAGE_ORDER = [PHASE_VERT_BALANCE, PHASE_VERT_REFINE, PHASE_EDGE_BALANCE, PHASE_EDGE_REFINE]
 
 
 @pytest.mark.parametrize("k", [0, 2], ids=["vertex-balance-then-vertex-refine", "edge-balance-then-edge-refine"])
@@ -919,10 +910,11 @@ def test_a_count_corrupted_between_phases_is_caught_at_the_next_phase_exit(k):
     def run(stages, carried, corrupt_row=None):
         state = preset_multi(locals_, p, labels)
         ledger = make_ledger(locals_, state, cfg)
-        counts = [partition.NeighborCounts(lg, parts, p) for lg, parts in zip(locals_, state.parts)] if carried else None
         history = []
-        for i, (_, stage) in enumerate(stages):
-            stage(Runtime(T), locals_, state, ledger, cfg, iters=iters, counts=counts)
+        for i, phase in enumerate(stages):
+            if i == 0 or not carried:
+                counts = kept_counts(locals_, state)
+            _run_phase(Runtime(T), locals_, state, ledger, cfg, counts, phase, iters)
             history.append(state.parts[0].copy())
             if corrupt_row is not None and i == k:
                 counts[0].counts[corrupt_row * p + state.parts[0][corrupt_row]] += 1
@@ -931,12 +923,12 @@ def test_a_count_corrupted_between_phases_is_caught_at_the_next_phase_exit(k):
     carried, carried_ledger, history = run(STAGE_ORDER, True)
     built, built_ledger, _ = run(STAGE_ORDER, False)
     assert [parts.tobytes() for parts in carried.parts] == [parts.tobytes() for parts in built.parts]
-    assert [c.tolist() for c in _global_counts(locals_, carried.parts, p)] == [
+    assert [c.tolist() for c in recount(locals_, carried.parts, p)] == [
         built_ledger.verts.tolist(), built_ledger.intra_edges.tolist(), built_ledger.cut_edges.tolist()
     ] == [carried_ledger.verts.tolist(), carried_ledger.intra_edges.tolist(), carried_ledger.cut_edges.tolist()]
 
     lg = locals_[0]
     row = int(np.flatnonzero((history[k][: lg.num_owned] == history[k + 1][: lg.num_owned]) & (lg.degrees[: lg.num_owned] > 0))[0])
-    name = STAGE_ORDER[k + 1][0]
+    name = STAGE_ORDER[k + 1]
     with pytest.raises(ProtocolError, match=f"^{name}: the ledger disagrees with the recount at phase exit"):
         run(STAGE_ORDER[: k + 2], True, corrupt_row=row)

@@ -7,24 +7,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import kept_counts, recount
 from lppart import metrics, partition
 from lppart.bsp import Runtime, apply_updates, exchange_updates
 from lppart.graph import BLOCK, RANDOM_HASH, build_csr, distribute, make_distribution
 from lppart.io import relabel_pairs
 from lppart.metrics import QualityReport, _bfs_levels, build_report, connected_components, part_counts, per_task_counts
 from lppart.partition import (
+    PHASE_EDGE_BALANCE,
+    PHASE_EDGE_REFINE,
+    PHASE_VERT_BALANCE,
+    PHASE_VERT_REFINE,
     Config,
     NeighborCounts,
     _global_counts,
     _place_isolated,
+    _run_phase,
     _sweep_balance,
     _sweep_refine,
-    edge_balance,
-    edge_refine,
     make_ledger,
     make_state,
-    vert_balance,
-    vert_refine,
 )
 
 PROPERTY_SETTINGS = settings(deadline=None, max_examples=60)
@@ -207,7 +209,7 @@ def test_components_and_bfs_match_oracles(graph):
     adj = oracles.adjacency(pairs, n)
     for start in range(n):
         dist = oracles.bfs_distances(adj, start)
-        assert _bfs_levels(g, start).tolist() == [dist.get(v, -1) for v in range(n)]
+        assert _bfs_levels(g, start, (np.flatnonzero(g.degrees), 2 * g.num_edges)).tolist() == [dist.get(v, -1) for v in range(n)]
 
 
 @st.composite
@@ -244,25 +246,37 @@ def balance_sweeps(draw):
     return n, local_graphs, state, ledger, mult, max_v, score_w, edge_weights
 
 
+def _moves_and_delta(before, after, rows, old, p):
+    """A library sweep's moved rows, with the old labels it returns checked
+    against the labels ``before`` it, and the net vertex change per part
+    derived from those rows, old labels and the labels ``after`` it."""
+    assert rows.dtype == np.int64 and old.tolist() == before[rows].tolist()
+    return rows.tolist(), (np.bincount(after[rows], minlength=p) - np.bincount(old, minlength=p)).tolist()
+
+
 @settings(deadline=None, max_examples=150)
 @given(balance_sweeps())
 def test_balance_sweep_matches_dense_oracle(case):
     """Support-only scoring moves the same rows, in the same order, to the
     same parts, and leaves the same vertex deltas and guards, bit for bit, as
-    scoring every part, in both stages and at every chunk size.  Each sweep
-    reads its own kept counts; the oracle checks them against the labels at
-    every chunk."""
+    scoring every part, in both stages and at every chunk size.  The sweep's
+    deltas come from the rows and old labels it returns, the oracle's move by
+    move.  Each sweep reads its own kept counts; the oracle checks them
+    against the labels at every chunk."""
     n, local_graphs, state, ledger, mult, max_v, score_w, edge_weights = case
     p = ledger.num_parts
     for lg, task_parts in zip(local_graphs, state.parts):
         for chunk in (1, 3, 64, n + 1):
             results = []
-            for sweep in (_sweep_balance, oracles.sweep_balance_dense):
-                parts, c_v, guard_v = task_parts.copy(), [0] * p, ledger.verts.astype(np.float64).tolist()
-                counts = NeighborCounts(lg, parts, p)
-                moved = sweep(lg, parts, chunk, ledger, mult, c_v, guard_v, max_v, list(score_w), edge_weights, counts)
-                assert moved.dtype == np.int64
-                results.append((moved.tolist(), parts.tolist(), c_v, np.asarray(guard_v).tobytes()))
+            for library in (True, False):
+                parts, guard_v = task_parts.copy(), ledger.verts.astype(np.float64).tolist()
+                args = (NeighborCounts(lg, parts, p), chunk, ledger, mult, guard_v, max_v, list(score_w), edge_weights)
+                if library:
+                    moved, c_v = _moves_and_delta(task_parts, parts, *_sweep_balance(*args), p)
+                else:
+                    c_v = [0] * p
+                    moved = oracles.sweep_balance_dense(*args, c_v).tolist()
+                results.append((moved, parts.tolist(), c_v, np.asarray(guard_v).tobytes()))
             assert results[0] == results[1], chunk
 
 
@@ -274,7 +288,8 @@ def refine_sweeps(draw):
     max_e = float(draw(st.integers(0, int(ledger.intra_edges.max()) + 4)))
     max_c = float(draw(st.integers(0, int(ledger.cut_edges.max()) + 4)))
     edge_caps = draw(st.none() | st.just((max_e, max_c)))
-    return n, local_graphs, state, ledger, mult, max_v, edge_caps, draw(st.booleans())
+    add_v = float(len(local_graphs)) if draw(st.booleans()) else mult
+    return n, local_graphs, state, ledger, add_v, max_v, edge_caps
 
 
 @settings(deadline=None, max_examples=400)  # about one drawn sweep in seven moves a row
@@ -283,27 +298,31 @@ def test_refine_sweep_matches_move_by_move_oracle(case):
     """The refine sweep moves the same rows, in the same order, to the same
     parts, and leaves the same vertex deltas and caps, bit for bit, as
     moving rows one at a time through the caps, in both stages, with either
-    vertex charge and at every chunk size.  The oracle checks the kept
-    counts against the labels at every chunk."""
-    n, local_graphs, state, ledger, mult, max_v, edge_caps, exact_caps = case
+    vertex charge and at every chunk size.  The sweep's deltas come from the
+    rows and old labels it returns, the oracle's move by move.  The oracle
+    checks the kept counts against the labels at every chunk."""
+    n, local_graphs, state, ledger, add_v, max_v, edge_caps = case
     p = ledger.num_parts
     for lg, task_parts in zip(local_graphs, state.parts):
         for chunk in (1, 3, 64, n + 1):
             results = []
-            for sweep in (_sweep_refine, oracles.sweep_refine_dense):
-                parts, c_v, cap_v = task_parts.copy(), [0] * p, ledger.verts.astype(np.float64).tolist()
-                counts = NeighborCounts(lg, parts, p)
-                moved = sweep(lg, parts, chunk, ledger, mult, c_v, cap_v, max_v, edge_caps, exact_caps, counts)
-                assert moved.dtype == np.int64
-                results.append((moved.tolist(), parts.tolist(), c_v, np.asarray(cap_v).tobytes()))
+            for library in (True, False):
+                parts, cap_v = task_parts.copy(), ledger.verts.astype(np.float64).tolist()
+                args = (NeighborCounts(lg, parts, p), chunk, ledger, add_v, cap_v, max_v, edge_caps)
+                if library:
+                    moved, c_v = _moves_and_delta(task_parts, parts, *_sweep_refine(*args), p)
+                else:
+                    c_v = [0] * p
+                    moved = oracles.sweep_refine_dense(*args, c_v).tolist()
+                results.append((moved, parts.tolist(), c_v, np.asarray(cap_v).tobytes()))
             assert results[0] == results[1], chunk
 
 
 @st.composite
 def water_fills(draw, num_tasks):
     """One task of a sparse graph over ``num_tasks`` tasks, most of its rows
-    isolated, with the inputs of one water-fill: labels, start deltas,
-    guards on a few whole values (so fills tie, at zero too, where a guard
+    isolated, with the inputs of one water-fill: labels, guards on a few
+    whole values (so fills tie, at zero too, where a guard
     reaches the mean), and a cap that may close any part."""
     n = draw(st.integers(num_tasks, 3 * num_tasks + 8))
     vertex = st.integers(0, n - 1)
@@ -313,11 +332,10 @@ def water_fills(draw, num_tasks):
     lg = local_graphs[draw(st.integers(0, num_tasks - 1))]
     p = draw(st.integers(1, 6))
     parts = np.asarray(draw(st.lists(st.integers(0, p - 1), min_size=lg.num_slots, max_size=lg.num_slots)), dtype=np.int64)
-    c_v = draw(st.lists(st.integers(-3, 3), min_size=p, max_size=p))
     guard_v = [float(g) for g in draw(st.lists(st.integers(-2 * num_tasks, 12), min_size=p, max_size=p))]
     mean_size = draw(st.sampled_from([1.0, 2.5, 4.0, 6.0, 8.0]))
     max_v = draw(st.sampled_from([0.0, 3.0, 6.5, 9.0, 13.0, 1e9]))
-    return lg, parts, c_v, guard_v, max_v, mean_size
+    return lg, parts, guard_v, max_v, mean_size
 
 
 @pytest.mark.parametrize("num_tasks", [2, 4, 16])
@@ -327,14 +345,19 @@ def test_water_fill_matches_the_move_by_move_loop(num_tasks, data):
     """The water-fill moves the same rows, in the same order, to the same
     parts, and leaves the same vertex deltas and guards, bit for bit, as the
     loop that updated them move by move, at T >= 2 (guards charged
-    ``nprocs`` per move), with closed parts and fills tied at zero drawn."""
-    lg, parts, c_v, guard_v, max_v, mean_size = data.draw(water_fills(num_tasks))
+    ``nprocs`` per move), with closed parts and fills tied at zero drawn.
+    The water-fill's deltas come from the rows and old labels it returns."""
+    lg, parts, guard_v, max_v, mean_size = data.draw(water_fills(num_tasks))
+    p = len(guard_v)
     results = []
-    for fill in (_place_isolated, oracles.place_isolated):
-        labels, deltas, guards = parts.copy(), list(c_v), list(guard_v)
-        moved = fill(lg, labels, deltas, guards, max_v, mean_size)
-        assert moved.dtype == np.int64
-        results.append((moved.tolist(), labels.tobytes(), deltas, np.asarray(guards).tobytes()))
+    for library in (True, False):
+        labels, guards = parts.copy(), list(guard_v)
+        if library:
+            moved, deltas = _moves_and_delta(parts, labels, *_place_isolated(lg, labels, guards, max_v, mean_size), p)
+        else:
+            deltas = [0] * p
+            moved = oracles.place_isolated(lg, labels, guards, max_v, mean_size, deltas).tolist()
+        results.append((moved, labels.tobytes(), deltas, np.asarray(guards).tobytes()))
     assert results[0] == results[1]
 
 
@@ -363,9 +386,8 @@ def _assert_counts_are_fresh(local_graphs, state, counts, p):
         fresh, sums = oracles.neighbor_counts(lg, parts, p)
         assert c.counts.dtype == np.int32 and c.counts.tobytes() == fresh.astype(np.int32).tobytes()
         assert c.sums.dtype == np.float64 and c.sums.tobytes() == sums.astype(np.float64).tobytes()
-    verts, own, ends = (sum(terms) for terms in zip(*(c.tally() for c in counts)))
-    expected = _global_counts(local_graphs, state.parts, p)
-    assert [verts.tolist(), (own // 2).tolist(), (ends - own).tolist()] == [e.tolist() for e in expected]
+    kept = _global_counts(c.tally() for c in counts)
+    assert [k.tolist() for k in kept] == [e.tolist() for e in recount(local_graphs, state.parts, p)]
 
 
 def _upkeep_round(local_graphs, state, counts, chunk, draw_moves):
@@ -414,7 +436,7 @@ def test_kept_counts_match_a_fresh_count(case, data):
     ledger they give to the recount's."""
     n, local_graphs, state = case
     p = state.num_parts
-    counts = [NeighborCounts(lg, parts, p) for lg, parts in zip(local_graphs, state.parts)]
+    counts = kept_counts(local_graphs, state)
     _assert_counts_are_fresh(local_graphs, state, counts, p)
 
     def draw_moves(rows, p):
@@ -430,7 +452,7 @@ def test_kept_counts_match_a_fresh_count(case, data):
         _assert_counts_are_fresh(local_graphs, state, counts, p)
 
 
-STAGES = {"vertex-balance": vert_balance, "vertex-refine": vert_refine, "edge-balance": edge_balance, "edge-refine": edge_refine}
+STAGES = (PHASE_VERT_BALANCE, PHASE_VERT_REFINE, PHASE_EDGE_BALANCE, PHASE_EDGE_REFINE)
 
 
 @PROPERTY_SETTINGS
@@ -439,7 +461,7 @@ def test_counts_carried_across_phases_stay_exact(case, phases, iters):
     """Phases run back to back on one set of kept counts, as ``xtrapulp``
     runs them: after every phase the counts and degree sums equal a fresh
     count of the labels, and the labels and ledger at the end equal those of
-    the same phases each building its own counts."""
+    the same phases each given counts built for it."""
     n, local_graphs, state = case
     p, T = state.num_parts, len(local_graphs)
     cfg = Config(num_parts=p, num_tasks=T)
@@ -447,11 +469,11 @@ def test_counts_carried_across_phases_stay_exact(case, phases, iters):
     for parts, fresh in zip(state.parts, fresh_state.parts):
         fresh[:] = parts
     ledger, fresh_ledger = make_ledger(local_graphs, state, cfg), make_ledger(local_graphs, fresh_state, cfg)
-    counts = [NeighborCounts(lg, parts, p) for lg, parts in zip(local_graphs, state.parts)]
-    for name in phases:
-        STAGES[name](Runtime(T), local_graphs, state, ledger, cfg, iters=iters, counts=counts)
+    counts = kept_counts(local_graphs, state)
+    for phase in phases:
+        _run_phase(Runtime(T), local_graphs, state, ledger, cfg, counts, phase, iters)
         _assert_counts_are_fresh(local_graphs, state, counts, p)
-        STAGES[name](Runtime(T), local_graphs, fresh_state, fresh_ledger, cfg, iters=iters)
+        _run_phase(Runtime(T), local_graphs, fresh_state, fresh_ledger, cfg, kept_counts(local_graphs, fresh_state), phase, iters)
     assert [parts.tobytes() for parts in state.parts] == [parts.tobytes() for parts in fresh_state.parts]
     for field in ("verts", "intra_edges", "cut_edges"):
         assert getattr(ledger, field).tolist() == getattr(fresh_ledger, field).tolist()
