@@ -1,8 +1,13 @@
 """Command-line surface: ``lppart {partition,generate,evaluate}``.
 
-Every long flag can be preset through an environment variable with the
-``LPPART_`` prefix (dashes become underscores, e.g. ``LPPART_SEED=7``,
-``LPPART_VERT_IMB=0.05``); explicit flags win over the environment.
+Every optional flag of the command being run can be preset through an
+environment variable: ``LPPART_`` plus the flag's longest name, upper-cased
+with dashes as underscores (``LPPART_SEED=7``, ``LPPART_VERT_IMB=0.05``,
+``LPPART_X=0.5`` for ``-X``).  A preset is parsed as the flag's own value is:
+by its type, against its choices, and as 1/true/yes/on or 0/false/no/off for
+a switch; a bad one exits 2 naming the variable.  Explicit flags win over
+presets, the presets of other commands are never read, and ``--help`` shows
+the built-in defaults.
 
 Exit codes: 0 success, 2 malformed input or configuration, 3 constraint
 violation under ``--strict``.
@@ -16,7 +21,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -39,93 +44,75 @@ METHODS = ("xtrapulp", "random", "vblock", "eblock")
 DIST_NAMES = {"block": BLOCK, "random": RANDOM_HASH}
 
 
-def _env_default(flag: str, fallback, cast):
-    name = ENV_PREFIX + flag.upper().replace("-", "_")
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    if cast is bool:
-        word = raw.lower()
-        if word in ("1", "true", "yes", "on"):
-            return True
-        if word in ("", "0", "false", "no", "off"):
-            return False
-        raise LppartError(f"{name}={raw!r} is not a valid bool (use 1/true/yes/on or 0/false/no/off)")
-    try:
-        return cast(raw)
-    except ValueError:
-        raise LppartError(f"{name}={raw!r} is not a valid {cast.__name__}") from None
-
-
-@dataclass
-class RunManifest:
-    """Everything needed to reproduce a partition run byte-for-byte."""
-
-    command: str
-    input: dict
-    method: str
-    num_parts: int
-    num_tasks: int
-    seed: int
-    vert_imb: float
-    edge_imb: float
-    x: float
-    y: float
-    iters: list[int]
-    init_mode: str
-    distribution: str
-    dedup: bool
-    outputs: dict
-    tool_version: str = __version__
-
-
-def _add_common_run_flags(sub: argparse.ArgumentParser) -> None:
-    tuning = {f.name: f.default for f in fields(Config)}  # the defaults live on Config
-    iters = f"{tuning['outer_iters']},{tuning['balance_iters']},{tuning['refine_iters']}"
-    sub.add_argument("-p", "--parts", type=int, default=_env_default("parts", None, int), help="number of parts (required)")
-    sub.add_argument("-T", "--tasks", type=int, default=_env_default("tasks", tuning["num_tasks"], int), help="logical task count (default %(default)s)")
-    sub.add_argument("--vert-imb", type=float, default=_env_default("vert-imb", tuning["vert_imb"], float), help="vertex imbalance ratio (default %(default)s)")
-    sub.add_argument("--edge-imb", type=float, default=_env_default("edge-imb", tuning["edge_imb"], float), help="edge imbalance ratio (default %(default)s)")
-    sub.add_argument("-X", dest="x", type=float, default=_env_default("x", tuning["x"], float), help="update-limit ramp end (default %(default)s)")
-    sub.add_argument("-Y", dest="y", type=float, default=_env_default("y", tuning["y"], float), help="update-limit ramp start (default %(default)s)")
-    sub.add_argument("--iters", default=_env_default("iters", iters, str), help="outer,balance,refine iteration counts (default %(default)s)")
-    sub.add_argument("--seed", type=int, default=_env_default("seed", tuning["seed"], int), help="master seed; all randomness derives from it")
-    sub.add_argument("--method", choices=METHODS, default=_env_default("method", "xtrapulp", str))
-    sub.add_argument("--init", choices=INIT_MODES, default=_env_default("init", tuning["init_mode"], str))
-    sub.add_argument("--dist", choices=tuple(DIST_NAMES), default=_env_default("dist", "block", str), help="vertex-to-task distribution")
-    sub.add_argument("--dedup", action="store_true", default=_env_default("dedup", False, bool), help="drop duplicate input edges")
-    sub.add_argument("--strict", action="store_true", default=_env_default("strict", False, bool), help="exit 3 if the configured tolerances are violated")
-    sub.add_argument("--trace", default=_env_default("trace", None, str), help="write per-superstep message counts as JSON lines to this file")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    tuning = {f.name: f.default for f in fields(Config)}  # the tuning flags store into Config's fields and take its defaults
     parser = argparse.ArgumentParser(prog="lppart", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"lppart {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
 
     part = commands.add_parser("partition", help="partition a graph and write labels plus a quality report")
     part.add_argument("-i", "--input", required=True, help="edge-list text or .npz cache")
-    _add_common_run_flags(part)
-    part.add_argument("-o", "--output", default=_env_default("output", None, str), help="partition file (default: <input stem>.parts)")
-    part.add_argument("--report", default=_env_default("report", None, str), help="quality report JSON path")
+    part.add_argument("-p", "--parts", dest="num_parts", type=int, help="number of parts (required)")
+    part.add_argument("-T", "--tasks", dest="num_tasks", type=int, default=tuning["num_tasks"], help="logical task count (default %(default)s)")
+    part.add_argument("--vert-imb", type=float, default=tuning["vert_imb"], help="vertex imbalance ratio (default %(default)s)")
+    part.add_argument("--edge-imb", type=float, default=tuning["edge_imb"], help="edge imbalance ratio (default %(default)s)")
+    part.add_argument("-X", dest="x", type=float, default=tuning["x"], help="update-limit ramp end (default %(default)s)")
+    part.add_argument("-Y", dest="y", type=float, default=tuning["y"], help="update-limit ramp start (default %(default)s)")
+    iters = f"{tuning['outer_iters']},{tuning['balance_iters']},{tuning['refine_iters']}"
+    part.add_argument("--iters", default=iters, help="outer,balance,refine iteration counts (default %(default)s)")
+    part.add_argument("--seed", type=int, default=tuning["seed"], help="master seed; all randomness derives from it")
+    part.add_argument("--method", choices=METHODS, default="xtrapulp")
+    part.add_argument("--init", dest="init_mode", choices=INIT_MODES, default=tuning["init_mode"])
+    part.add_argument("--dist", choices=tuple(DIST_NAMES), default="block", help="vertex-to-task distribution")
+    part.add_argument("--dedup", action="store_true", help="drop duplicate input edges")
+    part.add_argument("--strict", action="store_true", help="exit 3 if the configured tolerances are violated")
+    part.add_argument("--trace", help="write per-superstep message counts as JSON lines to this file")
+    part.add_argument("-o", "--output", help="partition file (default: <input stem>.parts)")
+    part.add_argument("--report", help="quality report JSON path")
 
     gen = commands.add_parser("generate", help="emit a synthetic edge list")
     gen.add_argument("kind", choices=("rmat", "er", "randhd"))
-    gen.add_argument("--scale", type=int, default=None, help="rmat: vertex count is 2**scale")
-    gen.add_argument("--n", type=int, default=None, help="er/randhd: vertex count")
-    gen.add_argument("--davg", type=int, default=_env_default("davg", 16, int), help="average degree (default 16)")
-    gen.add_argument("--probs", default=_env_default("probs", None, str), help="rmat quadrant probabilities a,b,c,d")
-    gen.add_argument("--seed", type=int, default=_env_default("seed", 0, int))
-    gen.add_argument("-o", "--output", default=_env_default("output", None, str), help="output path; .npz writes the binary cache (default: stdout)")
+    gen.add_argument("--scale", type=int, help="rmat: vertex count is 2**scale")
+    gen.add_argument("--n", type=int, help="er/randhd: vertex count")
+    gen.add_argument("--davg", type=int, default=16, help="average degree (default 16)")
+    gen.add_argument("--probs", help="rmat quadrant probabilities a,b,c,d")
+    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("-o", "--output", help="output path; .npz writes the binary cache (default: stdout)")
 
     ev = commands.add_parser("evaluate", help="score one or more partition files against a graph")
     ev.add_argument("-i", "--input", required=True, help="edge-list text or .npz cache")
     ev.add_argument("partitions", nargs="+", help="partition files; the file stem names the method")
-    ev.add_argument("-p", "--parts", type=int, default=None, help="part count (default: max label + 1)")
-    ev.add_argument("--dedup", action="store_true", default=_env_default("dedup", False, bool))
-    ev.add_argument("--report", default=_env_default("report", None, str), help="report JSON path")
-    ev.add_argument("--csv", default=_env_default("csv", None, str), help="cross-method CSV table path")
+    ev.add_argument("-p", "--parts", type=int, help="part count (default: max label + 1)")
+    ev.add_argument("--dedup", action="store_true")
+    ev.add_argument("--report", help="report JSON path")
+    ev.add_argument("--csv", help="cross-method CSV table path")
     return parser
+
+
+SWITCH_WORDS = {"1": True, "true": True, "yes": True, "on": True, "": False, "0": False, "false": False, "no": False, "off": False}
+
+
+def _preset_defaults(parser: argparse.ArgumentParser, command: str) -> None:
+    """Make each optional flag of ``command`` default to its ``LPPART_`` preset, parsed as the flag's value is."""
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for action in commands.choices[command]._actions:
+        if not action.option_strings or action.required or action.default is argparse.SUPPRESS:
+            continue  # positionals, required flags and --help take no preset
+        name = ENV_PREFIX + max(action.option_strings, key=len).lstrip("-").upper().replace("-", "_")
+        raw = os.environ.get(name)
+        if raw is None:
+            continue
+        if action.nargs == 0:  # a switch
+            if raw.lower() not in SWITCH_WORDS:
+                raise LppartError(f"{name}={raw!r} is not a valid bool (use 1/true/yes/on or 0/false/no/off)")
+            action.default = SWITCH_WORDS[raw.lower()]
+            continue
+        try:
+            action.default = raw if action.type is None else action.type(raw)
+        except ValueError:
+            raise LppartError(f"{name}={raw!r} is not a valid {action.type.__name__}") from None
+        if action.choices is not None and action.default not in action.choices:
+            raise LppartError(f"{name}={raw!r} is not one of {', '.join(action.choices)}")
 
 
 def _load_graph(path: str, dedup: bool) -> tuple[GlobalGraph, np.ndarray]:
@@ -163,38 +150,27 @@ def _trace_line(event: SuperstepEvent) -> str:
 
 
 def cmd_partition(args) -> int:
-    if args.parts is None:
+    if args.num_parts is None:
         raise LppartError("--parts is required")
     outer, bal, ref = _parse_iters(args.iters)
-    cfg = Config(
-        num_parts=args.parts,
-        num_tasks=args.tasks,
-        vert_imb=args.vert_imb,
-        edge_imb=args.edge_imb,
-        x=args.x,
-        y=args.y,
-        outer_iters=outer,
-        balance_iters=bal,
-        refine_iters=ref,
-        seed=args.seed,
-        init_mode=args.init,
-    )
+    flagged = {f.name: getattr(args, f.name) for f in fields(Config) if hasattr(args, f.name)}
+    cfg = Config(**flagged, outer_iters=outer, balance_iters=bal, refine_iters=ref)
     cfg.validate()  # for every method: --strict reads the tolerances, the manifest records them all
     g, id_map = _load_graph(args.input, args.dedup)
 
     with open(args.trace, "w") if args.trace else contextlib.nullcontext() as trace:
         if args.method == "xtrapulp":
-            dist = make_distribution(DIST_NAMES[args.dist], g.num_vertices, args.tasks, seed=subsystem_seed(args.seed, "dist"))
+            dist = make_distribution(DIST_NAMES[args.dist], g.num_vertices, cfg.num_tasks, seed=subsystem_seed(cfg.seed, "dist"))
             local_graphs = distribute(g, dist)
             observer = None if trace is None else lambda event: trace.write(_trace_line(event))
             state = xtrapulp(local_graphs, cfg, observer=observer)
             parts = state.to_global(local_graphs, g.num_vertices)
         elif args.method == "random":
-            parts = random_partition(g.num_vertices, args.parts, seed=args.seed)
+            parts = random_partition(g.num_vertices, cfg.num_parts, seed=cfg.seed)
         elif args.method == "vblock":
-            parts = vertex_block_partition(g.num_vertices, args.parts)
+            parts = vertex_block_partition(g.num_vertices, cfg.num_parts)
         else:
-            parts = edge_block_partition(g, args.parts)
+            parts = edge_block_partition(g, cfg.num_parts)
 
     out_path = Path(args.output) if args.output else Path(args.input).with_suffix(".parts")
     io.write_parts(out_path, parts)
@@ -202,42 +178,31 @@ def cmd_partition(args) -> int:
     if relabeled:
         io.write_id_map(out_path.with_suffix(out_path.suffix + ".ids"), id_map)
 
-    manifest = RunManifest(
-        command="partition",
-        input={"path": str(args.input), "dedup": args.dedup, "relabeled": relabeled},
-        method=args.method,
-        num_parts=args.parts,
-        num_tasks=args.tasks,
-        seed=args.seed,
-        vert_imb=args.vert_imb,
-        edge_imb=args.edge_imb,
-        x=args.x,
-        y=args.y,
-        iters=[outer, bal, ref],
-        init_mode=args.init,
-        distribution=args.dist,
-        dedup=args.dedup,
-        outputs={"partition": str(out_path), "report": args.report},
-    )
-    report = build_report(
-        g,
-        parts,
-        args.parts,
-        metadata={"manifest": asdict(manifest), "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z")},
-    )
+    # everything needed to reproduce the run byte-for-byte: the flagged Config fields and the command's own keys
+    manifest = {name: getattr(cfg, name) for name in flagged} | {
+        "iters": [outer, bal, ref],
+        "command": "partition",
+        "input": {"path": str(args.input), "dedup": args.dedup, "relabeled": relabeled},
+        "method": args.method,
+        "distribution": args.dist,
+        "dedup": args.dedup,
+        "outputs": {"partition": str(out_path), "report": args.report},
+        "tool_version": __version__,
+    }
+    report = build_report(g, parts, cfg.num_parts, metadata={"manifest": manifest, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z")})
     if args.report:
         Path(args.report).write_text(report.to_json() + "\n")
     print(
-        f"partition: n={g.num_vertices} m={g.num_edges} p={args.parts} method={args.method} "
+        f"partition: n={g.num_vertices} m={g.num_edges} p={cfg.num_parts} method={args.method} "
         f"cut={report.edge_cut} cut_ratio={report.cut_ratio:.4f} "
         f"v_imb={report.vertex_imbalance:.4f} e_imb={report.edge_imbalance:.4f} -> {out_path}"
     )
 
     if args.strict:
-        if report.vertex_imbalance > 1.0 + args.vert_imb or report.edge_imbalance > 1.0 + args.edge_imb:
+        if report.vertex_imbalance > 1.0 + cfg.vert_imb or report.edge_imbalance > 1.0 + cfg.edge_imb:
             print(
                 f"strict: imbalance exceeds tolerance (vertex {report.vertex_imbalance:.4f} "
-                f"vs {1 + args.vert_imb:.2f}, edge {report.edge_imbalance:.4f} vs {1 + args.edge_imb:.2f})",
+                f"vs {1 + cfg.vert_imb:.2f}, edge {report.edge_imbalance:.4f} vs {1 + cfg.edge_imb:.2f})",
                 file=sys.stderr,
             )
             return EXIT_STRICT
@@ -336,17 +301,13 @@ def cmd_evaluate(args) -> int:
 
 
 def main(argv=None) -> int:
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
-        if args.command == "partition":
-            return cmd_partition(args)
-        if args.command == "generate":
-            return cmd_generate(args)
-        return cmd_evaluate(args)
-    except LppartError as exc:
-        print(f"lppart: error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+        # presets are read only for the command being run, then the explicit flags parse over them
+        _preset_defaults(parser, parser.parse_args(argv).command)
+        args = parser.parse_args(argv)
+        return {"partition": cmd_partition, "generate": cmd_generate, "evaluate": cmd_evaluate}[args.command](args)
+    except (LppartError, OSError) as exc:
         print(f"lppart: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -470,20 +470,13 @@ CSV_FIELDS = [
 def write_method_table(path: str, reports: Mapping[str, QualityReport], ratios: Mapping[str, Mapping[str, float]]) -> None:
     """CSV table comparing methods on one graph."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
-        writer.writeheader()
+        writer = csv.writer(fh)
+        writer.writerow(CSV_FIELDS)
         for method, rep in reports.items():
-            writer.writerow(
-                {
-                    "method": method,
-                    "edge_cut": rep.edge_cut,
-                    "cut_ratio": f"{rep.cut_ratio:.6f}",
-                    "max_part_cut": rep.max_part_cut,
-                    "scaled_max_cut": f"{rep.scaled_max_cut:.6f}",
-                    "scaled_max_cut_alt": f"{rep.scaled_max_cut_alt:.6f}",
-                    "vertex_imbalance": f"{rep.vertex_imbalance:.6f}",
-                    "edge_imbalance": f"{rep.edge_imbalance:.6f}",
-                    "cut_performance_ratio": f"{ratios.get('edge_cut', {}).get(method, math.nan):.6f}",
-                    "max_cut_performance_ratio": f"{ratios.get('max_part_cut', {}).get(method, math.nan):.6f}",
-                }
-            )
+            own = {
+                "method": method,
+                "cut_performance_ratio": ratios.get("edge_cut", {}).get(method, math.nan),
+                "max_cut_performance_ratio": ratios.get("max_part_cut", {}).get(method, math.nan),
+            }
+            values = (own[name] if name in own else getattr(rep, name) for name in CSV_FIELDS)
+            writer.writerow(f"{v:.6f}" if isinstance(v, float) else v for v in values)

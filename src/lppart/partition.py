@@ -2,9 +2,12 @@
 
 The driver runs three stages over distributed local graphs:
 
-1. initialization: seed one root vertex per part, then flood labels outward,
-   each unlabeled vertex adopting a uniformly random label from its labeled
-   neighbors; unreached vertices get uniform random labels at the end.
+1. initialization: under ``bfs-lp``, seed one root vertex per part, then
+   flood labels outward, each unlabeled vertex adopting a uniformly random
+   label from its labeled neighbors.  In every mode one closing superstep
+   then labels each vertex still unlabeled: by contiguous id blocks under
+   ``block``, else uniformly at random (the vertices a flood left
+   unreached, or all of them under ``random``).
 2. vertex stage: ``outer_iters`` rounds of degree-weighted balancing followed
    by plurality refinement, constrained by the target max vertices per part.
 3. edge stage: the same skeleton re-weighted to balance intra-part edges and
@@ -339,22 +342,49 @@ def init_parts(
     cfg: Config,
     observer: Observer | None = None,
 ) -> None:
-    """Assign every owned vertex an initial part and synchronize ghosts."""
+    """Assign every owned vertex an initial part and synchronize ghosts.
+
+    Under bfs-lp the flood runs first, one superstep per iteration.  Then, in
+    every mode, one closing superstep labels each owned row still unlabeled:
+    by the block rule under block, else uniformly at random.
+    """
     p = state.num_parts
     n = sum(lg.num_owned for lg in local_graphs)
     if p > n:
-        raise ConfigError(f"cannot draw {p} unique roots from {n} vertices")
+        raise ConfigError(f"part count {p} exceeds vertex count {n}")
     for parts in state.parts:
         parts[:] = -1
+    flooding = cfg.init_mode == "bfs-lp"
+    if flooding:
+        # master task draws the roots; every task receives the same array
+        roots = broadcast(_draw_roots(local_graphs, p, cfg.seed), runtime.num_tasks)
+        rngs = [rng_for(cfg.seed, "init", t) for t in range(runtime.num_tasks)]
+    cuts = block_cuts(n, p)
 
-    def notify(iteration, pairs_sent):
+    def step(t):
+        lg, parts = local_graphs[t], state.parts[t]
+        if flooding:
+            # superstep 0 labels each task's roots first; no task sees another's before the exchange
+            rows = [_label_roots(lg, parts, roots[t])] if iteration == 0 else []
+            return np.concatenate(rows + [_sweep_init(lg, parts, rngs[t], p, cfg.chunk)])
+        open_rows = np.nonzero(parts[: lg.num_owned] == -1)[0]
+        if cfg.init_mode == "block":
+            parts[open_rows] = np.searchsorted(cuts, lg.owned[open_rows], side="right") - 1
+        else:  # the rows a flood left unreached, or every row under random
+            parts[open_rows] = rng_for(cfg.seed, "fallback" if iteration else "init", t).integers(p, size=len(open_rows))
+        return open_rows
+
+    iteration = 0
+    while True:
+        results = runtime.run_superstep(step)
+        pairs_sent = _exchange_round(local_graphs, state, results)
         if observer is not None:
             observer(SuperstepEvent(PHASE_INIT, iteration, runtime.superstep, local_graphs, state, None, pairs_sent))
-
-    if cfg.init_mode == "bfs-lp":
-        _init_bfs_lp(runtime, local_graphs, state, cfg, notify)
-    else:
-        _init_direct(runtime, local_graphs, state, cfg, notify)
+        if not flooding:
+            return
+        # the flood stops when a superstep labels nothing beyond the p roots
+        flooding = int(allreduce_sum([np.array([len(rows)]) for rows in results])[0]) > (p if iteration == 0 else 0)
+        iteration += 1
 
 
 def _draw_roots(local_graphs, num_parts: int, seed: int) -> np.ndarray:
@@ -375,60 +405,6 @@ def _draw_roots(local_graphs, num_parts: int, seed: int) -> np.ndarray:
     rest = np.nonzero(degrees == 0)[0]
     extra = rng.choice(rest, size=num_parts - len(connected), replace=False)
     return np.sort(np.concatenate([connected, extra])).astype(np.int64)
-
-
-def _init_bfs_lp(runtime, local_graphs, state, cfg, notify):
-    p = state.num_parts
-    # master task draws the roots; every task receives the same array
-    roots = broadcast(_draw_roots(local_graphs, p, cfg.seed), runtime.num_tasks)
-    rngs = [rng_for(cfg.seed, "init", t) for t in range(runtime.num_tasks)]
-
-    iteration = 0
-    while True:
-        # superstep 0 labels each task's roots first; no task sees another's before the exchange
-        def step(t):
-            lg, parts = local_graphs[t], state.parts[t]
-            rows = [_label_roots(lg, parts, roots[t])] if iteration == 0 else []
-            return np.concatenate(rows + [_sweep_init(lg, parts, rngs[t], p, cfg.chunk)])
-
-        results = runtime.run_superstep(step)
-        notify(iteration, _exchange_round(local_graphs, state, results))
-        # the flood stops when a superstep labels nothing beyond the p roots
-        updates = int(allreduce_sum([np.array([len(rows)]) for rows in results])[0]) - (p if iteration == 0 else 0)
-        iteration += 1
-        if updates == 0:
-            break
-
-    # unreached vertices get uniform random labels, then one closing exchange
-    fallback_rngs = [rng_for(cfg.seed, "fallback", t) for t in range(runtime.num_tasks)]
-
-    def fallback(t):
-        lg, parts = local_graphs[t], state.parts[t]
-        open_rows = np.nonzero(parts[: lg.num_owned] == -1)[0]
-        parts[open_rows] = fallback_rngs[t].integers(p, size=len(open_rows))
-        return open_rows
-
-    results = runtime.run_superstep(fallback)
-    notify(iteration, _exchange_round(local_graphs, state, results))
-
-
-def _init_direct(runtime, local_graphs, state, cfg, notify):
-    """random or block assignment followed by one synchronizing exchange."""
-    p = state.num_parts
-    n = sum(lg.num_owned for lg in local_graphs)
-    cuts = block_cuts(n, p)
-
-    def step(t):
-        lg, parts = local_graphs[t], state.parts[t]
-        if cfg.init_mode == "random":
-            labels = rng_for(cfg.seed, "init", t).integers(0, p, size=lg.num_owned)
-        else:
-            labels = np.searchsorted(cuts, lg.owned, side="right") - 1
-        parts[: lg.num_owned] = labels
-        return np.arange(lg.num_owned, dtype=np.int64)
-
-    results = runtime.run_superstep(step)
-    notify(0, _exchange_round(local_graphs, state, results))
 
 
 # ---------------------------------------------------------------------------

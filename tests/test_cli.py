@@ -1,5 +1,4 @@
 import json
-import os
 from dataclasses import fields
 
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 
 from conftest import grid_pairs
 from lppart import io
-from lppart.cli import ENV_PREFIX, build_parser, main
+from lppart.cli import build_parser, main
 from lppart.partition import INIT_MODES, Config
 from lppart.graph import build_csr
 from lppart.metrics import edge_cut
@@ -147,6 +146,8 @@ MALFORMED = {
     "part-label-above-vertex-count": lambda d, grid: (("evaluate", "-i", grid, _parts_file(d, "0\n100000000000\n" + "0\n" * 254)), f"{d / 'labels.parts'}: label 100000000000 at vertex 1 makes the part count 100000000001, above the vertex count 256"),
     "part-count-above-vertex-count": lambda d, grid: (("evaluate", "-i", grid, "-p", 100000000000, _parts_file(d, "0\n" * 256)), "part count -p 100000000000 exceeds vertex count 256"),
     "part-count-zero": lambda d, grid: (("evaluate", "-i", grid, "-p", 0, _parts_file(d, "0\n" * 256)), "part count -p must be >= 1, got 0"),
+    "part-count-above-vertex-count-partition": lambda d, grid: (("partition", "-i", _bytes_file(d / "g4.txt", b"0 1\n1 2\n2 3\n"), "-p", 5), "part count 5 exceeds vertex count 4"),
+    "part-count-above-vertex-count-block-init": lambda d, grid: (("partition", "-i", _bytes_file(d / "g4.txt", b"0 1\n1 2\n2 3\n"), "-p", 5, "--init", "block"), "part count 5 exceeds vertex count 4"),
     "part-count-negative": lambda d, grid: (("evaluate", "-i", grid, "-p", -1, _parts_file(d, "0\n" * 256)), "part count -p must be >= 1, got -1"),
     "part-label-out-of-range": lambda d, grid: (("evaluate", "-i", grid, "-p", 2, _parts_file(d, "0\n1\n2\n" + "0\n" * 253)), f"{d / 'labels.parts'}: part labels must lie in [0, 2)"),
     "edge-list-not-utf8": lambda d, grid: (("partition", "-i", _bytes_file(d / "g.txt", b"0 1\n\xff\xfe 3\n"), "-p", 2), f"{d / 'g.txt'}:2: not valid UTF-8"),
@@ -275,19 +276,21 @@ def test_graph_out_of_memory_exits_2_naming_the_file(monkeypatch, capsys, grid_f
 
 
 def test_parser_defaults_are_the_config_defaults(monkeypatch, capsys):
-    """Every tuning flag's default is ``Config``'s field default, and ``--init``
-    offers the partitioner's init modes."""
-    for name in list(os.environ):
-        if name.startswith(ENV_PREFIX):
-            monkeypatch.delenv(name)
+    """Every tuning flag's dest and default are ``Config``'s field name and
+    default, ``--init`` offers the partitioner's init modes, and the parser
+    alone reads no preset, so ``--help`` shows the built-in defaults."""
+    monkeypatch.setenv("LPPART_TASKS", "5")
+    monkeypatch.setenv("LPPART_INIT", "random")
     args = build_parser().parse_args(["partition", "-i", "g.txt"])
     tuning = {f.name: f.default for f in fields(Config)}
     cfg_fields = ("num_tasks", "vert_imb", "edge_imb", "x", "y", "seed", "init_mode")
-    assert (args.tasks, args.vert_imb, args.edge_imb, args.x, args.y, args.seed, args.init) == tuple(tuning[f] for f in cfg_fields)
+    assert {f: getattr(args, f) for f in cfg_fields} == {f: tuning[f] for f in cfg_fields}
+    assert args.num_parts is None
     assert args.iters == f"{tuning['outer_iters']},{tuning['balance_iters']},{tuning['refine_iters']}"
     with pytest.raises(SystemExit):
-        build_parser().parse_args(["partition", "--help"])
-    assert "  --init {" + ",".join(INIT_MODES) + "}\n" in capsys.readouterr().out
+        main(["partition", "--help"])
+    out = capsys.readouterr().out
+    assert "  --init {" + ",".join(INIT_MODES) + "}\n" in out and f"(default {tuning['num_tasks']})" in out
 
 
 def test_generate_missing_params_exit_2():
@@ -388,10 +391,43 @@ def test_default_task_count_is_one(grid_file, tmp_path):
     assert json.loads(report.read_text())["metadata"]["manifest"]["num_tasks"] == 1
 
 
-@pytest.mark.parametrize("var,value", [("LPPART_SEED", "abc"), ("LPPART_VERT_IMB", "0.1x"), ("LPPART_STRICT", "maybe")])
+@pytest.mark.parametrize(
+    "var,value",
+    [("LPPART_SEED", "abc"), ("LPPART_VERT_IMB", "0.1x"), ("LPPART_STRICT", "maybe"), ("LPPART_METHOD", "bogus"), ("LPPART_DIST", "bogus"), ("LPPART_INIT", "bogus")],
+)
 def test_malformed_env_value_exits_2_naming_the_variable(grid_file, tmp_path, monkeypatch, capsys, var, value):
     path, n = grid_file
     monkeypatch.setenv(var, value)
     assert run_cli("partition", "-i", path, "-p", 2, "-o", tmp_path / "e.parts") == 2
     err = capsys.readouterr().err
     assert err.startswith("lppart: error:") and var in err and repr(value) in err
+
+
+def test_presets_of_other_commands_are_not_read(grid_file, tmp_path, monkeypatch):
+    path, n = grid_file
+    monkeypatch.setenv("LPPART_DAVG", "x")  # generate's flag
+    assert run_cli("partition", "-i", path, "-p", 2, "-o", tmp_path / "g.parts") == 0
+    monkeypatch.setenv("LPPART_SEED", "abc")  # partition's and generate's flag
+    assert run_cli("evaluate", "-i", path, tmp_path / "g.parts", "--report", tmp_path / "e.json") == 0
+
+
+def test_flags_without_a_built_in_default_take_presets(grid_file, tmp_path, monkeypatch):
+    path, n = grid_file
+    monkeypatch.setenv("LPPART_SCALE", "4")
+    assert run_cli("generate", "rmat", "-o", tmp_path / "r.txt") == 0
+    assert run_cli("generate", "rmat", "--scale", 4, "-o", tmp_path / "flag.txt") == 0
+    assert (tmp_path / "r.txt").read_bytes() == (tmp_path / "flag.txt").read_bytes()
+    (tmp_path / "one.parts").write_text("0\n" * n)
+    monkeypatch.setenv("LPPART_PARTS", "3")
+    assert run_cli("evaluate", "-i", path, tmp_path / "one.parts", "--report", tmp_path / "e.json") == 0
+    assert json.loads((tmp_path / "e.json").read_text())["methods"]["one"]["num_parts"] == 3
+
+
+def test_explicit_flag_beats_its_preset(grid_file, tmp_path, monkeypatch):
+    path, n = grid_file
+    flag, both, report = tmp_path / "flag.parts", tmp_path / "both.parts", tmp_path / "both.json"
+    assert run_cli("partition", "-i", path, "-p", 4, "--seed", 0, "-o", flag) == 0
+    monkeypatch.setenv("LPPART_SEED", "7")
+    assert run_cli("partition", "-i", path, "-p", 4, "--seed", 0, "-o", both, "--report", report) == 0
+    assert json.loads(report.read_text())["metadata"]["manifest"]["seed"] == 0
+    assert both.read_bytes() == flag.read_bytes()

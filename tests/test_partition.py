@@ -769,6 +769,7 @@ GOLDEN = [
     ("rmat", 8, 4, RANDOM_HASH, {}, "fd85169ae3000530c5cd7ca46c101a2d890dbee3d92eed83be52dcb03eaddadf"),
     ("rmat", 8, 2, BLOCK, {"chunk": 64}, "e8d8b9d0aeaab7cadde96ce75efca74aafcf5f1a9cf7b22cbaca77e0a447e400"),
     ("er", 8, 3, BLOCK, {"init_mode": "random"}, "10c945d8e1e6fa85a4ea61dbe84ca20eb6efbf322b4f5ba3d09f7c3ef1c42a76"),
+    ("rmat", 8, 3, BLOCK, {"init_mode": "block"}, "2965fac6f2160608911060243e4be617c5acd9ddf2e5d2dabf92e92f270d0765"),
     ("rmat", 64, 1, BLOCK, {}, "7bf34761ad0dcfac7fff85e5aaf68ae0a9420d3dd5fbff009c7f4ade0e5b3682"),
     ("rmat", 256, 4, BLOCK, {}, "c69c32fc4aa0820ebf3bc6210e048db915a107fbe28a3c57c5fdc05281237677"),
 ]
@@ -777,7 +778,7 @@ GOLDEN = [
 @pytest.mark.parametrize(
     "kind,p,T,dist,extra,digest",
     GOLDEN,
-    ids=["rmat-T1", "rmat-T3", "rmat-hash-T4", "rmat-chunk64", "er-random-init", "rmat-p64-T1", "rmat-p256-T4"],
+    ids=["rmat-T1", "rmat-T3", "rmat-hash-T4", "rmat-chunk64", "er-random-init", "rmat-block-init", "rmat-p64-T1", "rmat-p256-T4"],
 )
 def test_partition_matches_golden_hash(kind, p, T, dist, extra, digest):
     n = 1 << 10
