@@ -7,7 +7,9 @@ with dashes as underscores (``LPPART_SEED=7``, ``LPPART_VERT_IMB=0.05``,
 by its type, against its choices, and as 1/true/yes/on or 0/false/no/off for
 a switch; a bad one exits 2 naming the variable.  Explicit flags win over
 presets, the presets of other commands are never read, and ``--help`` shows
-the built-in defaults.
+the built-in defaults.  An error raised once the arguments are parsed also
+names every preset the run took, so a value the user never typed is traced
+to its variable.
 
 Exit codes: 0 success, 2 malformed input or configuration, 3 constraint
 violation under ``--strict``.
@@ -21,6 +23,7 @@ import json
 import os
 import sys
 import time
+from collections import namedtuple
 from dataclasses import fields
 from pathlib import Path
 
@@ -89,11 +92,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# a flag's default read from variable ``name``, its text ``raw`` parsed into
+# ``value``; it is left in the parsed arguments only where no explicit flag replaced it
+Preset = namedtuple("Preset", "dest name raw value")
+
 SWITCH_WORDS = {"1": True, "true": True, "yes": True, "on": True, "": False, "0": False, "false": False, "no": False, "off": False}
 
 
 def _preset_defaults(parser: argparse.ArgumentParser, command: str) -> None:
-    """Make each optional flag of ``command`` default to its ``LPPART_`` preset, parsed as the flag's value is."""
+    """Make each optional flag of ``command`` default to a ``Preset`` of its ``LPPART_`` variable, parsed as the flag's value is."""
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     for action in commands.choices[command]._actions:
         if not action.option_strings or action.required or action.default is argparse.SUPPRESS:
@@ -105,14 +112,15 @@ def _preset_defaults(parser: argparse.ArgumentParser, command: str) -> None:
         if action.nargs == 0:  # a switch
             if raw.lower() not in SWITCH_WORDS:
                 raise LppartError(f"{name}={raw!r} is not a valid bool (use 1/true/yes/on or 0/false/no/off)")
-            action.default = SWITCH_WORDS[raw.lower()]
-            continue
-        try:
-            action.default = raw if action.type is None else action.type(raw)
-        except ValueError:
-            raise LppartError(f"{name}={raw!r} is not a valid {action.type.__name__}") from None
-        if action.choices is not None and action.default not in action.choices:
-            raise LppartError(f"{name}={raw!r} is not one of {', '.join(action.choices)}")
+            value = SWITCH_WORDS[raw.lower()]
+        else:
+            try:
+                value = raw if action.type is None else action.type(raw)
+            except ValueError:
+                raise LppartError(f"{name}={raw!r} is not a valid {action.type.__name__}") from None
+            if action.choices is not None and value not in action.choices:
+                raise LppartError(f"{name}={raw!r} is not one of {', '.join(action.choices)}")
+        action.default = Preset(action.dest, name, raw, value)
 
 
 def _load_graph(path: str, dedup: bool) -> tuple[GlobalGraph, np.ndarray]:
@@ -302,13 +310,17 @@ def cmd_evaluate(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    taken = []  # the presets no explicit flag replaced
     try:
         # presets are read only for the command being run, then the explicit flags parse over them
         _preset_defaults(parser, parser.parse_args(argv).command)
         args = parser.parse_args(argv)
+        taken = [value for value in vars(args).values() if isinstance(value, Preset)]
+        vars(args).update((preset.dest, preset.value) for preset in taken)
         return {"partition": cmd_partition, "generate": cmd_generate, "evaluate": cmd_evaluate}[args.command](args)
     except (LppartError, OSError) as exc:
-        print(f"lppart: error: {exc}", file=sys.stderr)
+        presets = ", ".join(f"{preset.name}={preset.raw!r}" for preset in taken)
+        print(f"lppart: error: {exc}" + (f" (presets taken: {presets})" if presets else ""), file=sys.stderr)
         return EXIT_INPUT
 
 

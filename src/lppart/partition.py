@@ -18,18 +18,21 @@ Every iteration is one superstep: each task sweeps its owned vertices and
 queues part changes, changed labels are exchanged so ghost copies stay
 coherent, and integer per-part deltas are all-reduced into the global ledger.
 
-Neighbor counts are kept for the whole job, in one form.  After
-initialization each task counts, for every owned row, its neighbors in each
-part and the sums of those neighbors' degrees (``NeighborCounts``), and
-keeps both exact through every phase.  Every label change after that, a
-task's own move or a ghost label it receives, is noted and folded in before
-the next read: the rows next to the changed slots are shifted from the old
-part's bin to the new one, or, when the changes touch more than
+Neighbor counts are kept for the whole job, in one form, from the first
+initialization superstep.  Each task counts, for every owned row, its
+neighbors in each part and the sums of those neighbors' degrees
+(``NeighborCounts``); a neighbor not yet labelled counts nowhere, so the
+counts start at zero on the all-unlabelled state.  Every label change, a
+root, a flood move, a closing label, a phase move or a ghost label a task
+receives, is noted and folded in before the next read: the rows next to the
+changed slots are shifted from the old part's bin to the new one (a first
+label only adds to the new one), or, when the changes touch more than
 ``RECOUNT_FRACTION`` of the task's adjacency entries, recounted; both give
-the same arrays.  ``xtrapulp`` builds them once and hands them to
-``_run_phase``, the one way into a phase; no stage builds its own.  The
-sweeps read their graph, labels and chunk rows from these counts instead of
-gathering labels.  Every per-task tally, ``NeighborCounts.tally`` and the
+the same arrays.  ``init_parts`` builds them once and returns them, and
+``xtrapulp`` hands them to ``_run_phase``, the one way into a phase; no
+stage builds its own.  Every sweep, the flood included, reads its graph,
+labels and chunk rows from these counts instead of gathering labels.
+Every per-task tally, ``NeighborCounts.tally`` and the
 ``metrics.per_task_counts`` recount alike, counts each adjacency entry, so
 each edge from both ends, and one helper (``_global_counts``) all-reduces
 the tallies and halves the edge counts.  The ledger's edge counts come from
@@ -59,20 +62,21 @@ labels, and the step alone folds them into its net vertex change per part,
 ``c_v = bincount(parts[rows]) - bincount(old)`` (each row moves at most once
 per step), which the all-reduce folds into the ledger.
 
-Both weighted sweeps, balance and refine, run on one skeleton (``_sweep``).
-It walks a task's owned rows in fixed-size chunks and reads each chunk's
-neighbor counts, with the moves of the earlier chunks folded in, so labels
-written earlier in the same chunk are not yet visible, as with concurrent
-workers.  It hands them to the sweep's ``pick``, which returns the chunk's
-moved rows and new labels; the skeleton writes those labels once, after
-the chunk's last candidate, and notes them in the counts (nothing in the
-chunk reads them).  Inside ``pick`` one sequential loop per sweep passes the
-candidates through the per-part guards, in both stages, applying guard,
-estimate and score updates move by move so every decision sees the latest
-estimates.  The loop keeps only that state, which its next decision reads,
-and records one winner per candidate; the rows and labels follow from the
-winners with array code.  The vertex guard is charged at three sites: once
-per move in each sweep's loop and in the water-fill.
+Every sweep, the flood and the weighted balance and refine, runs on one
+skeleton (``_sweep``).  It walks a task's owned rows in chunks of
+``CHUNK_ROWS`` and reads each chunk's neighbor counts, with the moves of the
+earlier chunks folded in, so labels written earlier in the same chunk are
+not yet visible, as with concurrent workers.  It hands them to the sweep's
+``pick``, which returns the chunk's moved rows and new labels; the skeleton
+writes those labels once, after the chunk's last candidate, and notes them
+in the counts (nothing in the chunk reads them).  The flood's ``pick`` is
+array code.  Inside a weighted sweep's ``pick`` one sequential loop passes
+the candidates through the per-part guards, in both stages, applying
+guard, estimate and score updates move by move so every decision sees the
+latest estimates.  The loop keeps only that state, which its next decision
+reads, and records one winner per candidate; the rows and labels follow
+from the winners with array code.  The vertex guard is charged at three
+sites: once per move in each weighted sweep's loop and in the water-fill.
 Chunk boundaries are deterministic, making runs bit-reproducible for a fixed
 seed and task count.
 
@@ -118,6 +122,8 @@ PHASE_VERT_REFINE = "vertex-refine"
 PHASE_EDGE_BALANCE = "edge-balance"
 PHASE_EDGE_REFINE = "edge-refine"
 
+CHUNK_ROWS = 4096  # owned rows per sweep chunk: the counts a chunk reads omit its own moves
+
 
 @dataclass
 class Config:
@@ -134,7 +140,6 @@ class Config:
     refine_iters: int = 10
     seed: int = 0
     init_mode: str = "bfs-lp"
-    chunk: int = 4096  # owned rows per sweep chunk: the counts a chunk reads omit its own moves
 
     @property
     def total_iters(self) -> int:
@@ -155,8 +160,6 @@ class Config:
                 raise ConfigError(f"imbalance ratio {flag} must be finite and >= 0, got {ratio}")
         if self.init_mode not in INIT_MODES:
             raise ConfigError(f"unknown init mode {self.init_mode!r}")
-        if self.chunk < 1:
-            raise ConfigError("chunk size must be >= 1")
 
 
 @dataclass
@@ -279,59 +282,30 @@ def make_ledger(local_graphs: Sequence[LocalGraph], state: PartitionState, cfg: 
 # initialization
 
 
-def _label_roots(lg: LocalGraph, parts: np.ndarray, roots: np.ndarray) -> np.ndarray:
+def _label_roots(counts: NeighborCounts, roots: np.ndarray) -> np.ndarray:
     """Give root i part i on the task owning it; returns the rows labeled here."""
+    lg = counts.lg
     rows = np.searchsorted(lg.owned, roots)
     mine = np.nonzero(rows < lg.num_owned)[0]
     mine = mine[lg.owned[rows[mine]] == roots[mine]]
-    parts[rows[mine]] = mine
+    counts.relabel(rows[mine], mine)
     return rows[mine]
 
 
-def _sweep_init(lg: LocalGraph, parts: np.ndarray, rng: np.random.Generator, num_parts: int, chunk: int):
-    """One superstep of label flooding; returns the rows it labeled."""
-    p1 = num_parts + 1  # column 0 counts unlabeled neighbors
-    moved = [np.empty(0, dtype=np.int64)]
-    owned_deg = lg.degrees[: lg.num_owned]
-    for b0 in range(0, lg.num_owned, chunk):
-        b1 = min(b0 + chunk, lg.num_owned)
-        cur = parts[b0:b1]
-        open_rows = cur == -1
-        if not open_rows.any():
-            continue
-        e0, e1 = lg.offsets[b0], lg.offsets[b1]
-        flat = parts[lg.nbr_slots[e0:e1]]  # summed in place: one chunk-sized temporary fewer
-        flat += (lg.edge_src[e0:e1] - b0) * p1 + 1
-        counts = np.bincount(flat, minlength=(b1 - b0) * p1).reshape(b1 - b0, p1)
-        labeled = owned_deg[b0:b1] - counts[:, 0]
-        cand = np.nonzero(open_rows & (labeled > 0))[0]
-        if not len(cand):
-            continue
-        # each row adopts its k-th present label, k uniform over the present ones
-        present = counts[cand, 1:] > 0
-        k = rng.integers(present.sum(axis=1))
-        parts[b0 + cand] = (present.cumsum(axis=1) > k[:, None]).argmax(axis=1)
-        moved.append(b0 + cand)
-    return np.concatenate(moved)
-
-
-def _exchange_round(local_graphs, state, moved, counts=None) -> list[int]:
+def _exchange_round(local_graphs, state, moved, counts) -> list[int]:
     """Exchange the moved labels into the ghost copies; returns the pairs each task sent.
 
-    With ``counts``, each task's kept neighbor counts note the ghost labels
-    it received and fold them in, after the exchange buffers are released.
+    Each task's kept neighbor counts note the ghost labels it received and
+    fold them in, after the exchange buffers are released.
     """
     received, buffers = exchange_updates(local_graphs, state.parts, moved)
     pairs_sent = [b.pairs_sent for b in buffers]
     del buffers
-    for t, (lg, parts, recv) in enumerate(zip(local_graphs, state.parts, received)):
-        overwritten = apply_updates(lg, parts, recv)
-        if counts is not None:
-            counts[t].note(recv[2], overwritten, recv[1])
+    for c, recv in zip(counts, received):
+        c.note(recv[2], apply_updates(c.lg, c.parts, recv), recv[1])
     del received
-    if counts is not None:
-        for c in counts:
-            c.flush()
+    for c in counts:
+        c.flush()
     return pairs_sent
 
 
@@ -341,12 +315,17 @@ def init_parts(
     state: PartitionState,
     cfg: Config,
     observer: Observer | None = None,
-) -> None:
-    """Assign every owned vertex an initial part and synchronize ghosts.
+) -> list[NeighborCounts]:
+    """Assign every owned vertex an initial part and synchronize ghosts;
+    returns each task's neighbor counts, exact for the labels it leaves.
 
-    Under bfs-lp the flood runs first, one superstep per iteration.  Then, in
-    every mode, one closing superstep labels each owned row still unlabeled:
-    by the block rule under block, else uniformly at random.
+    The counts are built on the all-unlabeled state, where they are zero,
+    and every label written after that, a root, a flood move, a closing
+    label or a received ghost label, is noted in them as a phase notes its
+    moves.  Under bfs-lp the flood runs first, one superstep per iteration,
+    as a ``_sweep`` whose ``pick`` is ``_flood``.  Then, in every mode, one
+    closing superstep labels each owned row still unlabeled: by the block
+    rule under block, else uniformly at random.
     """
     p = state.num_parts
     n = sum(lg.num_owned for lg in local_graphs)
@@ -354,6 +333,7 @@ def init_parts(
         raise ConfigError(f"part count {p} exceeds vertex count {n}")
     for parts in state.parts:
         parts[:] = -1
+    counts = [NeighborCounts(lg, parts, p) for lg, parts in zip(local_graphs, state.parts)]
     flooding = cfg.init_mode == "bfs-lp"
     if flooding:
         # master task draws the roots; every task receives the same array
@@ -362,26 +342,27 @@ def init_parts(
     cuts = block_cuts(n, p)
 
     def step(t):
-        lg, parts = local_graphs[t], state.parts[t]
+        c = counts[t]
         if flooding:
             # superstep 0 labels each task's roots first; no task sees another's before the exchange
-            rows = [_label_roots(lg, parts, roots[t])] if iteration == 0 else []
-            return np.concatenate(rows + [_sweep_init(lg, parts, rngs[t], p, cfg.chunk)])
-        open_rows = np.nonzero(parts[: lg.num_owned] == -1)[0]
+            rows = [_label_roots(c, roots[t])] if iteration == 0 else []
+            return np.concatenate(rows + [_sweep(c, CHUNK_ROWS, _flood(rngs[t]))[0]])
+        lg = c.lg
+        open_rows = np.nonzero(c.parts[: lg.num_owned] == -1)[0]
         if cfg.init_mode == "block":
-            parts[open_rows] = np.searchsorted(cuts, lg.owned[open_rows], side="right") - 1
+            c.relabel(open_rows, np.searchsorted(cuts, lg.owned[open_rows], side="right") - 1)
         else:  # the rows a flood left unreached, or every row under random
-            parts[open_rows] = rng_for(cfg.seed, "fallback" if iteration else "init", t).integers(p, size=len(open_rows))
+            c.relabel(open_rows, rng_for(cfg.seed, "fallback" if iteration else "init", t).integers(p, size=len(open_rows)))
         return open_rows
 
     iteration = 0
     while True:
         results = runtime.run_superstep(step)
-        pairs_sent = _exchange_round(local_graphs, state, results)
+        pairs_sent = _exchange_round(local_graphs, state, results, counts)
         if observer is not None:
             observer(SuperstepEvent(PHASE_INIT, iteration, runtime.superstep, local_graphs, state, None, pairs_sent))
         if not flooding:
-            return
+            return counts
         # the flood stops when a superstep labels nothing beyond the p roots
         flooding = int(allreduce_sum([np.array([len(rows)]) for rows in results])[0]) > (p if iteration == 0 else 0)
         iteration += 1
@@ -424,14 +405,16 @@ class NeighborCounts:
 
     ``counts[r * p + q]`` is the number of adjacency entries of owned row r
     whose slot is labelled q, and ``sums[r * p + q]`` adds up those slots'
-    global degrees.  ``xtrapulp`` builds one per task after initialization
-    and keeps both exact for the whole job, in every phase.  Every label
-    change is noted with its old and new label and folded in before the next
-    read, either by shifting the entries of the rows next to the changed
-    slots (``LocalGraph.slot_rows``) or, past ``RECOUNT_FRACTION`` of the
-    task's entries, by recounting.  A recount reads the entries' row keys
-    (``edge_src * p``) and neighbor degrees, both built with the object and
-    released with it.  The counts are int32 where no count can reach 2^31.
+    global degrees; a slot labelled -1 (not yet labelled) counts nowhere.
+    ``init_parts`` builds one per task on the all-unlabelled state and keeps
+    both exact from its first superstep; ``xtrapulp`` takes them from it and
+    keeps them exact for the whole job, in every phase.  Every label change
+    is noted with its old and new label and folded in before the next read,
+    either by shifting the entries of the rows next to the changed slots
+    (``LocalGraph.slot_rows``; a first label, old -1, only adds) or, past
+    ``RECOUNT_FRACTION`` of the task's entries, by recounting.  A recount
+    reads the entries' row keys (``edge_src * p``) and neighbor degrees,
+    both built with the object and released with it.  The counts are int32 where no count can reach 2^31.
     The sums are whole numbers held in float64, as the balance sweep
     multiplies them by float scores, so every way of keeping them gives the
     same bytes.
@@ -452,18 +435,29 @@ class NeighborCounts:
         self.recount()
 
     def recount(self) -> None:
-        # ``row * p + label`` for every adjacency entry
+        # ``row * p + label`` for every adjacency entry whose slot is labelled
         keys = self.parts[self.lg.nbr_slots]
+        labelled = keys >= 0
         keys += self.row_keys
+        weights = self.nbr_degrees
+        if not labelled.all():
+            keys, weights = keys[labelled], weights[labelled]
         size = self.lg.num_owned * self.num_parts
         self.counts = np.bincount(keys, minlength=size).astype(self.dtype)
         # (bincount gives int64 zeros when there are no entries)
-        self.sums = np.bincount(keys, weights=self.nbr_degrees, minlength=size).astype(np.float64, copy=False)
+        self.sums = np.bincount(keys, weights=weights, minlength=size).astype(np.float64, copy=False)
 
     def note(self, slots: np.ndarray, old: np.ndarray, new: np.ndarray) -> None:
         """Record that ``slots`` changed from labels ``old`` to ``new``."""
         if len(slots):
             self.pending.append((slots, old, new))
+
+    def relabel(self, rows: np.ndarray, new: np.ndarray) -> np.ndarray:
+        """Write labels ``new`` to owned ``rows`` and note the change; returns the old labels."""
+        old = self.parts[rows]
+        self.parts[rows] = new
+        self.note(rows, old, new)
+        return old
 
     def flush(self) -> None:
         """Fold every noted change into the counts."""
@@ -480,17 +474,19 @@ class NeighborCounts:
             self._shift(slots, old, new, starts, sizes, total)
 
     def _shift(self, slots, old, new, starts, sizes, total) -> None:
-        # every entry pointing at a changed slot moves from its old label's bin to its new one
+        # every entry pointing at a changed slot moves from its old label's
+        # bin to its new one; a first label (old -1) leaves no bin
         entries = np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(total)
         base = self.slot_rows[entries].astype(np.int64)
         base *= self.num_parts
-        out_keys = base + np.repeat(old, sizes)
+        left = np.repeat(old >= 0, sizes)
+        out_keys = (base + np.repeat(old, sizes))[left]
         base += np.repeat(new, sizes)
         one = self.counts.dtype.type(1)
         np.subtract.at(self.counts, out_keys, one)
         np.add.at(self.counts, base, one)
         degree = np.repeat(self.lg.degrees[slots].astype(np.float64), sizes)
-        np.subtract.at(self.sums, out_keys, degree)
+        np.subtract.at(self.sums, out_keys, degree[left])
         np.add.at(self.sums, base, degree)
 
     def rows(self, b0: int, b1: int) -> tuple[np.ndarray, np.ndarray]:
@@ -519,17 +515,18 @@ class NeighborCounts:
 
 
 # ---------------------------------------------------------------------------
-# weighted sweeps
+# sweeps
 
 _NO_ROWS = np.empty(0, dtype=np.int64)
 
 
 def _sweep(counts: NeighborCounts, chunk: int, pick: Callable) -> tuple[np.ndarray, np.ndarray]:
-    """The chunk walk both weighted sweeps share; returns the moved rows and their old labels.
+    """The chunk walk every sweep shares; returns the moved rows and their old labels.
 
     For every chunk of owned rows with adjacency entries it reads the kept
     counts and degree sums as (rows x parts) views, and hands ``pick(b0, raw, sums, cur, k_cur)`` those, the chunk's
-    labels and each row's count in its own part.  ``pick`` returns the
+    labels and each row's count in its own part (for an unlabelled row, a
+    count the flood does not read).  ``pick`` returns the
     chunk-relative rows that move and their new labels; the walk writes
     them and notes them in ``counts`` after the chunk (nothing in the chunk
     reads them).
@@ -545,12 +542,24 @@ def _sweep(counts: NeighborCounts, chunk: int, pick: Callable) -> tuple[np.ndarr
         r, new = pick(b0, raw, sums, cur, raw[np.arange(b1 - b0), cur])
         if len(r):
             rows = b0 + r
-            old = cur[r]
-            parts[rows] = new
-            counts.note(rows, old, new)
             moved.append(rows)
-            left.append(old)
+            left.append(counts.relabel(rows, new))
     return np.concatenate(moved), np.concatenate(left)
+
+
+def _flood(rng: np.random.Generator) -> Callable:
+    """The flood's ``pick``: each unlabelled row of a chunk with a labelled
+    neighbor adopts its k-th present part, k drawn uniform over the present
+    ones, one ``rng`` draw per chunk."""
+
+    def pick(b0, raw, sums, cur, k_cur):
+        open_rows = np.flatnonzero(cur == -1)
+        cand = open_rows[raw[open_rows].any(axis=1)]
+        present = raw[cand] > 0
+        k = rng.integers(present.sum(axis=1))
+        return cand, (present.cumsum(axis=1) > k[:, None]).argmax(axis=1)
+
+    return pick
 
 
 def _sweep_balance(
@@ -833,12 +842,12 @@ def _run_phase(runtime, local_graphs, state, ledger, cfg, counts, phase, iters, 
             c = counts[t]
             guard_v = ledger.verts.astype(np.float64).tolist()
             if balance:
-                rows, old = _sweep_balance(c, cfg.chunk, ledger, mult, guard_v, max_v, score_w, edge_weights)
+                rows, old = _sweep_balance(c, CHUNK_ROWS, ledger, mult, guard_v, max_v, score_w, edge_weights)
                 if phase == PHASE_VERT_BALANCE:
                     isolated, was = _place_isolated(c.lg, c.parts, guard_v, max_v, mean_size)
                     rows, old = np.concatenate([rows, isolated]), np.concatenate([old, was])
             else:
-                rows, old = _sweep_refine(c, cfg.chunk, ledger, add_v, guard_v, max_v, edge_caps)
+                rows, old = _sweep_refine(c, CHUNK_ROWS, ledger, add_v, guard_v, max_v, edge_caps)
             # c_v: the task's net vertex change per part (each row moved once)
             task_cv[t] = np.bincount(c.parts[rows], minlength=p) - np.bincount(old, minlength=p)
             return rows
@@ -878,10 +887,9 @@ def xtrapulp(
     elif runtime.num_tasks != cfg.num_tasks:
         raise ConfigError(f"config expects {cfg.num_tasks} tasks but the runtime drives {runtime.num_tasks}")
     state = make_state(local_graphs, cfg.num_parts)
-    init_parts(runtime, local_graphs, state, cfg, observer)
+    # every phase keeps the counts init kept exact, so they are built once for the job
+    counts = init_parts(runtime, local_graphs, state, cfg, observer)
     ledger = make_ledger(local_graphs, state, cfg)
-    # every phase keeps these counts exact, so they are built once for the job
-    counts = [NeighborCounts(lg, parts, cfg.num_parts) for lg, parts in zip(local_graphs, state.parts)]
     for stage in ((PHASE_VERT_BALANCE, PHASE_VERT_REFINE), (PHASE_EDGE_BALANCE, PHASE_EDGE_REFINE)):
         ledger.iter_tot = 0  # each stage ramps the update limit from its start
         for outer in range(cfg.outer_iters):

@@ -261,13 +261,15 @@ def edge_block_partition(degrees, num_edges, p):
 
 def neighbor_counts(lg, parts, p):
     """Each owned row's neighbor count and neighbor degree sum per part, as
-    flat ``row * p + part`` int64 arrays, one adjacency entry at a time."""
+    flat ``row * p + part`` int64 arrays, one adjacency entry at a time; an
+    unlabelled (-1) slot counts nowhere."""
     counts = np.zeros(lg.num_owned * p, dtype=np.int64)
     sums = np.zeros(lg.num_owned * p, dtype=np.int64)
     for row in range(lg.num_owned):
         for slot in lg.neighbors(row).tolist():
-            counts[row * p + parts[slot]] += 1
-            sums[row * p + parts[slot]] += lg.degrees[slot]
+            if parts[slot] >= 0:
+                counts[row * p + parts[slot]] += 1
+                sums[row * p + parts[slot]] += lg.degrees[slot]
     return counts, sums
 
 

@@ -391,14 +391,32 @@ def test_default_task_count_is_one(grid_file, tmp_path):
     assert json.loads(report.read_text())["metadata"]["manifest"]["num_tasks"] == 1
 
 
-@pytest.mark.parametrize(
-    "var,value",
-    [("LPPART_SEED", "abc"), ("LPPART_VERT_IMB", "0.1x"), ("LPPART_STRICT", "maybe"), ("LPPART_METHOD", "bogus"), ("LPPART_DIST", "bogus"), ("LPPART_INIT", "bogus")],
-)
-def test_malformed_env_value_exits_2_naming_the_variable(grid_file, tmp_path, monkeypatch, capsys, var, value):
+MALFORMED_PRESETS = [
+    ("partition", "LPPART_SEED", "abc"),
+    ("partition", "LPPART_VERT_IMB", "0.1x"),
+    ("partition", "LPPART_STRICT", "maybe"),
+    ("partition", "LPPART_METHOD", "bogus"),
+    ("partition", "LPPART_DIST", "bogus"),
+    ("partition", "LPPART_INIT", "bogus"),
+    # these pass the flag's type and fail a check made after the parse
+    ("partition", "LPPART_ITERS", "abc"),
+    ("partition", "LPPART_TASKS", "0"),
+    ("partition", "LPPART_VERT_IMB", "-1"),
+    ("evaluate", "LPPART_PARTS", "0"),
+]
+
+
+@pytest.mark.parametrize("command,var,value", [pytest.param(*case, id=f"{case[1]}-{case[2]}") for case in MALFORMED_PRESETS])
+def test_malformed_env_value_exits_2_naming_the_variable(grid_file, tmp_path, monkeypatch, capsys, command, var, value):
     path, n = grid_file
+    parts = tmp_path / "e.parts"
+    if command == "partition":
+        argv = ["partition", "-i", path, "-p", 2, "-o", parts]
+    else:
+        io.write_parts(parts, np.zeros(n, dtype=np.int64))
+        argv = ["evaluate", "-i", path, parts, "--report", tmp_path / "e.json"]
     monkeypatch.setenv(var, value)
-    assert run_cli("partition", "-i", path, "-p", 2, "-o", tmp_path / "e.parts") == 2
+    assert run_cli(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("lppart: error:") and var in err and repr(value) in err
 

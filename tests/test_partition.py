@@ -151,16 +151,15 @@ def test_init_isolated_vertex_gets_fallback_part():
 
 
 def test_flood_step_matches_scalar_draw_reference(rng):
-    """The flood's array draw picks the label, and consumes the generator, as
-    one scalar draw over each row's sorted present labels."""
-    from lppart.partition import _sweep_init
-
+    """The flood's array draw, run as a ``_sweep`` on kept counts of partly
+    unlabelled slots, picks the label, and consumes the generator, as one
+    scalar draw over each row's sorted present labels."""
     n, chunk = 300, 64
     lg = distribute(build_csr(random_pairs(rng, n, 700), n), make_distribution(BLOCK, n, 2))[0]
     got = rng.integers(-1, 5, size=lg.num_slots)  # -1: unlabeled
     want = got.copy()
     flood = np.random.default_rng(9)
-    rows = _sweep_init(lg, got, flood, 5, chunk)
+    rows, _ = partition._sweep(partition.NeighborCounts(lg, got, 5), chunk, partition._flood(flood))
     draw, expected = np.random.default_rng(9), []
     for b0 in range(0, lg.num_owned, chunk):
         frozen = want.copy()  # labels written in a chunk are not seen within it
@@ -352,7 +351,8 @@ def _refine_reference(g, labels, p, imb_v):
     return labels
 
 
-def test_refine_iteration_matches_async_reference(rng):
+def test_refine_iteration_matches_async_reference(rng, monkeypatch):
+    monkeypatch.setattr(partition, "CHUNK_ROWS", 1)
     for trial in range(5):
         n = 50
         g = build_csr(random_pairs(rng, n, 160), n)
@@ -360,7 +360,7 @@ def test_refine_iteration_matches_async_reference(rng):
         p = 4
         labels = rng.integers(0, p, size=n).tolist()
         state = preset(locals_, p, labels)
-        cfg = Config(num_parts=p, num_tasks=1, chunk=1)
+        cfg = Config(num_parts=p, num_tasks=1)
         imb_v = 1.1 * n / p
         expected = _refine_reference(g, labels, p, imb_v)
         run_phase(PHASE_VERT_REFINE, locals_, state, cfg, iters=1)
@@ -407,7 +407,8 @@ def _balance_reference(g, labels, p, imb_v, mult):
     return labels
 
 
-def test_balance_iteration_matches_async_reference(rng):
+def test_balance_iteration_matches_async_reference(rng, monkeypatch):
+    monkeypatch.setattr(partition, "CHUNK_ROWS", 1)
     for trial in range(5):
         n = 50
         g = build_csr(random_pairs(rng, n, 160), n)
@@ -415,7 +416,7 @@ def test_balance_iteration_matches_async_reference(rng):
         p = 4
         labels = rng.integers(0, p, size=n).tolist()
         state = preset(locals_, p, labels)
-        cfg = Config(num_parts=p, num_tasks=1, chunk=1)
+        cfg = Config(num_parts=p, num_tasks=1)
         imb_v = 1.1 * n / p
         mult = compute_mult(0, cfg.total_iters, 1, cfg.x, cfg.y)
         expected = _balance_reference(g, labels, p, imb_v, mult)
@@ -454,9 +455,10 @@ def _water_fill_reference(labels, deg, p, max_v):
     return labels
 
 
-def test_isolated_water_fill_matches_async_reference(rng):
+def test_isolated_water_fill_matches_async_reference(rng, monkeypatch):
     # the vertex-balance superstep is the balance sweep over connected
     # vertices followed by the water-fill over degree-zero ones
+    monkeypatch.setattr(partition, "CHUNK_ROWS", 1)
     for trial in range(5):
         n, p = 60, 4
         ids = rng.permutation(n)[:40]
@@ -464,7 +466,7 @@ def test_isolated_water_fill_matches_async_reference(rng):
         locals_ = distribute(g, make_distribution(BLOCK, n, 1))
         labels = rng.choice(p, size=n, p=[0.4, 0.3, 0.2, 0.1]).tolist()
         state = preset(locals_, p, labels)
-        cfg = Config(num_parts=p, num_tasks=1, chunk=1)
+        cfg = Config(num_parts=p, num_tasks=1)
         imb_v = 1.1 * n / p
         mult = compute_mult(0, cfg.total_iters, 1, cfg.x, cfg.y)
         max_v = max(max(np.bincount(labels, minlength=p)), imb_v)
@@ -534,14 +536,15 @@ def _edge_balance_reference(g, labels, p, imb_v, imb_e, mult, r_e, r_c):
     return labels
 
 
-def test_edge_balance_iteration_matches_async_reference(rng):
+def test_edge_balance_iteration_matches_async_reference(rng, monkeypatch):
+    monkeypatch.setattr(partition, "CHUNK_ROWS", 1)
     for trial in range(5):
         n, p = 80, 6
         g = build_csr(random_pairs(rng, n, 240), n)
         locals_ = distribute(g, make_distribution(BLOCK, n, 1))
         labels = rng.integers(0, p, size=n).tolist()
         state = preset(locals_, p, labels)
-        cfg = Config(num_parts=p, num_tasks=1, chunk=1)
+        cfg = Config(num_parts=p, num_tasks=1)
         ledger = make_ledger(locals_, state, cfg)
         # late in the stage: the edge ramp froze at iteration 3 and the cut
         # ramp has grown for 27 iterations since, so the two terms differ
@@ -762,7 +765,8 @@ def test_sequential_determinism(rng):
 # rmat scale 10 has 308 isolated vertices, so every stage and the water-fill
 # run, and the hashes pin every label of every sweep.  The p=64 and p=256
 # rows end at v_imb 1.5 and 6.25: the vertex guards close most parts there,
-# so those rows pin the guard bookkeeping at many parts
+# so those rows pin the guard bookkeeping at many parts.  An extra "chunk"
+# sets ``partition.CHUNK_ROWS``; the other extras are ``Config`` fields
 GOLDEN = [
     ("rmat", 8, 1, BLOCK, {}, "c95cc5f68d8835d51598403be60b903ad294fbb5ed51fd138c95f381b30e8916"),
     ("rmat", 8, 3, BLOCK, {}, "a7da8d554ca035981c2a7220a1293ac8ed836e02f31c57154e99974a035f6fe1"),
@@ -780,7 +784,9 @@ GOLDEN = [
     GOLDEN,
     ids=["rmat-T1", "rmat-T3", "rmat-hash-T4", "rmat-chunk64", "er-random-init", "rmat-block-init", "rmat-p64-T1", "rmat-p256-T4"],
 )
-def test_partition_matches_golden_hash(kind, p, T, dist, extra, digest):
+def test_partition_matches_golden_hash(kind, p, T, dist, extra, digest, monkeypatch):
+    extra = dict(extra)
+    monkeypatch.setattr(partition, "CHUNK_ROWS", extra.pop("chunk", partition.CHUNK_ROWS))
     n = 1 << 10
     pairs = gen_rmat(GenSpec("rmat", n, 8, seed=4)) if kind == "rmat" else gen_er(n, 8, seed=4)
     g = build_csr(pairs, n)

@@ -18,6 +18,7 @@ from lppart.partition import (
     PHASE_EDGE_REFINE,
     PHASE_VERT_BALANCE,
     PHASE_VERT_REFINE,
+    INIT_MODES,
     Config,
     NeighborCounts,
     _global_counts,
@@ -25,6 +26,7 @@ from lppart.partition import (
     _run_phase,
     _sweep_balance,
     _sweep_refine,
+    init_parts,
     make_ledger,
     make_state,
 )
@@ -380,12 +382,15 @@ class RecordingCounts(NeighborCounts):
 
 def _assert_counts_are_fresh(local_graphs, state, counts, p):
     """Every task's kept counts and degree sums equal a count of its labels,
-    byte for byte, and the ledger derived from them equals the recount."""
+    byte for byte, and once every slot is labelled, the ledger derived from
+    them equals the recount."""
     for lg, parts, c in zip(local_graphs, state.parts, counts):
         c.flush()
         fresh, sums = oracles.neighbor_counts(lg, parts, p)
         assert c.counts.dtype == np.int32 and c.counts.tobytes() == fresh.astype(np.int32).tobytes()
         assert c.sums.dtype == np.float64 and c.sums.tobytes() == sums.astype(np.float64).tobytes()
+    if any((parts < 0).any() for parts in state.parts):
+        return
     kept = _global_counts(c.tally() for c in counts)
     assert [k.tolist() for k in kept] == [e.tolist() for e in recount(local_graphs, state.parts, p)]
 
@@ -482,23 +487,55 @@ def test_counts_carried_across_phases_stay_exact(case, phases, iters):
 @pytest.mark.parametrize("kind", [BLOCK, RANDOM_HASH])
 def test_kept_counts_take_both_branches(kind):
     """On one graph, a superstep moving one row per chunk shifts the counts,
-    and one moving every row recounts them; both leave them fresh."""
+    and one moving every row recounts them; both leave them fresh.  The same
+    holds from the all-unlabelled state, where the moves are first labels:
+    the shift only adds them, and the recount skips the slots still
+    unlabelled."""
     n, p = 256, 5
     rng = np.random.default_rng(7)
     local_graphs = distribute(build_csr(rng.integers(0, n, size=(1024, 2)), n), make_distribution(kind, n, 3, seed=2))
+    for labels in (rng.integers(0, p, size=n), np.full(n, -1)):
+        state = make_state(local_graphs, p)
+        for lg, parts in zip(local_graphs, state.parts):
+            parts[:] = labels[lg.local_to_global]
+        counts = [RecordingCounts(lg, parts, p) for lg, parts in zip(local_graphs, state.parts)]
+        _upkeep_round(local_graphs, state, counts, 64, lambda rows, p: (rows[:1], rng.integers(0, p, size=1)))
+        assert all(c.branches and set(c.branches) == {"shift"} for c in counts)
+        _assert_counts_are_fresh(local_graphs, state, counts, p)
+        for c in counts:
+            c.branches.clear()
+        _upkeep_round(local_graphs, state, counts, 64, lambda rows, p: (rows, rng.integers(0, p, size=len(rows))))
+        assert all("recount" in c.branches for c in counts)
+        _assert_counts_are_fresh(local_graphs, state, counts, p)
+
+
+@PROPERTY_SETTINGS
+@given(labelled_task_graphs(), st.sampled_from(INIT_MODES), st.integers(0, 9))
+def test_counts_kept_through_init_stay_exact(case, mode, seed):
+    """Under every init mode, on 1-4 block or hash tasks, every task's kept
+    counts and degree sums equal a count of its labels after every init
+    superstep (unlabelled slots counting nowhere), and the counts
+    ``init_parts`` returns equal counts built fresh on its labels, byte for
+    byte."""
+    n, local_graphs, drawn = case
+    p, T = min(drawn.num_parts, n), len(local_graphs)
     state = make_state(local_graphs, p)
-    labels = rng.integers(0, p, size=n)
-    for lg, parts in zip(local_graphs, state.parts):
-        parts[:] = labels[lg.local_to_global]
-    counts = [RecordingCounts(lg, parts, p) for lg, parts in zip(local_graphs, state.parts)]
-    _upkeep_round(local_graphs, state, counts, 64, lambda rows, p: (rows[:1], rng.integers(0, p, size=1)))
-    assert all(c.branches and set(c.branches) == {"shift"} for c in counts)
-    _assert_counts_are_fresh(local_graphs, state, counts, p)
-    for c in counts:
-        c.branches.clear()
-    _upkeep_round(local_graphs, state, counts, 64, lambda rows, p: (rows, rng.integers(0, p, size=len(rows))))
-    assert all("recount" in c.branches for c in counts)
-    _assert_counts_are_fresh(local_graphs, state, counts, p)
+    exchange_round = partition._exchange_round
+    rounds = []
+
+    def checked_round(local_graphs, state, moved, counts):
+        pairs_sent = exchange_round(local_graphs, state, moved, counts)
+        _assert_counts_are_fresh(local_graphs, state, counts, p)
+        rounds.append(pairs_sent)
+        return pairs_sent
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(partition, "_exchange_round", checked_round)
+        counts = init_parts(Runtime(T), local_graphs, state, Config(num_parts=p, num_tasks=T, seed=seed, init_mode=mode))
+    assert rounds and all((parts >= 0).all() for parts in state.parts)
+    for c, fresh in zip(counts, kept_counts(local_graphs, state)):
+        assert c.counts.dtype == fresh.counts.dtype and c.counts.tobytes() == fresh.counts.tobytes()
+        assert c.sums.dtype == fresh.sums.dtype and c.sums.tobytes() == fresh.sums.tobytes()
 
 
 vertex_ids = st.one_of(st.integers(-3, 3), st.integers(-(2**63), 2**63 - 1))
