@@ -5,20 +5,19 @@ same step function against its private state; cross-task state moves only
 through the collectives below, so results do not depend on the order in
 which the tasks of a superstep run.
 
-The update exchange mirrors a counts/offsets/buffer all-to-all.  Each task
-queues one int64 array: the local rows of the owned vertices it changed, in
-the order it changed them.  Which tasks need a row is fixed by the graph, so
-``distribute`` records it once per task as a send plan: for every owned row,
-the other tasks that ghost it and the ghost slot it has on each.  An exchange
-gathers the plan entries of the queued rows and sorts them stably by
-destination, which orders the send buffer by destination and then by queue
-position and sends a vertex to a given task at most once per exchange.  The
-per-destination tallies give the counts, a prefix sum turns them into buffer
-offsets, and the flattened (vertex, part) send buffer carries each vertex's
-global id and current label.  Counts are in buffer items, two per queued
-vertex.  The receiver's ghost slots travel beside the wire, one per pair, and
-the receiver writes the labels into them after checking that each slot is a
-ghost holding the wire's global id.
+The update exchange is one all-to-all.  Each task queues one int64 array: the
+local rows of the owned vertices it changed, in the order it changed them.
+Which tasks need a row is fixed by the graph, so ``distribute`` records it
+once per task as a send plan: for every owned row, the other tasks that
+ghost it and the ghost slot it has on each.  An exchange gathers every
+sender's plan entries for its queued rows, joins them in task order and
+orders them by receiver in one stable counting sort.  Each receiver's queue
+is then one slice, ordered by sending task and then by queue position, and
+holds a vertex at most once per exchange.  An entry carries the vertex's
+global id, its current label and the receiver's ghost slot; a task's send
+counts are in (global id, part) pairs, one per entry.  The receiver writes
+the labels into the slots after checking that each slot is a ghost holding
+the wire's global id.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ProtocolError
-from .graph import LocalGraph
+from .graph import LocalGraph, stable_order
 
 
 class SuperstepError(ProtocolError):
@@ -43,17 +42,14 @@ class SuperstepError(ProtocolError):
 
 
 @dataclass
-class ExchangeBuffers:
-    """Per-task send/receive bookkeeping for one exchange (counts in buffer items)."""
+class ExchangeCounts:
+    """One task's sends in one exchange."""
 
-    send_counts: np.ndarray  # items destined to each task
-    send_offsets: np.ndarray  # exclusive prefix sum of send_counts
-    send_buffer: np.ndarray  # flattened (vertex, part) pairs
-    send_slots: np.ndarray  # the receiver's ghost slot for each pair
+    send_counts: np.ndarray  # (global id, part) pairs destined to each task
 
     @property
     def pairs_sent(self) -> int:
-        return int(self.send_counts.sum()) // 2
+        return int(self.send_counts.sum())
 
 
 class Runtime:
@@ -103,59 +99,49 @@ def broadcast(root_value, num_tasks: int) -> list:
     return [deepcopy(root_value) for _ in range(num_tasks)]
 
 
-def build_send_buffers(lg: LocalGraph, parts: np.ndarray, rows: np.ndarray) -> ExchangeBuffers:
-    """Counts pass, prefix sums, fill pass for one task's outgoing updates.
+def _queued_entries(lg: LocalGraph, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The send-plan entries of the queued rows, in queue order, and how many each row has.
 
-    Each queued row is sent as its (global id, current part) pair once to
-    every task its send plan names; a row outside ``[0, num_owned)`` raises.
+    A row outside ``[0, num_owned)`` raises.
     """
-    T = lg.num_tasks
-    if len(rows) == 0:
-        zero = np.zeros(T, dtype=np.int64)
-        return ExchangeBuffers(zero, zero.copy(), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    if rows.min() < 0 or rows.max() >= lg.num_owned:
+    if len(rows) and (rows.min() < 0 or rows.max() >= lg.num_owned):
         bad = rows[(rows < 0) | (rows >= lg.num_owned)]
         raise ProtocolError(f"task {lg.task} queued rows it does not own: {bad[:5].tolist()}")
-
     starts = lg.plan_offsets[rows]
     counts = lg.plan_offsets[rows + 1] - starts
-    total = int(counts.sum())
-    entries = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(total, dtype=np.int64)
-    dest = lg.plan_dest[entries]
-    # by destination, then queue position: each receiver's scan order
-    order = np.argsort(dest, kind="stable")
-    sent = np.repeat(rows, counts)[order]
-
-    send_counts = 2 * np.bincount(dest, minlength=T).astype(np.int64)
-    send_offsets = np.zeros(T, dtype=np.int64)
-    np.cumsum(send_counts[:-1], out=send_offsets[1:])
-    send_buffer = np.empty(2 * total, dtype=np.int64)
-    send_buffer[0::2] = lg.owned[sent]
-    send_buffer[1::2] = parts[sent]
-    return ExchangeBuffers(send_counts, send_offsets, send_buffer, lg.plan_slot[entries[order]])
+    entries = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(int(counts.sum()), dtype=np.int64)
+    return entries, counts
 
 
 def exchange_updates(
     local_graphs: Sequence[LocalGraph],
     parts_arrays: Sequence[np.ndarray],
     queues: Sequence[np.ndarray],
-) -> tuple[list[tuple[np.ndarray, np.ndarray, np.ndarray]], list[ExchangeBuffers]]:
+) -> tuple[list[tuple[np.ndarray, np.ndarray, np.ndarray]], list[ExchangeCounts]]:
     """All-to-all exchange of queued part updates.
 
-    ``queues[t]`` holds the local rows task t changed.  Returns per-task
-    received (global ids, parts, ghost slots) queues, ordered by sending
-    task, plus the per-task buffers for tracing/inspection.
+    ``queues[t]`` holds the local rows task t changed.  Every sender's plan
+    entries for its queued rows are joined in task order and ordered by
+    receiver in one stable sort, so each receiver's (global ids, parts,
+    ghost slots) queue is one slice, ordered by sending task and then by
+    queue position.  Returns those queues and each task's send counts.
     """
-    buffers = [build_send_buffers(lg, parts, rows) for lg, parts, rows in zip(local_graphs, parts_arrays, queues)]
-    # the all-to-all of send_counts: sender s's items for task t are bounds[s][t]:bounds[s][t + 1]
-    bounds = [np.append(b.send_offsets, len(b.send_buffer)).tolist() for b in buffers]
-
-    received: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for t in range(len(buffers)):
-        recv = np.concatenate([b.send_buffer[lim[t] : lim[t + 1]] for b, lim in zip(buffers, bounds)])
-        slots = np.concatenate([b.send_slots[lim[t] // 2 : lim[t + 1] // 2] for b, lim in zip(buffers, bounds)])
-        received.append((recv[0::2], recv[1::2], slots))
-    return received, buffers
+    T = len(local_graphs)
+    entries, counts = zip(*[_queued_entries(lg, rows) for lg, rows in zip(local_graphs, queues)])
+    dest = [lg.plan_dest[e] for lg, e in zip(local_graphs, entries)]
+    sent = [ExchangeCounts(np.bincount(d, minlength=T)) for d in dest]
+    dest = np.concatenate(dest)
+    # plan_dest is the narrowest unsigned type, so this is one counting pass up to T=256
+    order = stable_order(dest)
+    bounds = [0, *np.cumsum(np.bincount(dest, minlength=T)).tolist()]
+    del dest
+    # one column at a time, each sender's pieces released once joined: this bounds the transient peak
+    slots = np.concatenate([lg.plan_slot[e] for lg, e in zip(local_graphs, entries)])[order]
+    del entries
+    gids = np.concatenate([np.repeat(lg.owned[r], c) for lg, r, c in zip(local_graphs, queues, counts)])[order]
+    labels = np.concatenate([np.repeat(parts[r], c) for parts, r, c in zip(parts_arrays, queues, counts)])[order]
+    received = [(gids[lo:hi], labels[lo:hi], slots[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return received, sent
 
 
 def apply_updates(lg: LocalGraph, parts: np.ndarray, received: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:

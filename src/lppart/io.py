@@ -10,8 +10,8 @@ nonnegative and below the number of endpoints are relabelled by a mark
 table and a prefix sum, without a sort; ``dedup_pairs`` orders the canonical
 pairs by stable radix passes (``graph.stable_order``), not a comparison sort.
 
-The binary cache is an ``.npz`` with three members: ``format_version`` (1),
-``num_vertices`` (an int64 scalar) and ``pairs``.  Every member is stored,
+The binary cache is an ``.npz`` with three members: ``format_version`` (the
+integer scalar 1), ``num_vertices`` (an int64 scalar) and ``pairs``.  Every member is stored,
 not deflated, so loading one is a copy rather than zlib inflation.  ``pairs``
 is stored in the narrowest unsigned type (uint8, uint16 or uint32) that holds
 every id when all ids lie in [0, 2**32), and as int64 otherwise; the reader
@@ -241,7 +241,9 @@ def read_cache(path: str | Path) -> tuple[np.ndarray, int]:
     """The cache's pairs, widened to int64, and its vertex count."""
     try:
         with np.load(path) as data:
-            if "format_version" not in data or int(data["format_version"]) != CACHE_FORMAT_VERSION:
+            version = data.get("format_version")
+            # held to num_vertices' rule, a 0-d integer: int() of a float or an array would pass or raise
+            if version is None or version.shape != () or version.dtype.kind not in "iu" or version != CACHE_FORMAT_VERSION:
                 raise InputError(f"{path}: unsupported or missing cache format version")
             missing = [key for key in ("pairs", "num_vertices") if key not in data]
             if missing:

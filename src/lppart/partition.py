@@ -295,12 +295,14 @@ def _label_roots(counts: NeighborCounts, roots: np.ndarray) -> np.ndarray:
 def _exchange_round(local_graphs, state, moved, counts) -> list[int]:
     """Exchange the moved labels into the ghost copies; returns the pairs each task sent.
 
-    Each task's kept neighbor counts note the ghost labels it received and
-    fold them in, after the exchange buffers are released.
+    One all-to-all orders every task's plan entries by receiver, and the
+    counts are in (global id, part) pairs.  Each task takes its pairs by
+    sending task, then queue position, and writes them into the ghost slots
+    that came with them once ``apply_updates`` has checked each slot holds
+    the pair's id; its kept neighbor counts note the labels and fold them in.
     """
-    received, buffers = exchange_updates(local_graphs, state.parts, moved)
-    pairs_sent = [b.pairs_sent for b in buffers]
-    del buffers
+    received, sent = exchange_updates(local_graphs, state.parts, moved)
+    pairs_sent = [s.pairs_sent for s in sent]
     for c, recv in zip(counts, received):
         c.note(recv[2], apply_updates(c.lg, c.parts, recv), recv[1])
     del received

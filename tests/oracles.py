@@ -105,7 +105,8 @@ def exchange_plan(local_graphs, queues):
 
     ``queues`` holds per-task lists of (global vertex, part) updates.
     Returns per-receiver lists of (vertex, part) ordered by sending task and
-    queue scan order, and the total number of pairs sent.
+    queue scan order, the total number of pairs sent, and each sender's
+    per-receiver buckets of the pairs it sent.
     """
     T = len(local_graphs)
     owner = {int(gid): lg.task for lg in local_graphs for gid in lg.owned}
@@ -128,7 +129,7 @@ def exchange_plan(local_graphs, queues):
     for receiver in range(T):
         for sender in range(T):
             received[receiver].extend(per_sender[sender][receiver])
-    return received, sent
+    return received, sent, per_sender
 
 
 def build_csr(pairs, num_vertices):

@@ -10,7 +10,6 @@ from lppart.bsp import (
     allreduce_sum,
     apply_updates,
     broadcast,
-    build_send_buffers,
     exchange_updates,
 )
 from lppart.errors import ProtocolError
@@ -100,7 +99,7 @@ def test_exchange_matches_brute_force_oracle(rng):
         queues.append(_queue(rows))
         plan_queues.append(list(zip(lg.owned[rows].tolist(), labels.tolist())))
 
-    expected, total_sent = oracles.exchange_plan(locals_, plan_queues)
+    expected, total_sent, _ = oracles.exchange_plan(locals_, plan_queues)
     received, buffers = exchange_updates(locals_, parts, queues)
     assert sum(b.pairs_sent for b in buffers) == total_sent  # no phantom traffic
     assert sum(len(r[0]) for r in received) == total_sent  # conservation
@@ -111,18 +110,21 @@ def test_exchange_matches_brute_force_oracle(rng):
         assert len(set(gids.tolist())) == len(gids)
 
 
-def test_buffer_layout_offsets_and_counts(rng):
+def test_send_counts_per_destination(rng):
     g, locals_, parts = _setup(rng, T=3)
     lg = locals_[0]
     rows = np.arange(min(10, lg.num_owned))
     parts[0][rows] = 1
-    buf = build_send_buffers(lg, parts[0], _queue(rows))
-    assert buf.send_offsets.tolist() == np.concatenate([[0], np.cumsum(buf.send_counts)[:-1]]).tolist()
-    assert len(buf.send_buffer) == buf.send_counts.sum()
-    assert buf.send_counts[lg.task] == 0
+    received, sent = exchange_updates(locals_, parts, [_queue(rows)] + [_queue([]) for _ in locals_[1:]])
+    # counts are in pairs, one per receiver; task 0 alone sends, so they are what each task received
+    assert sent[0].send_counts[lg.task] == 0
+    assert sent[0].send_counts.tolist() == [len(gids) for gids, _, _ in received]
+    assert sent[0].pairs_sent == sum(len(gids) for gids, _, _ in received) > 0
+    assert all(s.pairs_sent == 0 and len(s.send_counts) == 3 for s in sent[1:])
     # the wire carries the global ids of the queued rows
-    assert set(buf.send_buffer[0::2].tolist()) <= set(lg.owned[rows].tolist())
-    assert buf.send_buffer[1::2].tolist() == [1] * buf.pairs_sent
+    for gids, labels, _ in received:
+        assert set(gids.tolist()) <= set(lg.owned[rows].tolist())
+        assert labels.tolist() == [1] * len(gids)
 
 
 def test_unowned_vertex_rejected(rng):
@@ -236,7 +238,7 @@ def test_trace_records_message_counts(rng, monkeypatch):
 
     def recording_exchange(*args):
         received, buffers = real_exchange(*args)
-        exchanged.append(([len(b.send_buffer) // 2 for b in buffers], sum(len(gids) for gids, _, _ in received)))
+        exchanged.append(([b.pairs_sent for b in buffers], sum(len(gids) for gids, _, _ in received)))
         return received, buffers
 
     monkeypatch.setattr(partition, "exchange_updates", recording_exchange)

@@ -102,9 +102,9 @@ def _cache_without_pairs(tmp_path):
     return path
 
 
-def _cache_of(tmp_path, pairs, num_vertices, name="float.npz"):
+def _cache_of(tmp_path, pairs, num_vertices, name="float.npz", version=np.int64(io.CACHE_FORMAT_VERSION)):
     path = tmp_path / name
-    np.savez(path, format_version=np.int64(io.CACHE_FORMAT_VERSION), num_vertices=num_vertices, pairs=pairs)
+    np.savez(path, format_version=version, num_vertices=num_vertices, pairs=pairs)
     return path
 
 
@@ -142,6 +142,8 @@ MALFORMED = {
     "npz-float-pairs": lambda d, grid: (("partition", "-i", _cache_of(d, np.array([[0.5, 1.7], [1.2, 2.9]]), np.int64(3)), "-p", 2), f"{d / 'float.npz'}: cache pairs must be integer ids within int64, got dtype float64"),
     "npz-num-vertices-past-one-array": lambda d, grid: (("partition", "-i", _cache_of(d, np.array([[0, 1], [1, 2]]), np.int64(2**62), "huge.npz"), "-p", 2), f"{d / 'huge.npz'}: cache num_vertices 4611686018427387904 is more than one int64 array holds"),
     "npz-float-num-vertices": lambda d, grid: (("evaluate", "-i", _cache_of(d, np.array([[0, 1], [1, 2]]), np.float64(3.0)), _parts_file(d, "0\n0\n1\n")), f"{d / 'float.npz'}: cache num_vertices must be a nonnegative integer, got 3.0 of dtype float64"),
+    "npz-array-format-version": lambda d, grid: (("partition", "-i", _cache_of(d, np.array([[0, 1], [1, 2]]), np.int64(3), "v.npz", np.array([1, 1])), "-p", 2), f"{d / 'v.npz'}: unsupported or missing cache format version"),
+    "npz-float-format-version": lambda d, grid: (("evaluate", "-i", _cache_of(d, np.array([[0, 1], [1, 2]]), np.int64(3), "v.npz", np.float64(1.5)), _parts_file(d, "0\n0\n1\n")), f"{d / 'v.npz'}: unsupported or missing cache format version"),
     "part-label-past-int64": lambda d, grid: (("evaluate", "-i", grid, _parts_file(d, "0\n\n99999999999999999999\n" + "0\n" * 253)), f"{d / 'labels.parts'}:3: part label"),
     "part-label-above-vertex-count": lambda d, grid: (("evaluate", "-i", grid, _parts_file(d, "0\n100000000000\n" + "0\n" * 254)), f"{d / 'labels.parts'}: label 100000000000 at vertex 1 makes the part count 100000000001, above the vertex count 256"),
     "part-count-above-vertex-count": lambda d, grid: (("evaluate", "-i", grid, "-p", 100000000000, _parts_file(d, "0\n" * 256)), "part count -p 100000000000 exceeds vertex count 256"),

@@ -128,6 +128,15 @@ def test_cache_with_out_of_range_members_refused(tmp_path, members, match):
         io.read_cache(path)
 
 
+@pytest.mark.parametrize("version", [np.array([1, 1]), np.float64(1.5), np.float64(1.0), np.int64(2)], ids=repr)
+def test_cache_with_malformed_format_version_refused(tmp_path, version):
+    """The version is held to num_vertices' rule, a 0-d integer, and must be the one this reader knows."""
+    path = tmp_path / "bad.npz"
+    np.savez(path, format_version=version, num_vertices=np.int64(2), pairs=np.array([[0, 1]]))
+    with pytest.raises(InputError, match=f"{path}: unsupported or missing cache format version"):
+        io.read_cache(path)
+
+
 def test_cache_roundtrip_and_version(tmp_path):
     pairs = np.array([[0, 1], [1, 2]])
     path = tmp_path / "g.npz"

@@ -110,30 +110,48 @@ def test_per_task_tallies_sum_to_part_counts(case, num_tasks, kind, seed):
     assert [t.tolist() for t in totals] == [verts.tolist(), (2 * intra).tolist(), (2 * cut).tolist()]
 
 
+@st.composite
+def exchange_cases(draw):
+    """(pairs, n, T, p, seed): up to 200 vertices and 64 tasks, T <= n.  The
+    endpoints are skewed toward low ids, so a few hub rows reach dozens of
+    tasks while most (sender, receiver) blocks stay empty; loops and
+    duplicate edges occur.  ``seed`` draws the labels and queues."""
+    n = draw(st.integers(1, 200))
+    T = draw(st.integers(1, min(64, n)))
+    m = draw(st.integers(0, 4 * n))
+    seed = draw(st.integers(0, 2**32 - 1))
+    pairs = (n * np.random.default_rng(seed).random((m, 2)) ** 3).astype(np.int64)
+    return pairs, n, T, draw(st.integers(1, 4)), seed
+
+
 @PROPERTY_SETTINGS
-@given(partitioned_multigraphs(), st.integers(1, 4), st.sampled_from([BLOCK, RANDOM_HASH]), st.integers(0, 9), st.data())
-def test_exchange_matches_oracle_plan(case, num_tasks, kind, seed, data):
-    """Each task relabels a drawn set of its rows and queues them, in drawn order."""
-    pairs, n, p, parts = case
-    T = min(num_tasks, n)
-    local_graphs = distribute(build_csr(pairs, n), make_distribution(kind, n, T, seed=seed))
-    glob = np.asarray(parts, dtype=np.int64)
+@given(exchange_cases(), st.sampled_from([BLOCK, RANDOM_HASH]), st.integers(0, 9))
+def test_exchange_matches_oracle_plan(case, kind, dist_seed):
+    """Each task relabels a drawn subset of its rows and queues them, in drawn order."""
+    pairs, n, T, p, seed = case
+    rng = np.random.default_rng(seed + 1)
+    local_graphs = distribute(build_csr(pairs, n), make_distribution(kind, n, T, seed=dist_seed))
+    glob = rng.integers(0, p, size=n)
     task_parts = [glob[lg.local_to_global] for lg in local_graphs]  # ghosts start coherent
     queues, plan = [], []
     for lg, tp in zip(local_graphs, task_parts):
-        rows = data.draw(st.lists(st.integers(0, lg.num_owned - 1), unique=True)) if lg.num_owned else []
-        labels = data.draw(st.lists(st.integers(0, p - 1), min_size=len(rows), max_size=len(rows)))
+        rows = rng.permutation(lg.num_owned)[: rng.integers(0, lg.num_owned + 1)]
+        labels = rng.integers(0, p, size=len(rows))
         tp[rows] = labels
         glob[lg.owned[rows]] = labels
-        queues.append(np.asarray(rows, dtype=np.int64))
-        plan.append(list(zip(lg.owned[rows].tolist(), labels)))
+        queues.append(rows)
+        plan.append(list(zip(lg.owned[rows].tolist(), labels.tolist())))
 
-    expected, total_sent = oracles.exchange_plan(local_graphs, plan)
-    received, buffers = exchange_updates(local_graphs, task_parts, queues)
-    assert sum(b.pairs_sent for b in buffers) == total_sent
+    expected, total_sent, per_sender = oracles.exchange_plan(local_graphs, plan)
+    received, sent = exchange_updates(local_graphs, task_parts, queues)
+    assert sum(s.pairs_sent for s in sent) == total_sent
+    for s, buckets in zip(sent, per_sender):
+        assert s.send_counts.tolist() == [len(bucket) for bucket in buckets]
+        assert s.pairs_sent == sum(len(bucket) for bucket in buckets)
     for lg, tp, recv, want in zip(local_graphs, task_parts, received, expected):
-        gids, labels, _ = recv
+        gids, labels, slots = recv
         assert list(zip(gids.tolist(), labels.tolist())) == want  # by sender, then queue order
+        assert np.array_equal(lg.local_to_global[slots], gids)
         assert len(set(gids.tolist())) == len(gids)
         apply_updates(lg, tp, recv)
         assert np.array_equal(tp, glob[lg.local_to_global])
