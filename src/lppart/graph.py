@@ -16,7 +16,9 @@ No set-up step uses a comparison sort.  ``stable_order`` is the one ordering
 primitive: a least-significant-digit radix sort over 16-bit digits, so the
 CSR build is a stable counting sort of the edges by source, O(n + m) per 16
 bits of vertex id, and ``distribute`` orders owned vertices, ghosts and send
-plan entries the same way.
+plan entries the same way.  The CSR build holds vertex ids in ``id_dtype``,
+the narrowest type that holds n - 1, as the readers return them, and widens
+only the finished neighbor array to int64.
 
 Selections by a mixed mask take ``a[np.flatnonzero(mask)]``: numpy's boolean
 index branches on every element, and at 30-70% true it runs 3-4.5 times slower
@@ -98,25 +100,38 @@ def stable_order(keys) -> np.ndarray:
     return order
 
 
+def id_dtype(max_id: int) -> np.dtype:
+    """The narrowest type that holds every vertex id in [0, ``max_id``]:
+    uint8, uint16 or uint32, and int64 past 2^32, since ``np.bincount``
+    refuses uint64."""
+    return np.min_scalar_type(max_id) if 0 <= max_id < 1 << 32 else np.dtype(np.int64)
+
+
 def build_csr(pairs, num_vertices: int) -> GlobalGraph:
     """Build a symmetric CSR from (u, v) pairs by a stable counting sort.
 
-    The offsets are the prefix sums of the two endpoint columns' degree
-    counts; the neighbor lists are the other endpoints placed in the
-    ``stable_order`` of their source, so each vertex lists its edges in
-    input order, those where it is ``u`` before those where it is ``v``.
-    It costs O(n + m) per 16 bits of vertex id: one pass up to n = 2^16.
+    The pairs may have any integer type.  The sources ``[u, v]`` and the
+    other endpoints ``[v, u]`` are held in ``id_dtype(n - 1)``, so a pass
+    reads 2 bytes per id when n <= 2^16.  The offsets are the prefix sums of
+    the sources' counts; the neighbor lists are the other endpoints placed
+    in the ``stable_order`` of their source, so each vertex lists its edges
+    in input order, those where it is ``u`` before those where it is ``v``.
+    Only the finished neighbor array is widened to int64.  It costs
+    O(n + m) per 16 bits of vertex id: one pass up to n = 2^16.
 
     Self-loops are dropped; duplicate pairs are retained with multiplicity.
-    Raises ``InputError`` naming the first offending pair if an endpoint is
-    outside [0, num_vertices).
+    An empty array of any type is the edgeless graph.  Raises ``InputError``
+    naming the dtype if the ids are not integers, and naming the first
+    offending pair if an endpoint is outside [0, num_vertices).
     """
     n = int(num_vertices)
     if n < 0:
         raise InputError(f"vertex count must be nonnegative, got {n}")
-    arr = np.asarray(pairs, dtype=np.int64)
+    arr = np.asarray(pairs)
     if arr.size == 0:
-        arr = arr.reshape(0, 2)
+        arr = np.empty((0, 2), dtype=np.uint8)
+    elif arr.dtype.kind not in "iu":
+        raise InputError(f"vertex ids must be integers, got dtype {arr.dtype}")
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise InputError("edge list must be a sequence of (u, v) pairs")
 
@@ -131,12 +146,13 @@ def build_csr(pairs, num_vertices: int) -> GlobalGraph:
         u, v = u[keep], v[keep]
     m = len(u)
 
+    ids = id_dtype(max(n - 1, 0))
+    src, other = np.empty(2 * m, dtype=ids), np.empty(2 * m, dtype=ids)
+    src[:m] = other[m:] = u
+    src[m:] = other[:m] = v
     offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(u, minlength=n) + np.bincount(v, minlength=n), out=offsets[1:])
-    # the sources in the narrowest type that holds a vertex id, so a pass reads 2 bytes per key when n <= 2^16
-    src = np.empty(2 * m, dtype=np.min_scalar_type(max(n - 1, 0)))
-    src[:m], src[m:] = u, v
-    nbrs = np.concatenate([v, u])[stable_order(src)]
+    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+    nbrs = other[stable_order(src)].astype(np.int64)
     return GlobalGraph(num_vertices=n, num_edges=m, offsets=offsets, nbrs=nbrs)
 
 

@@ -5,7 +5,8 @@ as in Python's text mode.  Edge-list text is one ``u v`` pair per line,
 whitespace separated; fields after the second are ignored, and blank lines
 and lines whose first non-blank character is ``#`` are skipped.  Input ids
 may be arbitrary integers; ``relabel_pairs`` maps them onto dense [0, n) in
-ascending original order and returns the mapping.  Ids that are already
+ascending original order, in the narrowest id type that holds n - 1
+(``graph.id_dtype``), and returns the mapping.  Ids that are already
 nonnegative and below the number of endpoints are relabelled by a mark
 table and a prefix sum, without a sort; ``dedup_pairs`` orders the canonical
 pairs by stable radix passes (``graph.stable_order``), not a comparison sort.
@@ -14,11 +15,12 @@ The binary cache is an ``.npz`` with three members: ``format_version`` (the
 integer scalar 1), ``num_vertices`` (an int64 scalar) and ``pairs``.  Every member is stored,
 not deflated, so loading one is a copy rather than zlib inflation.  ``pairs``
 is stored in the narrowest unsigned type (uint8, uint16 or uint32) that holds
-every id when all ids lie in [0, 2**32), and as int64 otherwise; the reader
-widens it back to int64, so the cache round-trips exactly.  Caches written
-deflated with int64 pairs by earlier versions read back the same way.  A
-cache whose ``pairs`` are not integers, or whose ``num_vertices`` is not a
-nonnegative integer, is refused.
+every id when all ids lie in [0, 2**32), and as int64 otherwise
+(``graph.id_dtype``); the reader returns it in the type it was stored in, so
+the cache round-trips exactly and its ids reach ``graph.build_csr`` without
+an int64 copy.  Caches written deflated with int64 pairs by earlier versions
+read back as int64.  A cache whose ``pairs`` are not integers, or whose
+``num_vertices`` is not a nonnegative integer, is refused.
 
 A partition file has exactly n lines; line i is the (ASCII decimal) part of
 dense vertex i.
@@ -53,10 +55,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError
-from .graph import stable_order
+from .graph import id_dtype, stable_order
 
 CACHE_FORMAT_VERSION = 1
-INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1  # vertex ids are stored as int64
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1  # the range of input vertex ids and part labels
 _COMMENT_LINE = re.compile(r"\n[^\S\n]*#[^\n]*")  # matched after a newline, so a leading literal keeps the scan fast
 _BLOCK = 1 << 16  # values the writers format at a time, so their temporaries stay bounded at any n
 _MAX_DIGITS = 18  # the byte parser's widest label: any 18 digits fit int64
@@ -198,33 +200,37 @@ def relabel_pairs(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Map arbitrary integer ids onto dense [0, n).
 
     Returns (dense pairs, id_map) where ``id_map[i]`` is the original id of
-    dense vertex i (ascending original order), exactly as
-    ``np.unique(pairs, return_inverse=True)`` would.  When every id is
-    nonnegative and below the number of endpoints, the ids that occur are
-    marked in a table no longer than the pair array and numbered by a prefix
-    sum, in O(n + m) without a sort; negative or sparse ids go through
-    ``np.unique``.
+    dense vertex i (ascending original order), the values
+    ``np.unique(pairs, return_inverse=True)`` gives.  The dense pairs are in
+    ``id_dtype(n - 1)`` (uint8 when there are none), and ``id_map`` is int64.
+    When every id is nonnegative and below the number of endpoints, the ids
+    that occur are marked in a table no longer than the pair array and
+    numbered by a prefix sum, in O(n + m) without a sort; negative or sparse
+    ids go through ``np.unique``.
     """
     pairs = np.asarray(pairs, dtype=np.int64)
     if pairs.size == 0:
-        return pairs.reshape(0, 2), np.empty(0, dtype=np.int64)
+        return np.empty((0, 2), dtype=id_dtype(0)), np.empty(0, dtype=np.int64)
     lo, hi = pairs.min(), pairs.max()
     if lo < 0 or hi >= pairs.size:
         id_map, dense_flat = np.unique(pairs, return_inverse=True)
-        return dense_flat.reshape(pairs.shape).astype(np.int64), id_map
+        return dense_flat.reshape(pairs.shape).astype(id_dtype(len(id_map) - 1)), id_map
     mark = np.zeros(hi + 1, dtype=bool)
     mark[pairs] = True
-    return (np.cumsum(mark, dtype=np.int64) - 1)[pairs], np.flatnonzero(mark)
+    rank = np.cumsum(mark, dtype=id_dtype(np.count_nonzero(mark) - 1))
+    # the prefix sum reaches n, which wraps when n - 1 is the type's top; the
+    # sum and this subtraction are exact modulo the type's range, which holds every dense id
+    rank -= 1
+    return rank[pairs], np.flatnonzero(mark)
 
 
 def _stored_dtype(pairs: np.ndarray) -> np.dtype:
-    """The narrowest unsigned type holding every id of the int64 ``pairs`` if
-    all lie in [0, 2**32), else int64."""
+    """``id_dtype`` of the largest id of the int64 ``pairs`` if none is
+    negative, else int64."""
     if not pairs.size:
-        return np.dtype(np.uint8)
-    lo, hi = int(pairs.min()), int(pairs.max())
+        return id_dtype(0)
     # decided apart from the signed case: np.result_type of an unsigned and a signed type can be float64
-    return np.min_scalar_type(hi) if lo >= 0 and hi < 1 << 32 else np.dtype(np.int64)
+    return id_dtype(int(pairs.max())) if pairs.min() >= 0 else np.dtype(np.int64)
 
 
 def write_cache(path: str | Path, pairs: np.ndarray, num_vertices: int) -> None:
@@ -238,7 +244,7 @@ def write_cache(path: str | Path, pairs: np.ndarray, num_vertices: int) -> None:
 
 
 def read_cache(path: str | Path) -> tuple[np.ndarray, int]:
-    """The cache's pairs, widened to int64, and its vertex count."""
+    """The cache's pairs, in the integer type they were stored in, and its vertex count."""
     try:
         with np.load(path) as data:
             version = data.get("format_version")
@@ -255,15 +261,16 @@ def read_cache(path: str | Path) -> tuple[np.ndarray, int]:
         raise InputError(f"{path}: cache pairs must be integer ids within int64, got dtype {pairs.dtype}")
     if n.shape != () or n.dtype.kind not in "iu" or n < 0:
         raise InputError(f"{path}: cache num_vertices must be a nonnegative integer, got {n} of dtype {n.dtype}")
-    return pairs.astype(np.int64, copy=False), int(n)
+    return pairs, int(n)
 
 
 def load_pairs(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read text or binary edges and densify ids.
 
-    Returns (dense pairs, id_map).  Binary caches are assumed dense already;
-    one whose vertex count no int64 array holds (the id map is one) is
-    refused, naming the file.
+    Returns (dense pairs, id_map).  Binary caches are assumed dense already,
+    and their pairs come back in their stored type; one whose vertex count no
+    int64 array holds (the id map is one) is refused, naming the file.  Text
+    ids come back in ``relabel_pairs``' type.
     """
     path = Path(path)
     if path.suffix == ".npz":
@@ -281,11 +288,11 @@ def dedup_pairs(pairs: np.ndarray) -> np.ndarray:
     """Collapse duplicate undirected pairs (orientation-insensitive).
 
     Returns the distinct canonical ``(min, max)`` rows in ascending
-    lexicographic order, the array ``np.unique(canon, axis=0)`` returns.
-    The rows are ordered by two stable radix passes, by ``max`` and then by
-    ``min``, and adjacent repeats are dropped.
+    lexicographic order, the array ``np.unique(canon, axis=0)`` returns, in
+    the pairs' integer type.  The rows are ordered by two stable radix
+    passes, by ``max`` and then by ``min``, and adjacent repeats are dropped.
     """
-    pairs = np.asarray(pairs, dtype=np.int64)
+    pairs = np.asarray(pairs)
     if pairs.size == 0:
         return pairs.reshape(0, 2)
     lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])

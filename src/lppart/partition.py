@@ -526,12 +526,11 @@ def _sweep(counts: NeighborCounts, chunk: int, pick: Callable) -> tuple[np.ndarr
     """The chunk walk every sweep shares; returns the moved rows and their old labels.
 
     For every chunk of owned rows with adjacency entries it reads the kept
-    counts and degree sums as (rows x parts) views, and hands ``pick(b0, raw, sums, cur, k_cur)`` those, the chunk's
-    labels and each row's count in its own part (for an unlabelled row, a
-    count the flood does not read).  ``pick`` returns the
-    chunk-relative rows that move and their new labels; the walk writes
-    them and notes them in ``counts`` after the chunk (nothing in the chunk
-    reads them).
+    counts and degree sums as (rows x parts) views, and hands
+    ``pick(b0, raw, sums, cur)`` those and the chunk's labels.  ``pick``
+    returns the chunk-relative rows that move and their new labels; the walk
+    writes them and notes them in ``counts`` after the chunk (nothing in the
+    chunk reads them).
     """
     lg, parts = counts.lg, counts.parts
     moved, left = [_NO_ROWS], [_NO_ROWS]  # per chunk: the moved rows, their old labels
@@ -540,8 +539,7 @@ def _sweep(counts: NeighborCounts, chunk: int, pick: Callable) -> tuple[np.ndarr
         if lg.offsets[b0] == lg.offsets[b1]:
             continue
         raw, sums = counts.rows(b0, b1)
-        cur = parts[b0:b1]
-        r, new = pick(b0, raw, sums, cur, raw[np.arange(b1 - b0), cur])
+        r, new = pick(b0, raw, sums, parts[b0:b1])
         if len(r):
             rows = b0 + r
             moved.append(rows)
@@ -554,7 +552,7 @@ def _flood(rng: np.random.Generator) -> Callable:
     neighbor adopts its k-th present part, k drawn uniform over the present
     ones, one ``rng`` draw per chunk."""
 
-    def pick(b0, raw, sums, cur, k_cur):
+    def pick(b0, raw, sums, cur):
         open_rows = np.flatnonzero(cur == -1)
         cand = open_rows[raw[open_rows].any(axis=1)]
         present = raw[cand] > 0
@@ -608,7 +606,8 @@ def _sweep_balance(
 
     # the loop's lists and constants are bound as default arguments, so it
     # reads them as local names, not as closure cells
-    def pick(b0, raw, wmat, cur, k_cur, sw=sw, guard_v=guard_v, nprocs=nprocs, max_v=max_v, mult=mult, edge_stage=edge_stage):
+    def pick(b0, raw, wmat, cur, sw=sw, guard_v=guard_v, nprocs=nprocs, max_v=max_v, mult=mult, edge_stage=edge_stage):
+        k_cur = raw[np.arange(len(cur)), cur]  # each row's count in its own part
         cand = np.flatnonzero(owned_deg[b0 : b0 + len(cur)] > k_cur)
         C = len(cand)
         # the candidates' supports, one after another in one flat list of
@@ -714,7 +713,8 @@ def _sweep_refine(
         guard_c = ledger.cut_edges.astype(np.float64).tolist()
 
     # (the loop's list and constants as local names, as in _sweep_balance)
-    def pick(b0, raw, sums, cur, k_cur, cap_v=cap_v, nprocs=nprocs, max_v=max_v, add_v=add_v, edge_stage=edge_stage):
+    def pick(b0, raw, sums, cur, cap_v=cap_v, nprocs=nprocs, max_v=max_v, add_v=add_v, edge_stage=edge_stage):
+        k_cur = raw[np.arange(len(cur)), cur]  # each row's count in its own part
         movers = np.flatnonzero(k_cur < raw.max(axis=1))
         dest = raw[movers].argmax(axis=1)
         if edge_stage:  # the edge caps read each mover's counts in its two parts and its degree

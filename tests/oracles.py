@@ -145,6 +145,18 @@ def build_csr(pairs, num_vertices):
     return offsets, dst[order]
 
 
+def id_dtype(pairs):
+    """The id type rule, spelled out: the first of uint8, uint16, uint32 that
+    holds every id when none is negative, else int64; uint8 for no pairs."""
+    if not pairs.size:
+        return np.dtype(np.uint8)
+    if pairs.min() >= 0:
+        for dtype in (np.uint8, np.uint16, np.uint32):
+            if pairs.max() <= np.iinfo(dtype).max:
+                return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
 def relabel_pairs(pairs):
     """(dense pairs, id_map) by ``np.unique``."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import cycle_pairs, grid_pairs, path_pairs, random_pairs
+from lppart import io
 from lppart.errors import ConfigError, InputError
 from lppart.gen import GenSpec, generate
 from lppart.graph import BLOCK, RANDOM_HASH, build_csr, distribute, make_distribution, stable_order
@@ -145,6 +147,84 @@ def test_edge_list_holds_each_edge_once_in_row_order(case):
     assert sorted(zip(u.tolist(), v.tolist())) == sorted((min(a, b), max(a, b)) for a, b in oracles.undirected_pairs(pairs))
     # by u, then by position in u's CSR row
     assert list(zip(u.tolist(), v.tolist())) == [(a, b) for a in range(n) for b in g.neighbors(a).tolist() if a < b]
+
+
+# ---------------------------------------------------------------------------
+# the CSR at every id width
+
+INT_TYPES = [np.uint8, np.int8, np.uint16, np.int16, np.uint32, np.int32, np.uint64, np.int64]
+
+
+@st.composite
+def width_graphs(draw):
+    """(pairs, n) with n at an id type's boundary: endpoints near the top and
+    bottom of [0, n), with loops and repeats, and sometimes a path through
+    every vertex, so that the text reader's ids are dense."""
+    n = draw(st.sampled_from([255, 256, 257, 65535, 65536, 65537]))
+    ids = draw(st.lists(st.one_of(st.integers(0, 5), st.integers(n - 6, n - 1)), min_size=1, max_size=8))
+    vertex = st.sampled_from(ids)
+    pairs = np.array(draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=40)), dtype=np.int64)
+    if draw(st.booleans()):
+        path = np.arange(n, dtype=np.int64)
+        pairs = np.concatenate([pairs, np.stack([path[:-1], path[1:]], axis=1)])
+    return pairs, n
+
+
+@settings(deadline=None, max_examples=40)
+@given(width_graphs())
+def test_id_width_does_not_change_the_csr(tmp_path_factory, case):
+    pairs, n = case
+    want = build_csr(pairs, n)
+    offsets, nbrs = oracles.build_csr(pairs, n)
+    assert want.offsets.dtype == want.nbrs.dtype == np.int64
+    assert np.array_equal(want.offsets, offsets) and np.array_equal(want.nbrs, nbrs)
+    for ids in [pairs.tolist()] + [pairs.astype(t) for t in INT_TYPES if pairs.max() <= np.iinfo(t).max]:
+        g = build_csr(ids, n)
+        assert g.offsets.dtype == g.nbrs.dtype == np.int64
+        assert g.offsets.tobytes() == want.offsets.tobytes() and g.nbrs.tobytes() == want.nbrs.tobytes()
+    # the readers hand build_csr the narrowest type that holds their ids, with the values they always had
+    path = tmp_path_factory.mktemp("width") / "g.npz"
+    io.write_cache(path, pairs, n)
+    got, id_map = io.load_pairs(path)
+    assert got.dtype == oracles.id_dtype(pairs) and np.array_equal(got, pairs) and np.array_equal(id_map, np.arange(n))
+    path = path.with_suffix(".txt")
+    io.write_edge_list(path, pairs)
+    got, id_map = io.load_pairs(path)
+    want_dense, want_map = oracles.relabel_pairs(pairs)
+    assert got.dtype == oracles.id_dtype(want_dense) and np.array_equal(got, want_dense) and np.array_equal(id_map, want_map)
+    distinct = io.dedup_pairs(got)
+    assert distinct.dtype == got.dtype and np.array_equal(distinct, oracles.dedup_pairs(want_dense))
+
+
+@pytest.mark.parametrize("pairs", [np.array([[0.7, 1.2], [1.9, 2.0]]), np.array([[True, False]]), np.array([[0, 1]], dtype=object)],
+                         ids=["float", "bool", "object"])
+def test_build_csr_refuses_ids_that_are_not_integers(pairs):
+    with pytest.raises(InputError, match=f"vertex ids must be integers, got dtype {pairs.dtype}"):
+        build_csr(pairs, 3)
+
+
+@pytest.mark.parametrize("pairs", [np.empty((0, 2)), np.empty((0, 2), dtype=bool), np.empty(0, dtype=object), []],
+                         ids=["float", "bool", "object", "list"])
+def test_build_csr_of_no_pairs_of_any_dtype_is_edgeless(pairs):
+    g = build_csr(pairs, 3)
+    assert g.num_edges == 0 and g.offsets.tolist() == [0, 0, 0, 0]
+    assert g.offsets.dtype == g.nbrs.dtype == np.int64 and len(g.nbrs) == 0
+
+
+def test_set_up_peak_memory_is_within_three_csrs(tmp_path):
+    """Reading a cache and building its CSR holds the ids at their stored
+    width, so the traced peak stays within 3x the finished CSR's bytes."""
+    n = 1 << 14
+    path = tmp_path / "g.npz"
+    io.write_cache(path, generate(GenSpec("rmat", n, 16, seed=5)), n)
+    tracemalloc.start()
+    try:
+        pairs, id_map = io.load_pairs(path)
+        g = build_csr(pairs, len(id_map))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * (g.offsets.nbytes + g.nbrs.nbytes)
 
 
 # sha256 of the little-endian int64 ``offsets`` then ``nbrs`` of the CSR of each

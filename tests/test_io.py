@@ -65,22 +65,13 @@ def id_pairs(draw):
 @settings(deadline=None, max_examples=300)
 @given(id_pairs())
 def test_relabel_and_dedup_match_np_unique(pairs):
-    for got, expected in ((io.relabel_pairs(pairs), oracles.relabel_pairs(pairs)),
-                          ((io.dedup_pairs(pairs),), (oracles.dedup_pairs(pairs),))):
-        for a, b in zip(got, expected):
-            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
-
-
-def _expected_stored_dtype(pairs):
-    """The cache's rule, spelled out: the first of uint8, uint16, uint32 that
-    holds every id when none is negative, else int64; uint8 for no pairs."""
-    if not pairs.size:
-        return np.dtype(np.uint8)
-    if pairs.min() >= 0:
-        for dtype in (np.uint8, np.uint16, np.uint32):
-            if pairs.max() <= np.iinfo(dtype).max:
-                return np.dtype(dtype)
-    return np.dtype(np.int64)
+    """np.unique's values; the dense ids in the narrowest type that holds them."""
+    (dense, id_map), (want_dense, want_map) = io.relabel_pairs(pairs), oracles.relabel_pairs(pairs)
+    assert dense.dtype == oracles.id_dtype(want_dense) and dense.shape == want_dense.shape
+    assert np.array_equal(dense, want_dense)
+    assert id_map.dtype == want_map.dtype and np.array_equal(id_map, want_map)
+    got, expected = io.dedup_pairs(pairs), oracles.dedup_pairs(pairs)
+    assert got.dtype == expected.dtype and got.shape == expected.shape and np.array_equal(got, expected)
 
 
 @st.composite
@@ -100,10 +91,10 @@ def test_cache_roundtrip_is_exact_and_stored_narrow(tmp_path_factory, pairs, n):
         assert sorted(info.filename for info in zf.infolist()) == ["format_version.npy", "num_vertices.npy", "pairs.npy"]
         assert all(info.compress_type == zipfile.ZIP_STORED for info in zf.infolist())
     with np.load(path) as data:
-        assert data["pairs"].dtype == _expected_stored_dtype(pairs)
+        assert data["pairs"].dtype == oracles.id_dtype(pairs)
         assert data["num_vertices"].dtype == np.int64 and data["format_version"].dtype == np.int64
     back, m = io.read_cache(path)
-    assert m == n and back.dtype == np.int64 and back.shape == pairs.shape and np.array_equal(back, pairs)
+    assert m == n and back.dtype == oracles.id_dtype(pairs) and back.shape == pairs.shape and np.array_equal(back, pairs)
 
 
 def test_cache_written_deflated_as_int64_reads_back(tmp_path):
